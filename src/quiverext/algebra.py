@@ -9,12 +9,16 @@ idempotents are complete, the semisimple quotient is split basic).
 
 The multiplication table is sparse: table[i][j] is a tuple of
 (index, coefficient) pairs for the product b_i * b_j. Quiver algebras and
-all the tensor/extension constructions produce very sparse tables, and the
-validation battery and module machinery exploit that.
+all the tensor/extension constructions produce very sparse tables. Every
+product goes through one kernel, `sparse_multiply`, which visits only
+nonempty table cells; the battery runs on it and skips only products that
+are zero by construction, so its checks are as strong as dense ones. Zero
+is tested by truthiness, exact on canonical elements: `__init__`
+canonicalises the stored data, `linalg.nonzero_pairs` outside vectors.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import EchelonSpan, Matrix
+from .linalg import EchelonSpan, Matrix, nonzero_pairs
 
 
 class Algebra:
@@ -40,22 +44,36 @@ class Algebra:
 
     # -- basic arithmetic -------------------------------------------------
 
+    def sparse_multiply(self, x, y):
+        """Product of two vectors given as nonzero (index, canonical coeff)
+        pairs, in the same form; the algebra's one product loop, visiting
+        only the nonempty cells b_i * b_j with x_i and y_j nonzero."""
+        f = self.field
+        mul, add = f.mul, f.add
+        table = self.table
+        out = {}
+        for i, a in x:
+            row = table[i]
+            for j, b in y:
+                cell = row[j]
+                if cell:
+                    c = mul(a, b)
+                    for k, d in cell:
+                        v = mul(c, d)
+                        out[k] = add(out[k], v) if k in out else v
+        return [kc for kc in out.items() if kc[1]]
+
+    def dense(self, pairs):
+        """The coordinate vector with the given (index, coeff) entries."""
+        out = [self.field.zero] * self.dim
+        for k, c in pairs:
+            out[k] = c
+        return tuple(out)
+
     def multiply(self, x, y):
         """Product of two coordinate vectors."""
-        f = self.field
-        out = [f.zero] * self.dim
-        table = self.table
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            row = table[i]
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                c = f.mul(xi, yj)
-                for k, ck in row[j]:
-                    out[k] = f.add(out[k], f.mul(c, ck))
-        return tuple(out)
+        return self.dense(self.sparse_multiply(nonzero_pairs(self.field, x),
+                                             nonzero_pairs(self.field, y)))
 
     def basis_vector(self, i):
         f = self.field
@@ -65,31 +83,17 @@ class Algebra:
 
     def left_mult_matrix(self, vec):
         """Matrix of x -> vec * x."""
-        f = self.field
-        cols = []
-        for j in range(self.dim):
-            col = [f.zero] * self.dim
-            for i, vi in enumerate(vec):
-                if f.is_zero(vi):
-                    continue
-                for k, ck in self.table[i][j]:
-                    col[k] = f.add(col[k], f.mul(vi, ck))
-            cols.append(col)
-        return Matrix.from_cols(self.field, cols, nrows=self.dim)
+        v, one = nonzero_pairs(self.field, vec), self.field.one
+        return Matrix.from_cols(
+            self.field, [self.dense(self.sparse_multiply(v, ((j, one),)))
+                         for j in range(self.dim)], nrows=self.dim)
 
     def right_mult_matrix(self, vec):
         """Matrix of x -> x * vec."""
-        f = self.field
-        cols = []
-        for i in range(self.dim):
-            col = [f.zero] * self.dim
-            for j, vj in enumerate(vec):
-                if f.is_zero(vj):
-                    continue
-                for k, ck in self.table[i][j]:
-                    col[k] = f.add(col[k], f.mul(vj, ck))
-            cols.append(col)
-        return Matrix.from_cols(self.field, cols, nrows=self.dim)
+        v, one = nonzero_pairs(self.field, vec), self.field.one
+        return Matrix.from_cols(
+            self.field, [self.dense(self.sparse_multiply(((i, one),), v))
+                         for i in range(self.dim)], nrows=self.dim)
 
     @property
     def radical_dim(self):
@@ -105,12 +109,7 @@ class Algebra:
         return self._cache["rad_basis"]
 
     def in_radical(self, vec):
-        if "rad_span" not in self._cache:
-            span = EchelonSpan(self.field, self.dim)
-            for r in self.radical_rows:
-                span.insert(r)
-            self._cache["rad_span"] = span
-        return self._cache["rad_span"].contains(vec)
+        return self.radical_basis().coords(vec) is not None
 
     def generators(self):
         """An algebra generating set: idempotents plus lifts of rad/rad^2.
@@ -123,12 +122,13 @@ class Algebra:
             return self._cache["generators"]
         rb = self.radical_basis()
         sq = EchelonSpan(self.field, self.dim)
-        rows = [tuple(r) for r in rb.rows]
-        for r in rows:
-            for s in rows:
-                sq.insert(self.multiply(r, s))
+        for r in rb.sparse_rows:
+            for s in rb.sparse_rows:
+                prod = self.sparse_multiply(r, s)
+                if prod:
+                    sq.insert(self.dense(prod))
         gens = list(self.idempotents)
-        for r in rows:
+        for r in rb.rows:
             if sq.insert(r):
                 gens.append(tuple(r))
         gens = tuple(gens)
@@ -162,35 +162,30 @@ class Algebra:
                 raise ValidationError(f"unit law fails: b{j}*1 != b{j}")
 
     def _check_associativity(self):
-        # (b_i b_j) b_k == b_i (b_j b_k) for all i, j, k is equivalent to
-        # L_i and R_k commuting for all i, k; composing the sparse tables
-        # keeps this O(n * nnz) per pair.
-        f = self.field
+        # (b_i b_j) b_k == b_i (b_j b_k) for all i, j, k. The left side is
+        # a sum over the b_t in b_i b_j of multiples of b_t b_k, the right
+        # side one over the b_u in b_j b_k of multiples of b_i b_u; where
+        # all of those cells are empty, both sides are zero.
         n = self.dim
+        one = self.field.one
         table = self.table
+        right = [[k for k in range(n) if table[t][k]] for t in range(n)]
+        left = [[h for h in range(n) if table[h][t]] for t in range(n)]
+        todo = {}
         for i in range(n):
-            rowi = table[i]
+            for j in range(n):
+                for t, _ in table[i][j]:
+                    for k in right[t]:  # (b_i b_j) b_k
+                        todo.setdefault((i, k), set()).add(j)
+                    for h in left[t]:  # b_h (b_i b_j)
+                        todo.setdefault((h, j), set()).add(i)
+        mul = self.sparse_multiply
+        for i in range(n):
+            bi = ((i, one),)
             for k in range(n):
-                for j in range(n):
-                    left = {}
-                    for t, c in table[j][k]:
-                        for u, d in rowi[t]:
-                            v = left.get(u, f.zero)
-                            v = f.add(v, f.mul(c, d))
-                            if f.is_zero(v):
-                                left.pop(u, None)
-                            else:
-                                left[u] = v
-                    right = {}
-                    for t, c in rowi[j]:
-                        for u, d in table[t][k]:
-                            v = right.get(u, f.zero)
-                            v = f.add(v, f.mul(c, d))
-                            if f.is_zero(v):
-                                right.pop(u, None)
-                            else:
-                                right[u] = v
-                    if left != right:
+                bk = ((k, one),)
+                for j in sorted(todo.get((i, k), ())):
+                    if dict(mul(table[i][j], bk)) != dict(mul(bi, table[j][k])):
                         raise ValidationError(
                             f"associativity fails at (b{i}*b{j})*b{k}")
 
@@ -228,15 +223,16 @@ class Algebra:
         if span.rank != self.dim:
             raise ValidationError("idempotents and radical do not span the algebra")
         # two-sided ideal
-        rows = [tuple(r) for r in rb.rows]
+        rows = rb.sparse_rows
+        one = f.one
         for i in range(self.dim):
-            bi = self.basis_vector(i)
+            bi = ((i, one),)
             for r in rows:
-                if not self.in_radical(self.multiply(bi, r)):
+                if rb.sparse_coords(self.sparse_multiply(bi, r)) is None:
                     raise ValidationError("radical is not a left ideal")
-                if not self.in_radical(self.multiply(r, bi)):
+                if rb.sparse_coords(self.sparse_multiply(r, bi)) is None:
                     raise ValidationError("radical is not a right ideal")
-        # nilpotency
+        # nilpotency; a zero product cannot grow a span, so it is not inserted
         current = rows
         for _ in range(self.dim + 1):
             if not current:
@@ -244,8 +240,10 @@ class Algebra:
             nxt = EchelonSpan(f, self.dim)
             for x in current:
                 for r in rows:
-                    nxt.insert(self.multiply(x, r))
-            current = [tuple(r) for r in nxt.reduced_basis().rows]
+                    prod = self.sparse_multiply(x, r)
+                    if prod:
+                        nxt.insert(self.dense(prod))
+            current = nxt.reduced_basis().sparse_rows
         raise ValidationError("radical is not nilpotent")
 
     def __repr__(self):
@@ -282,9 +280,11 @@ def tensor_algebra(a, b):
     """
     if a.field != b.field:
         raise FieldMismatchError("tensor factors over different fields")
+    # The entry holds b itself, so b stays alive and its id is not reused
+    # while the entry exists.
     key = ("tensor", id(b))
     if key in a._cache:
-        return a._cache[key]
+        return a._cache[key][1]
     f = a.field
     na, nb = a.dim, b.dim
     n = na * nb
@@ -347,7 +347,7 @@ def tensor_algebra(a, b):
 
     out = Algebra(f, labels, table, unit, radical_rows, idempotents,
                   meta={"kind": "tensor", "left_dim": na, "right_dim": nb})
-    a._cache[key] = out
+    a._cache[key] = (b, out)
     return out
 
 

@@ -395,20 +395,30 @@ class EchelonSpan:
     def reduced_basis(self):
         """Return the fully reduced leading-one basis of the span."""
         f = self.field
+        of, mul, sub, zero = f.of, f.mul, f.sub, f.zero
         pivots = sorted(self.pivot_to_row)
         rows = []
         for p in pivots:
             raw = self.pivot_to_row[p]
-            lead = f.of(raw[p])
-            rows.append([f.mul(f.inv(lead), f.of(x)) for x in raw])
+            inv = f.inv(of(raw[p]))
+            rows.append([mul(inv, of(x)) if x else zero for x in raw])
         # eliminate pivot columns above each pivot
         for i in range(len(pivots) - 1, -1, -1):
             p = pivots[i]
+            nonzero = [(t, b) for t, b in enumerate(rows[i]) if b]
             for j in range(i):
-                c = rows[j][p]
-                if not f.is_zero(c):
-                    rows[j] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[j], rows[i])]
+                row = rows[j]
+                c = row[p]
+                if c:
+                    for t, b in nonzero:
+                        row[t] = sub(row[t], mul(c, b))
         return ReducedBasis(f, self.width, rows, pivots)
+
+
+def nonzero_pairs(field, vec):
+    """The nonzero entries of vec, canonicalised, as (index, coeff) pairs."""
+    of = field.of
+    return [(i, of(c)) for i, c in enumerate(vec) if c]
 
 
 def _first_nonzero(row, start=0):
@@ -423,32 +433,54 @@ class ReducedBasis:
 
     Rows have leading coefficient one and zeros in the other pivot columns,
     so the coordinates of a vector in the span are just its pivot entries.
+    Each row's nonzero entries are kept as well, so a vector is reduced
+    only at the pivots where it is nonzero, by sparse row updates.
     """
 
-    __slots__ = ("field", "width", "rows", "pivots")
+    __slots__ = ("field", "width", "rows", "pivots", "_sparse")
 
     def __init__(self, field, width, rows, pivots):
         self.field = field
         self.width = width
         self.rows = [tuple(r) for r in rows]
         self.pivots = tuple(pivots)
+        self._sparse = None
 
     @property
     def dim(self):
         return len(self.rows)
 
+    @property
+    def sparse_rows(self):
+        """Each row's nonzero entries as (index, coeff) pairs; built on
+        first use, with the row of each pivot, as most bases never need it."""
+        if self._sparse is None:
+            self._sparse = ([tuple((i, b) for i, b in enumerate(r) if b)
+                             for r in self.rows],
+                            {p: t for t, p in enumerate(self.pivots)})
+        return self._sparse[0]
+
+    def sparse_coords(self, vec):
+        """Coordinates of a vector given as (index, canonical coeff) pairs,
+        as a dict row -> coeff, or None if the vector is not in the span."""
+        f = self.field
+        sub, mul, zero = f.sub, f.mul, f.zero
+        sparse_rows, row_of = self.sparse_rows, self._sparse[1]
+        resid = dict(vec)
+        cs = {}
+        for k, c in vec:
+            t = row_of.get(k)
+            if t is not None and c:
+                cs[t] = c
+                for i, b in sparse_rows[t]:
+                    resid[i] = sub(resid.get(i, zero), mul(c, b))
+        return None if any(resid.values()) else cs
+
     def coords(self, vec):
         """Coordinates of vec in this basis, or None if not in the span."""
-        f = self.field
-        cs = [f.of(vec[p]) for p in self.pivots]
-        resid = list(vec)
-        for c, row in zip(cs, self.rows):
-            if not f.is_zero(c):
-                resid = [f.sub(f.of(a), f.mul(c, b)) for a, b in zip(resid, row)]
-        for a, v in zip(resid, vec):
-            if not f.is_zero(f.of(a)):
-                return None
-        return tuple(cs)
+        cs = self.sparse_coords(nonzero_pairs(self.field, vec))
+        return None if cs is None else tuple(
+            cs.get(t, self.field.zero) for t in range(self.dim))
 
     def combine(self, coords):
         """The vector with the given coordinates."""

@@ -13,7 +13,8 @@ the same relation subspace as all of B.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import EchelonSpan, Matrix, kernel_basis, rank, solve_linear
+from .linalg import (EchelonSpan, Matrix, kernel_basis, nonzero_pairs, rank,
+                     solve_linear)
 from .algebra import opposite, tensor_algebra
 
 
@@ -188,27 +189,29 @@ def projective_data(algebra, s):
         return algebra._cache[key]
     f = algebra.field
     e = algebra.idempotents[s]
+    one, es = f.one, nonzero_pairs(f, e)
     span = EchelonSpan(f, algebra.dim)
-    re = algebra.right_mult_matrix(e)
     for j in range(algebra.dim):
-        span.insert(re.col(j))
+        prod = algebra.sparse_multiply(((j, one),), es)
+        if prod:
+            span.insert(algebra.dense(prod))
     rb = span.reduced_basis()
     d = rb.dim
     sparse = []
     action = []
     for i in range(algebra.dim):
-        bi = algebra.basis_vector(i)
+        bi = ((i, one),)
         cols = []
         triples = []
-        for c in range(d):
-            img = algebra.multiply(bi, rb.rows[c])
-            coords = rb.coords(img)
+        for c, row in enumerate(rb.sparse_rows):
+            coords = rb.sparse_coords(algebra.sparse_multiply(bi, row))
             if coords is None:
                 raise ValidationError("projective module not closed under action")
-            cols.append(coords)
-            for r, v in enumerate(coords):
-                if not f.is_zero(v):
-                    triples.append((r, c, v))
+            col = [f.zero] * d
+            for r, v in sorted(coords.items()):
+                col[r] = v
+                triples.append((r, c, v))
+            cols.append(col)
         mat = Matrix.from_cols(f, cols, nrows=d)
         action.append(mat)
         sparse.append(tuple(triples))

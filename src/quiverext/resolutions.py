@@ -352,7 +352,7 @@ class _Slice:
 
 
 def _slice_of(n, algebra_of_w, s):
-    key = ("slice", id(algebra_of_w), s)
+    key = ("slice", algebra_of_w, s)
     if key not in n._cache:
         e = algebra_of_w.idempotents[s]
         n._cache[key] = _Slice(n, e)
@@ -604,7 +604,6 @@ class ChainComplex:
         return all(v == 0 for v in self.homology().values())
 
     def euler_characteristic(self):
-        sign = 1
         total = 0
         for i in self.degrees():
             total += (1 if i % 2 == 0 else -1) * self.modules[i].dim

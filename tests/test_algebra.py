@@ -1,7 +1,13 @@
+import gc
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverext.errors import FieldMismatchError, ValidationError
-from quiverext.linalg import GF, QQ, Matrix
+from quiverext.linalg import GF, QQ, EchelonSpan, Matrix, nonzero_pairs
+from quiverext.quiver import QuiverPresentation, algebra_from_presentation
+from quiverext.suite import random_quiver_algebra
 from quiverext.algebra import (Algebra, opposite, product_algebra,
                                scalar_algebra, tensor_algebra,
                                verify_algebra_isomorphism)
@@ -141,3 +147,167 @@ def test_opposite_matches_reversed_quiver(gamma):
     from quiverext.modules import projective_indecomposables
     assert sorted(p.dim for p in projective_indecomposables(direct)) == \
         sorted(p.dim for p in projective_indecomposables(opp))
+
+
+def test_tensor_cache_survives_recycled_ids():
+    """A cached tensor product is never handed back for another factor,
+    even when that factor reuses the address of a collected one."""
+    a = scalar_algebra(QQ)
+    k = scalar_algebra(QQ)
+    b1 = algebra_from_presentation(
+        QuiverPresentation(("1",), (("x", "1", "1"),),
+                           (((1, ("x", "x")),),)), QQ)
+    assert tensor_algebra(a, b1).radical_dim == 1
+    del b1
+    gc.collect()
+    # k x k, built until one copy would land at b1's old address
+    for b2 in [product_algebra(k, k) for _ in range(50)]:
+        t = tensor_algebra(a, b2)
+        assert t.radical_dim == 0
+        assert len(t.idempotents) == 2
+
+
+# -- fault injection: every rejection of the radical check ---------------
+
+def _a2(field):
+    """Path algebra of 1 -> 2 with basis e1, e2, b (b = e2 b e1)."""
+    return algebra_from_presentation(
+        QuiverPresentation(("1", "2"), (("b", "1", "2"),)), field)
+
+
+def _vec(field, **coeffs):
+    order = ("e1", "e2", "b")
+    return tuple(field.of(coeffs.get(l, 0)) for l in order)
+
+
+_RADICAL_FAULTS = [
+    ("dependent", lambda f: ([_vec(f, b=1), _vec(f, b=1)], None),
+     "radical rows are linearly dependent"),
+    ("dimension", lambda f: ([], None),
+     "not split basic: dim != #idempotents \\+ dim radical"),
+    ("not spanning", lambda f: ([_vec(f, e1=1)], None),
+     "idempotents and radical do not span the algebra"),
+    ("left ideal", lambda f: ([_vec(f, b=1, e1=1)], None),
+     "radical is not a left ideal"),
+    ("right ideal", lambda f: ([_vec(f, b=1, e2=1)], None),
+     "radical is not a right ideal"),
+    # span(e1, b) is a two-sided ideal containing the idempotent e1
+    ("nilpotent", lambda f: ([_vec(f, e1=1), _vec(f, b=1)],
+                             [_vec(f, e1=1, e2=1)]),
+     "radical is not nilpotent"),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+@pytest.mark.parametrize("fault,build,message", _RADICAL_FAULTS,
+                         ids=[x[0] for x in _RADICAL_FAULTS])
+def test_radical_fault_rejected(field, fault, build, message):
+    a = _a2(field)
+    assert a.basis_labels == ("e1", "e2", "b")
+    radical, idempotents = build(field)
+    with pytest.raises(ValidationError, match=message):
+        Algebra(field, a.basis_labels, a.table, a.unit, radical,
+                idempotents or a.idempotents)
+
+
+# -- the sparse product kernel against a dense triple loop ---------------
+
+def _reference_product(a, x, y):
+    f = a.field
+    out = [f.zero] * a.dim
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k, c in a.table[i][j]:
+                out[k] = f.add(out[k], f.mul(f.mul(f.of(x[i]), f.of(y[j])), c))
+    return tuple(out)
+
+
+_FIELDS = st.sampled_from([QQ, GF(2)])
+
+
+@st.composite
+def _algebra_and_vectors(draw, count):
+    field = draw(_FIELDS)
+    a = random_quiver_algebra(random.Random(draw(st.integers(0, 10**6))),
+                              field)
+    coeff = st.fractions(-3, 3, max_denominator=3) if field is QQ \
+        else st.integers(0, 1)
+    vecs = [tuple(field.of(c) for c in draw(st.lists(
+        coeff, min_size=a.dim, max_size=a.dim))) for _ in range(count)]
+    return a, vecs
+
+
+@given(data=_algebra_and_vectors(2))
+@settings(max_examples=60, deadline=None)
+def test_multiply_matches_dense_reference(data):
+    a, (x, y) = data
+    assert a.multiply(x, y) == _reference_product(a, x, y)
+    one = a.field.one
+    for j in range(a.dim):
+        bj = a.basis_vector(j)
+        assert a.left_mult_matrix(x).col(j) == _reference_product(a, x, bj)
+        assert a.right_mult_matrix(x).col(j) == _reference_product(a, bj, x)
+        assert a.sparse_multiply(nonzero_pairs(a.field, x), ((j, one),)) == \
+            nonzero_pairs(a.field, _reference_product(a, x, bj))
+
+
+@given(data=_algebra_and_vectors(4))
+@settings(max_examples=60, deadline=None)
+def test_sparse_coords_agree_with_echelon_span(data):
+    """The left ideal A x + A y: sparse coordinates and membership of
+    products and of arbitrary vectors agree with EchelonSpan."""
+    a, (x, y, u, v) = data
+    span = EchelonSpan(a.field, a.dim)
+    for g in (x, y):
+        for i in range(a.dim):
+            span.insert(a.multiply(a.basis_vector(i), g))
+    rb = span.reduced_basis()
+    for w in (u, v, a.multiply(u, x), a.multiply(v, y),
+              tuple(a.field.add(p, q) for p, q in
+                    zip(a.multiply(u, x), a.multiply(v, y)))):
+        cs = rb.coords(w)
+        member = span.contains(w)
+        assert (cs is not None) == member
+        assert (rb.sparse_coords(nonzero_pairs(a.field, w)) is not None) == member
+        if cs is not None:
+            assert rb.combine(cs) == w
+
+
+def _is_associative(a):
+    """Every triple, both sides composed straight from the table."""
+    f = a.field
+    n = a.dim
+
+    def compose(pairs, cell_of):
+        out = {}
+        for t, c in pairs:
+            for u, d in cell_of(t):
+                out[u] = f.add(out.get(u, f.zero), f.mul(c, d))
+        return {u: v for u, v in out.items() if v}
+
+    return all(
+        compose(a.table[i][j], lambda t: a.table[t][k])
+        == compose(a.table[j][k], lambda t: a.table[i][t])
+        for i in range(n) for j in range(n) for k in range(n))
+
+
+@given(seed=st.integers(0, 10**6), field=_FIELDS, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_associativity_check_exact_on_corrupted_tables(seed, field, data):
+    """The check skips only triples whose sides are both zero: it rejects
+    a corrupted table exactly when some triple fails."""
+    a = random_quiver_algebra(random.Random(seed), field, max_vertices=2,
+                              max_arrows=3)
+    n = a.dim
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    c = data.draw(st.integers(0, 2))
+    table = [list(row) for row in a.table]
+    table[i][j] = ((k, field.of(c)),) if c else ()
+    bad = Algebra(field, a.basis_labels, table, a.unit, a.radical_rows,
+                  a.idempotents, validate=False)
+    try:
+        bad._check_associativity()
+        rejected = False
+    except ValidationError:
+        rejected = True
+    assert rejected == (not _is_associative(bad))
