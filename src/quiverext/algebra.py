@@ -18,7 +18,7 @@ canonicalises the stored data, `linalg.nonzero_pairs` outside vectors.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import EchelonSpan, Matrix, nonzero_pairs
+from .linalg import EchelonSpan, Matrix, nonzero_pairs, unit_vector
 
 
 class Algebra:
@@ -76,10 +76,7 @@ class Algebra:
                                              nonzero_pairs(self.field, y)))
 
     def basis_vector(self, i):
-        f = self.field
-        v = [f.zero] * self.dim
-        v[i] = f.one
-        return tuple(v)
+        return unit_vector(self.field, self.dim, i)
 
     def left_mult_matrix(self, vec):
         """Matrix of x -> vec * x."""

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 from .errors import (FieldMismatchError, InternalCheckError, ValidationError,
                      WitnessError)
-from .linalg import Matrix, kernel_basis, quotient_space, rank
+from .linalg import (Matrix, kernel_basis, kron, quotient_space, rank,
+                     unit_vector)
 from .algebra import Algebra, opposite, product_algebra
 from .modules import (Bimodule, Module, ModuleMap, bimodule_direct_sum,
-                      projective_bimodule, tensor_over, tensor_power)
+                      projective_bimodule, tensor_over)
 from .resolutions import (ChainComplex, is_projective, minimal_resolution,
                           projective_dimension, tor)
 from . import verdicts
@@ -145,18 +146,12 @@ def trivial_extension(r, m):
     pad = (f.zero,) * nm
     unit = tuple(r.unit) + pad
     radical_rows = [tuple(rr) + pad for rr in r.radical_rows]
-    for i in range(nm):
-        vec = [f.zero] * n
-        vec[nr + i] = f.one
-        radical_rows.append(tuple(vec))
+    radical_rows += [unit_vector(f, n, nr + i) for i in range(nm)]
     idempotents = [tuple(e) + pad for e in r.idempotents]
     t = Algebra(f, labels, table, unit, radical_rows, idempotents,
                 meta={"kind": "trivial-extension", "base_dim": nr})
-    emb_cols = [[f.one if i == j else f.zero for i in range(n)] for j in range(nr)]
-    emb = Matrix.from_cols(f, emb_cols, nrows=n)
-    ret_rows = [[f.one if i == j else f.zero for j in range(n)] for i in range(nr)]
-    ret = Matrix.from_rows(f, ret_rows, ncols=n)
-    ret.ncols = n
+    ret = Matrix(f, [unit_vector(f, n, j) for j in range(nr)], n)
+    emb = ret.transpose()
     ext = ExtensionPresentation(t, r, emb, ret, provenance="trivial-extension")
     return t, ext
 
@@ -338,24 +333,6 @@ def _ext_side_bimodules(ext):
     return a_ab, a_ba
 
 
-def _kron(f, m1, m2):
-    """Kronecker product of two matrices."""
-    rows = []
-    for r1 in m1.rows:
-        for r2 in m2.rows:
-            row = []
-            for a in r1:
-                if f.is_zero(a):
-                    row.extend([f.zero] * len(r2))
-                else:
-                    row.extend([f.mul(a, x) for x in r2])
-            rows.append(row)
-    out = Matrix(f, rows) if rows else Matrix.zeros(f, m1.nrows * m2.nrows,
-                                                    m1.ncols * m2.ncols)
-    out.ncols = m1.ncols * m2.ncols
-    return out
-
-
 def relative_bar_complex(ext, p):
     """The augmented complex of A-bimodules
     0 -> A (x)_B Q^{(x)(p-1)} (x)_B A -> ... -> A (x)_B A -> A -> 0
@@ -395,8 +372,8 @@ def relative_bar_complex(ext, p):
     for j in range(1, p):
         prev, pproj, psect = folds[-1]
         res, pr, se = tensor_over(prev, q, return_maps=True)
-        comp_proj = pr.mul(_kron(f, pproj, Matrix.identity(f, mq)))
-        comp_sect = _kron(f, psect, Matrix.identity(f, mq)).mul(se)
+        comp_proj = pr.mul(kron(pproj, Matrix.identity(f, mq)))
+        comp_sect = kron(psect, Matrix.identity(f, mq)).mul(se)
         folds.append((res, comp_proj, comp_sect))
 
     # X_j = L_j (x)_B A with composite maps from A (x) W^j (x) A
@@ -404,8 +381,8 @@ def relative_bar_complex(ext, p):
     for j in range(p):
         lj, lproj, lsect = folds[j]
         xj, pr, se = tensor_over(lj, a_ba, return_maps=True)
-        comp_proj = pr.mul(_kron(f, lproj, Matrix.identity(f, n)))
-        comp_sect = _kron(f, lsect, Matrix.identity(f, n)).mul(se)
+        comp_proj = pr.mul(kron(lproj, Matrix.identity(f, n)))
+        comp_sect = kron(lsect, Matrix.identity(f, n)).mul(se)
         terms.append((xj, comp_proj, comp_sect))
 
     modules = {-1: Bimodule.regular(a).as_env_module()}
@@ -427,13 +404,13 @@ def relative_bar_complex(ext, p):
         total = None
         for i in range(j + 1):
             if i == 0:
-                face = _kron(f, mult_aw, Matrix.identity(f, mq ** (j - 1) * n))
+                face = kron(mult_aw, Matrix.identity(f, mq ** (j - 1) * n))
             elif i < j:
                 left = Matrix.identity(f, n * mq ** (i - 1))
                 right = Matrix.identity(f, mq ** (j - 1 - i) * n)
-                face = _kron(f, _kron(f, left, mult_ww), right)
+                face = kron(kron(left, mult_ww), right)
             else:
-                face = _kron(f, Matrix.identity(f, n * mq ** (j - 1)), mult_wa)
+                face = kron(Matrix.identity(f, n * mq ** (j - 1)), mult_wa)
             signed = face if i % 2 == 0 else face.neg()
             total = signed if total is None else total.add(signed)
         _check_descent(pprev.mul(total), pj)
@@ -545,9 +522,9 @@ def projectivity_transport_check(ext, sample_count=None, cap=12):
     right = []
     for i in range(nb):
         li = b.left_mult_matrix(b.basis_vector(i))
-        left.append(_kron(f, li, Matrix.identity(f, nb)))
+        left.append(kron(li, Matrix.identity(f, nb)))
         ri = b.right_mult_matrix(b.basis_vector(i))
-        right.append(_kron(f, Matrix.identity(f, nb), ri))
+        right.append(kron(Matrix.identity(f, nb), ri))
     bkb = Bimodule(b, b, nb * nb, left, right, validate=False)
     for i, gens in enumerate(res.gens):
         term = _env_projective_bimodule(b, gens)

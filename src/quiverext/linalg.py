@@ -9,6 +9,13 @@ integers and row operations use cross-multiplication followed by a gcd
 division, which keeps intermediate entries small without ever rounding.
 Dense matrices are the right shape for this engine; the modules that sit
 on top stay in the tens-to-hundreds of dimensions.
+
+This module is the one home of dense assembly. A Matrix is immutable and
+its shape is fixed at construction (`ncols` keeps the width of a matrix
+without rows). The shared helpers are `unit_vector`, `linear_combination`
+and `matrix_combination` (sums c * x, testing zero by truthiness, exact on
+canonical elements), `block_diag`, `kron`, and `null_space`, whose
+free-column loop also gives `kernel_basis` and `quotient_space`.
 """
 
 from fractions import Fraction
@@ -142,60 +149,60 @@ def field_from_spec(spec):
 
 
 class Matrix:
-    """Immutable dense matrix over a fixed field."""
+    """Immutable dense matrix over a fixed field.
+
+    The shape is fixed at construction. `ncols` gives the width of a
+    matrix with no rows; when rows are given it must match them. Setting
+    an attribute after construction raises AttributeError.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field, rows):
-        self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
+    def __init__(self, field, rows, ncols=None):
+        rows = tuple(tuple(r) for r in rows)
+        width = len(rows[0]) if rows else ncols or 0
+        if ncols is not None and ncols != width:
+            raise LinAlgError(f"rows of width {width}, expected {ncols}")
+        for r in rows:
+            if len(r) != width:
                 raise LinAlgError("ragged rows")
+        init = object.__setattr__
+        init(self, "field", field)
+        init(self, "rows", rows)
+        init(self, "nrows", len(rows))
+        init(self, "ncols", width)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Matrix is immutable; cannot delete {name!r}")
 
     @classmethod
-    def from_rows(cls, field, rows, ncols=None):
-        rows = [[field.of(x) for x in r] for r in rows]
-        if not rows and ncols is not None:
-            m = cls(field, [])
-            m.ncols = ncols
-            return m
-        return cls(field, rows)
+    def from_rows(cls, field, rows):
+        return cls(field, [[field.of(x) for x in r] for r in rows])
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
         z = field.zero
-        m = cls(field, [[z] * ncols for _ in range(nrows)])
-        m.ncols = ncols
-        return m
+        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls(field, [unit_vector(field, n, i) for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
-        if not cols:
-            return cls.zeros(field, nrows or 0, 0)
-        height = len(cols[0])
-        if height == 0:
-            return cls.zeros(field, 0, len(cols))
+        height = len(cols[0]) if cols else nrows or 0
         return cls(field, [[field.of(col[i]) for col in cols]
-                           for i in range(height)])
+                           for i in range(height)], len(cols))
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
-
     def transpose(self):
-        m = Matrix(self.field, [self.col(j) for j in range(self.ncols)])
-        m.ncols = self.nrows
-        return m
+        return Matrix(self.field, [self.col(j) for j in range(self.ncols)],
+                      self.nrows)
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -220,9 +227,7 @@ class Matrix:
                     if b:
                         acc[j] = f.add(acc[j], f.mul(a, b))
             out.append(acc)
-        m = Matrix(f, out)
-        m.ncols = ocols
-        return m
+        return Matrix(f, out, ocols)
 
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple."""
@@ -242,21 +247,22 @@ class Matrix:
         self._check_same_shape(other)
         f = self.field
         return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
+                          for r1, r2 in zip(self.rows, other.rows)], self.ncols)
 
     def sub(self, other):
         self._check_same_shape(other)
         f = self.field
         return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
+                          for r1, r2 in zip(self.rows, other.rows)], self.ncols)
 
     def scale(self, c):
         f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows])
+        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows],
+                      self.ncols)
 
     def neg(self):
         f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows])
+        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows], self.ncols)
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -284,6 +290,63 @@ class Matrix:
         f = self.field
         body = "; ".join(" ".join(f.to_str(a) for a in r) for r in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
+
+
+def unit_vector(field, n, i):
+    """The i-th standard basis vector of k^n."""
+    v = [field.zero] * n
+    v[i] = field.one
+    return tuple(v)
+
+
+def linear_combination(field, terms, n):
+    """The sum of c * v over (c, v) pairs, each v of length n.
+
+    Zero is tested by truthiness, exact on canonical elements, as in
+    Matrix.mul; a falsy value is always zero, so no term is ever lost."""
+    add, mul = field.add, field.mul
+    out = [field.zero] * n
+    for c, v in terms:
+        if c:
+            for t, x in enumerate(v):
+                if x:
+                    out[t] = add(out[t], mul(c, x))
+    return tuple(out)
+
+
+def matrix_combination(field, coeffs, mats, nrows, ncols):
+    """The nrows x ncols matrix sum of c * M over coeffs and mats."""
+    terms = [(c, m.rows) for c, m in zip(coeffs, mats) if c]
+    rows = [linear_combination(field, [(c, mrows[r]) for c, mrows in terms],
+                               ncols)
+            for r in range(nrows)]
+    return Matrix(field, rows, ncols)
+
+
+def block_diag(field, mats):
+    """The block-diagonal matrix with the given blocks."""
+    total = sum(m.ncols for m in mats)
+    rows = []
+    off = 0
+    for m in mats:
+        left, right = [field.zero] * off, [field.zero] * (total - off - m.ncols)
+        rows.extend(left + list(r) + right for r in m.rows)
+        off += m.ncols
+    return Matrix(field, rows, total)
+
+
+def kron(a, b):
+    """Kronecker product: the block matrix with blocks a[i, j] * b."""
+    f = a.field
+    zero, mul = f.zero, f.mul
+    rows = []
+    for r1 in a.rows:
+        for r2 in b.rows:
+            row = []
+            for x in r1:
+                row.extend([mul(x, y) for y in r2] if x else [zero] * len(r2))
+            rows.append(row)
+    return Matrix(f, rows, a.ncols * b.ncols)
 
 
 def _int_row_from_fractions(row):
@@ -484,19 +547,11 @@ class ReducedBasis:
 
     def combine(self, coords):
         """The vector with the given coordinates."""
-        f = self.field
-        out = [f.zero] * self.width
-        for c, row in zip(coords, self.rows):
-            if not f.is_zero(c):
-                for i, b in enumerate(row):
-                    if not f.is_zero(b):
-                        out[i] = f.add(out[i], f.mul(c, b))
-        return tuple(out)
+        return linear_combination(self.field, zip(coords, self.rows),
+                                  self.width)
 
     def row_matrix(self):
-        m = Matrix(self.field, self.rows)
-        m.ncols = self.width
-        return m
+        return Matrix(self.field, self.rows, self.width)
 
     def col_matrix(self):
         """Basis vectors as columns (width x dim)."""
@@ -525,30 +580,41 @@ def rref(m):
     f = m.field
     zrow = (f.zero,) * m.ncols
     rows = list(rb.rows) + [zrow] * (m.nrows - rb.dim)
-    red = Matrix(f, rows)
-    red.ncols = m.ncols
-    return RREF(red, rb.pivots)
+    return RREF(Matrix(f, rows, m.ncols), rb.pivots)
 
 
 def rank(m):
     return rref(m).rank
 
 
+def _free_kernel(field, rows, pivots, width):
+    """For reduced echelon rows with the given pivots, one vector v per
+    free column j: v[j] = 1, v[p] = -row[j] at the pivot p of each row, and
+    zero elsewhere. They span the null space of the rows; as rows of a
+    matrix they project k^width onto the free coordinates along the row
+    space. Returns (vectors, free columns)."""
+    pivot_set = set(pivots)
+    free = [j for j in range(width) if j not in pivot_set]
+    vecs = []
+    for fcol in free:
+        v = list(unit_vector(field, width, fcol))
+        for row, p in zip(rows, pivots):
+            v[p] = field.neg(row[fcol])
+        vecs.append(tuple(v))
+    return vecs, free
+
+
+def null_space(m):
+    """Null-space vectors of m, one per free column of its echelon form,
+    and the free columns; a vector's entries at the free columns are its
+    coordinates in this basis."""
+    r = rref(m)
+    return _free_kernel(m.field, r.reduced.rows, r.pivots, m.ncols)
+
+
 def kernel_basis(m):
     """A matrix whose columns span the null space of m (ncols x nullity)."""
-    r = rref(m)
-    f = m.field
-    pivots = r.pivots
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    cols = []
-    for fcol in free:
-        v = [f.zero] * m.ncols
-        v[fcol] = f.one
-        for i, p in enumerate(pivots):
-            v[p] = f.neg(r.reduced.rows[i][fcol])
-        cols.append(v)
-    return Matrix.from_cols(f, cols, nrows=m.ncols)
+    return Matrix.from_cols(m.field, null_space(m)[0], nrows=m.ncols)
 
 
 def solve_linear(a, b):
@@ -563,9 +629,7 @@ def solve_linear(a, b):
         raise LinAlgError("row counts differ")
     f = a.field
     aug_rows = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    aug = Matrix(f, aug_rows) if aug_rows else Matrix.zeros(f, 0, a.ncols + b.ncols)
-    aug.ncols = a.ncols + b.ncols
-    r = rref(aug)
+    r = rref(Matrix(f, aug_rows, a.ncols + b.ncols))
     for i, p in enumerate(r.pivots):
         if p >= a.ncols:
             return None
@@ -574,9 +638,7 @@ def solve_linear(a, b):
         row = r.reduced.rows[i]
         for j in range(b.ncols):
             sol[p][j] = row[a.ncols + j]
-    out = Matrix(f, sol) if sol else Matrix.zeros(f, 0, b.ncols)
-    out.ncols = b.ncols
-    return out
+    return Matrix(f, sol, b.ncols)
 
 
 def quotient_space(ambient_dim, subspace):
@@ -594,24 +656,10 @@ def quotient_space(ambient_dim, subspace):
     for j in range(subspace.ncols):
         span.insert(subspace.col(j))
     rb = span.reduced_basis()
-    pivot_set = set(rb.pivots)
-    free = [j for j in range(ambient_dim) if j not in pivot_set]
-    q = len(free)
-    proj = [[f.zero] * ambient_dim for _ in range(q)]
-    for t, fcol in enumerate(free):
-        proj[t][fcol] = f.one
-        for i, p in enumerate(rb.pivots):
-            c = rb.rows[i][fcol]
-            if not f.is_zero(c):
-                proj[t][p] = f.neg(c)
-    sect = [[f.zero] * q for _ in range(ambient_dim)]
-    for t, fcol in enumerate(free):
-        sect[fcol][t] = f.one
-    pm = Matrix(f, proj) if proj else Matrix.zeros(f, 0, ambient_dim)
-    pm.ncols = ambient_dim
-    sm = Matrix(f, sect) if sect else Matrix.zeros(f, ambient_dim, 0)
-    sm.ncols = q
-    return pm, sm
+    proj, free = _free_kernel(f, rb.rows, rb.pivots, ambient_dim)
+    sect = [unit_vector(f, ambient_dim, fcol) for fcol in free]
+    return (Matrix(f, proj, ambient_dim),
+            Matrix(f, sect, ambient_dim).transpose())
 
 
 def sparse_rank(rows, width, field):

@@ -13,8 +13,9 @@ the same relation subspace as all of B.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, Matrix, kernel_basis, nonzero_pairs, rank,
-                     solve_linear)
+from .linalg import (EchelonSpan, Matrix, block_diag, kernel_basis, kron,
+                     linear_combination, matrix_combination, nonzero_pairs,
+                     rank, solve_linear, unit_vector)
 from .algebra import opposite, tensor_algebra
 
 
@@ -38,34 +39,13 @@ class Module:
 
     def act(self, vec, x):
         """Action of the algebra element with coordinates `vec`."""
-        f = self.algebra.field
-        out = [f.zero] * self.dim
-        for i, c in enumerate(vec):
-            if f.is_zero(c):
-                continue
-            col = self.action[i].apply(x)
-            for t in range(self.dim):
-                if not f.is_zero(col[t]):
-                    out[t] = f.add(out[t], f.mul(c, col[t]))
-        return tuple(out)
+        return linear_combination(
+            self.algebra.field,
+            [(c, a.apply(x)) for c, a in zip(vec, self.action) if c], self.dim)
 
     def act_matrix(self, vec):
-        f = self.algebra.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        acc = [[f.zero] * self.dim for _ in range(self.dim)]
-        for i, c in enumerate(vec):
-            if f.is_zero(c):
-                continue
-            rows = self.action[i].rows
-            for r in range(self.dim):
-                row = rows[r]
-                arow = acc[r]
-                for s in range(self.dim):
-                    if not f.is_zero(row[s]):
-                        arow[s] = f.add(arow[s], f.mul(c, row[s]))
-        m = Matrix(f, acc) if acc else Matrix.zeros(f, 0, 0)
-        m.ncols = self.dim
-        return m
+        return matrix_combination(self.algebra.field, vec, self.action,
+                                  self.dim, self.dim)
 
     def validate(self, full=False):
         a = self.algebra
@@ -147,26 +127,11 @@ def direct_sum(modules):
     if not modules:
         raise ValidationError("empty direct sum needs an algebra; use zero_module")
     a = modules[0].algebra
-    f = a.field
     for m in modules:
         if m.algebra is not a:
             raise ValidationError("direct sum over mixed algebras")
-    total = sum(m.dim for m in modules)
-    action = []
-    for i in range(a.dim):
-        big = [[f.zero] * total for _ in range(total)]
-        off = 0
-        for m in modules:
-            rows = m.action[i].rows
-            for r in range(m.dim):
-                row = rows[r]
-                for c in range(m.dim):
-                    if not f.is_zero(row[c]):
-                        big[off + r][off + c] = row[c]
-            off += m.dim
-        mat = Matrix(f, big) if big else Matrix.zeros(f, 0, 0)
-        mat.ncols = total
-        action.append(mat)
+    action = [block_diag(a.field, [m.action[i] for m in modules])
+              for i in range(a.dim)]
     return Module(a, action, validate=False)
 
 
@@ -174,13 +139,12 @@ class _ProjectiveData:
     """Cached data for the projective A e_s: a reduced basis of its
     underlying subspace of A and sparse action matrices."""
 
-    __slots__ = ("basis", "module", "sparse_action", "gen_coords")
+    __slots__ = ("basis", "module", "sparse_action")
 
-    def __init__(self, basis, module, sparse_action, gen_coords):
+    def __init__(self, basis, module, sparse_action):
         self.basis = basis
         self.module = module
         self.sparse_action = sparse_action
-        self.gen_coords = gen_coords
 
 
 def projective_data(algebra, s):
@@ -216,10 +180,9 @@ def projective_data(algebra, s):
         action.append(mat)
         sparse.append(tuple(triples))
     module = Module(algebra, action, validate=False)
-    gen_coords = rb.coords(e)
-    if gen_coords is None:
+    if rb.coords(e) is None:
         raise ValidationError("idempotent not inside its own projective")
-    data = _ProjectiveData(rb, module, tuple(sparse), tuple(gen_coords))
+    data = _ProjectiveData(rb, module, tuple(sparse))
     algebra._cache[key] = data
     return data
 
@@ -276,18 +239,6 @@ def dual_module(m):
     return Module(opp, [a.transpose() for a in m.action], validate=False)
 
 
-def restrict_along(f_matrix, b, m):
-    """Restrict a module over A to B along an algebra map B -> A given by
-    `f_matrix` (dim A x dim B)."""
-    if m.algebra.field != b.field:
-        raise FieldMismatchError("fields differ")
-    action = []
-    for j in range(b.dim):
-        img = f_matrix.apply(b.basis_vector(j))
-        action.append(m.act_matrix(img))
-    return Module(b, action, validate=False)
-
-
 def hom_space(m, n):
     """A basis of Hom_A(m, n) as a list of ModuleMaps.
 
@@ -319,14 +270,12 @@ def hom_space(m, n):
                     if not f.is_zero(c):
                         row[i * md + k] = f.sub(row[i * md + k], c)
                 rows.append(row)
-    system = Matrix(f, rows) if rows else Matrix.zeros(f, 0, unknowns)
-    system.ncols = unknowns
-    kb = kernel_basis(system)
+    kb = kernel_basis(Matrix(f, rows, unknowns))
     maps = []
     for c in range(kb.ncols):
         col = kb.col(c)
-        mat = Matrix(f, [[col[i * md + j] for j in range(md)] for i in range(nd)])
-        mat.ncols = md
+        mat = Matrix(f, [[col[i * md + j] for j in range(md)] for i in range(nd)],
+                     md)
         maps.append(ModuleMap(m, n, mat, validate=False))
     return maps
 
@@ -353,27 +302,16 @@ def is_isomorphic(m, n, seed=0, max_trials=40):
     f = m.algebra.field
     rng = random.Random(seed)
     # try the basis elements themselves first, then random combinations
-    candidates = [[f.one if t == i else f.zero for t in range(len(basis))]
-                  for i in range(len(basis))]
+    candidates = [unit_vector(f, len(basis), i) for i in range(len(basis))]
     p = f.characteristic
     for _ in range(max_trials):
         if p:
             candidates.append([f.of(rng.randrange(p)) for _ in basis])
         else:
             candidates.append([f.of(rng.randint(-3, 3)) for _ in basis])
+    mats = [bm.matrix for bm in basis]
     for coeffs in candidates:
-        mat = Matrix.zeros(f, n.dim, m.dim)
-        acc = [[f.zero] * m.dim for _ in range(n.dim)]
-        for c, bm in zip(coeffs, basis):
-            if f.is_zero(c):
-                continue
-            for i in range(n.dim):
-                row = bm.matrix.rows[i]
-                for j in range(m.dim):
-                    if not f.is_zero(row[j]):
-                        acc[i][j] = f.add(acc[i][j], f.mul(c, row[j]))
-        mat = Matrix(f, acc)
-        mat.ncols = m.dim
+        mat = matrix_combination(f, coeffs, mats, n.dim, m.dim)
         if rank(mat) == m.dim:
             ModuleMap(m, n, mat, validate=True)
             return "yes", mat
@@ -423,14 +361,6 @@ class Bimodule:
         return cls(m.algebra, None, m.dim, m.action, None, validate=False)
 
     @classmethod
-    def from_right_module(cls, m_over_opp, right_alg):
-        """Wrap a left module over opposite(right_alg) as a right module."""
-        if m_over_opp.algebra is not opposite(right_alg):
-            raise ValidationError("expected a module over the opposite algebra")
-        return cls(None, right_alg, m_over_opp.dim, None, m_over_opp.action,
-                   validate=False)
-
-    @classmethod
     def regular(cls, a):
         if "regular_bimodule" not in a._cache:
             left = [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
@@ -446,18 +376,7 @@ class Bimodule:
         ident = Matrix.identity(f, self.dim)
 
         def mat(family, vec):
-            out = [[f.zero] * self.dim for _ in range(self.dim)]
-            for i, c in enumerate(vec):
-                if f.is_zero(c):
-                    continue
-                rows = family[i].rows
-                for r in range(self.dim):
-                    for s in range(self.dim):
-                        if not f.is_zero(rows[r][s]):
-                            out[r][s] = f.add(out[r][s], f.mul(c, rows[r][s]))
-            m = Matrix(f, out)
-            m.ncols = self.dim
-            return m
+            return matrix_combination(f, vec, family, self.dim, self.dim)
 
         if self.left_alg is not None:
             a = self.left_alg
@@ -574,10 +493,10 @@ def tensor_over(x, y, validate=False, return_maps=False):
     span = EchelonSpan(f, amb)
     for g in b.generators():
         # right action of g on x and left action of g on y
-        rg_cols = [_family_apply(x.right_action, g, _unit_vec(f, mx, i), f)
-                   for i in range(mx)]
-        lg_cols = [_family_apply(y.left_action, g, _unit_vec(f, my, j), f)
-                   for j in range(my)]
+        rg = matrix_combination(f, g, x.right_action, mx, mx)
+        lg = matrix_combination(f, g, y.left_action, my, my)
+        rg_cols = [rg.col(i) for i in range(mx)]
+        lg_cols = [lg.col(j) for j in range(my)]
         for i in range(mx):
             ri = rg_cols[i]
             for j in range(my):
@@ -644,22 +563,12 @@ def tensor_over(x, y, validate=False, return_maps=False):
                    y.right_alg if right_action is not None else None,
                    q, left_action, right_action, validate=validate)
     if return_maps:
-        proj_cols = [project(_unit_list(f, amb, j)) for j in range(amb)]
+        proj_cols = [project(unit_vector(f, amb, j)) for j in range(amb)]
         proj = Matrix.from_cols(f, proj_cols, nrows=q)
-        sect_cols = []
-        for t in range(q):
-            vec = [f.zero] * amb
-            vec[free[t]] = f.one
-            sect_cols.append(vec)
+        sect_cols = [unit_vector(f, amb, fcol) for fcol in free]
         sect = Matrix.from_cols(f, sect_cols, nrows=amb)
         return out, proj, sect
     return out
-
-
-def _unit_list(f, n, i):
-    v = [f.zero] * n
-    v[i] = f.one
-    return v
 
 
 def tensor_power(m, j):
@@ -677,24 +586,6 @@ def tensor_power(m, j):
     return out
 
 
-def _unit_vec(f, n, i):
-    v = [f.zero] * n
-    v[i] = f.one
-    return tuple(v)
-
-
-def _family_apply(family, vec, x, f):
-    out = [f.zero] * len(x)
-    for i, c in enumerate(vec):
-        if f.is_zero(c):
-            continue
-        col = family[i].apply(x)
-        for t in range(len(x)):
-            if not f.is_zero(col[t]):
-                out[t] = f.add(out[t], f.mul(c, col[t]))
-    return tuple(out)
-
-
 def bimodule_direct_sum(bimodules):
     """Direct sum of bimodules with identical (possibly absent) sides."""
     if not bimodules:
@@ -704,31 +595,17 @@ def bimodule_direct_sum(bimodules):
     for m in bimodules:
         if m.left_alg is not first.left_alg or m.right_alg is not first.right_alg:
             raise ValidationError("direct sum of bimodules with different sides")
-    total = sum(m.dim for m in bimodules)
 
-    def blocks(side):
-        fams = []
-        n = (first.left_alg if side == "left" else first.right_alg).dim
-        for i in range(n):
-            big = [[f.zero] * total for _ in range(total)]
-            off = 0
-            for m in bimodules:
-                fam = m.left_action if side == "left" else m.right_action
-                rows = fam[i].rows
-                for r in range(m.dim):
-                    for c in range(m.dim):
-                        if not f.is_zero(rows[r][c]):
-                            big[off + r][off + c] = rows[r][c]
-                off += m.dim
-            mat = Matrix(f, big) if big else Matrix.zeros(f, 0, 0)
-            mat.ncols = total
-            fams.append(mat)
-        return fams
+    def blocks(families):
+        return [block_diag(f, mats) for mats in zip(*families)]
 
-    left = blocks("left") if first.left_alg is not None else None
-    right = blocks("right") if first.right_alg is not None else None
-    return Bimodule(first.left_alg, first.right_alg, total, left, right,
-                    validate=False)
+    left = right = None
+    if first.left_alg is not None:
+        left = blocks([m.left_action for m in bimodules])
+    if first.right_alg is not None:
+        right = blocks([m.right_action for m in bimodules])
+    return Bimodule(first.left_alg, first.right_alg,
+                    sum(m.dim for m in bimodules), left, right, validate=False)
 
 
 def projective_bimodule(b, u, v, right_alg=None):
@@ -737,32 +614,8 @@ def projective_bimodule(b, u, v, right_alg=None):
     f = b.field
     left_data = projective_data(b, u)
     right_data = projective_data(opposite(r), v)
-    du, dv = left_data.basis.dim, right_data.basis.dim
-    dim = du * dv
-    left = []
-    right = []
-    for i in range(b.dim):
-        lm = left_data.module.action[i]
-        big = [[f.zero] * dim for _ in range(dim)]
-        for rr in range(du):
-            for c in range(du):
-                val = lm[rr, c]
-                if not f.is_zero(val):
-                    for t in range(dv):
-                        big[rr * dv + t][c * dv + t] = val
-        mat = Matrix(f, big) if big else Matrix.zeros(f, 0, 0)
-        mat.ncols = dim
-        left.append(mat)
-    for i in range(r.dim):
-        rm = right_data.module.action[i]
-        big = [[f.zero] * dim for _ in range(dim)]
-        for rr in range(dv):
-            for c in range(dv):
-                val = rm[rr, c]
-                if not f.is_zero(val):
-                    for t in range(du):
-                        big[t * dv + rr][t * dv + c] = val
-        mat = Matrix(f, big) if big else Matrix.zeros(f, 0, 0)
-        mat.ncols = dim
-        right.append(mat)
-    return Bimodule(b, r, dim, left, right, validate=False)
+    id_u = Matrix.identity(f, left_data.basis.dim)
+    id_v = Matrix.identity(f, right_data.basis.dim)
+    left = [kron(lm, id_v) for lm in left_data.module.action]
+    right = [kron(id_u, rm) for rm in right_data.module.action]
+    return Bimodule(b, r, id_u.nrows * id_v.nrows, left, right, validate=False)

@@ -15,7 +15,8 @@ cheap once the resolution is known.
 """
 
 from .errors import InternalCheckError, ValidationError
-from .linalg import EchelonSpan, Matrix
+from .linalg import (EchelonSpan, Matrix, linear_combination, null_space,
+                     unit_vector)
 from .modules import (Module, ModuleMap, direct_sum, is_isomorphic,
                       projective_data, simple_modules)
 from .algebra import opposite
@@ -50,16 +51,10 @@ class _ProjectiveAmbient:
         return out
 
     def apply_elem(self, avec, vec):
-        f = self.algebra.field
-        out = [f.zero] * self.dim
-        for u, cu in enumerate(avec):
-            if f.is_zero(cu):
-                continue
-            img = self.apply_basis(u, vec)
-            for t in range(self.dim):
-                if not f.is_zero(img[t]):
-                    out[t] = f.add(out[t], f.mul(cu, img[t]))
-        return out
+        return linear_combination(
+            self.algebra.field,
+            [(cu, self.apply_basis(u, vec)) for u, cu in enumerate(avec) if cu],
+            self.dim)
 
     def module(self):
         mods = [projective_data(self.algebra, s).module for s in self.summands]
@@ -82,7 +77,7 @@ class _ModuleAmbient:
         return list(self.module.action[u].apply(vec))
 
     def apply_elem(self, avec, vec):
-        return list(self.module.act(avec, vec))
+        return self.module.act(avec, vec)
 
 
 class Resolution:
@@ -128,7 +123,6 @@ class Resolution:
         if t - 1 >= len(self.kernels):
             raise ValidationError("resolution not computed that far")
         a = self.module.algebra
-        f = a.field
         cols = self.kernels[t - 1]
         free = self.kernel_free[t - 1]
         if not cols:
@@ -144,14 +138,10 @@ class Resolution:
                 coords = [img[fi] for fi in free]
                 acts.append(coords)
                 # exactness of the coordinate extraction is a consistency check
-                resid = list(img)
-                for c, kcol in zip(coords, cols):
-                    if not f.is_zero(c):
-                        for t2 in range(amb.dim):
-                            resid[t2] = f.sub(resid[t2], f.mul(c, kcol[t2]))
-                if any(not f.is_zero(x) for x in resid):
+                if linear_combination(a.field, zip(coords, cols),
+                                      amb.dim) != tuple(img):
                     raise InternalCheckError("syzygy not closed under the action")
-            action.append(Matrix.from_cols(f, acts, nrows=d))
+            action.append(Matrix.from_cols(a.field, acts, nrows=d))
         return Module(a, action, validate=False)
 
     def check_minimal(self):
@@ -200,59 +190,21 @@ def _build_differential(algebra, ambient, gens):
         data = projective_data(algebra, s)
         imgs = [ambient.apply_basis(u, g) for u in range(algebra.dim)]
         for brow in data.basis.rows:
-            col = [f.zero] * ambient.dim
-            for u, cu in enumerate(brow):
-                if f.is_zero(cu):
-                    continue
-                img = imgs[u]
-                for t in range(ambient.dim):
-                    if not f.is_zero(img[t]):
-                        col[t] = f.add(col[t], f.mul(cu, img[t]))
-            cols.append(col)
+            cols.append(linear_combination(f, zip(brow, imgs), ambient.dim))
     return Matrix.from_cols(f, cols, nrows=ambient.dim)
 
 
 def _w_blocks(algebra, prev_gens, prev_offsets, gens):
     """Algebra-form blocks w[c][r] in e_{s(c)} A e_{s(r)} of a differential."""
-    f = algebra.field
     blocks = []
     for s, g in gens:
         col = []
         for (sr, _), off in zip(prev_gens, prev_offsets):
-            data = projective_data(algebra, sr)
-            d = data.basis.dim
-            comp = g[off:off + d]
-            w = [f.zero] * algebra.dim
-            nonzero = False
-            for t, c in enumerate(comp):
-                if f.is_zero(c):
-                    continue
-                nonzero = True
-                row = data.basis.rows[t]
-                for u in range(algebra.dim):
-                    if not f.is_zero(row[u]):
-                        w[u] = f.add(w[u], f.mul(c, row[u]))
-            col.append(tuple(w) if nonzero else None)
+            basis = projective_data(algebra, sr).basis
+            comp = g[off:off + basis.dim]
+            col.append(basis.combine(comp) if any(comp) else None)
         blocks.append(col)
     return blocks
-
-
-def _kernel_with_free(mat):
-    """Kernel columns of mat plus the free-coordinate indices; the free
-    coordinates give cheap coordinates inside the kernel."""
-    from .linalg import rref
-    r = rref(mat)
-    f = mat.field
-    pivot_set = set(r.pivots)
-    free = [j for j in range(mat.ncols) if j not in pivot_set]
-    cols = []
-    for fc in free:
-        v = [f.zero] * mat.ncols
-        v[fc] = f.one
-        for i, p in enumerate(r.pivots):
-            v[p] = f.neg(r.reduced.rows[i][fc])
-        cols.append(tuple(v))
-    return cols, free
 
 
 def minimal_resolution(m, cap):
@@ -260,10 +212,9 @@ def minimal_resolution(m, cap):
     if cap < 0:
         raise ValidationError("cap must be nonnegative")
     a = m.algebra
-    f = a.field
     res = Resolution(m, cap)
     ambient = _ModuleAmbient(m)
-    current = [tuple(_unit(f, m.dim, i)) for i in range(m.dim)]
+    current = [unit_vector(a.field, m.dim, i) for i in range(m.dim)]
     prev_gens = None
     prev_offsets = None
     for degree in range(cap + 1):
@@ -275,7 +226,7 @@ def minimal_resolution(m, cap):
             res.w_blocks.append(None)
         else:
             res.w_blocks.append(_w_blocks(a, prev_gens, prev_offsets, gens))
-        kcols, kfree = _kernel_with_free(diff)
+        kcols, kfree = null_space(diff)
         res.kernels.append(kcols)
         res.kernel_free.append(kfree)
         if not kcols:
@@ -290,17 +241,11 @@ def minimal_resolution(m, cap):
     return res
 
 
-def _unit(f, n, i):
-    v = [f.zero] * n
-    v[i] = f.one
-    return v
-
-
 def projective_cover(m):
     """Projective cover as (projective module, epimorphism)."""
     a = m.algebra
     ambient = _ModuleAmbient(m)
-    current = [tuple(_unit(a.field, m.dim, i)) for i in range(m.dim)]
+    current = [unit_vector(a.field, m.dim, i) for i in range(m.dim)]
     gens = _cover_step(a, ambient, current)
     diff = _build_differential(a, ambient, gens)
     p = _ProjectiveAmbient(a, [s for s, _ in gens]).module()
@@ -324,7 +269,7 @@ def is_projective(m):
         return True
     a = m.algebra
     ambient = _ModuleAmbient(m)
-    current = [tuple(_unit(a.field, m.dim, i)) for i in range(m.dim)]
+    current = [unit_vector(a.field, m.dim, i) for i in range(m.dim)]
     gens = _cover_step(a, ambient, current)
     p_dim = sum(projective_data(a, s).basis.dim for s, _ in gens)
     if p_dim != m.dim:
@@ -343,7 +288,7 @@ class _Slice:
         f = module.algebra.field
         span = EchelonSpan(f, module.dim)
         for j in range(module.dim):
-            span.insert(module.act(s_vec, _unit(f, module.dim, j)))
+            span.insert(module.act(s_vec, unit_vector(f, module.dim, j)))
         self.basis = span.reduced_basis()
 
     @property
@@ -359,44 +304,67 @@ def _slice_of(n, algebra_of_w, s):
     return n._cache[key]
 
 
-def _tensored_complex(res, n, base_algebra, top_degree):
-    """Terms and differentials of (resolution) (x)_B N in slice coordinates.
+def _apply_to_resolution(res, n, base_algebra, top_degree, contravariant):
+    """The resolution tensored with N (covariant: res (x)_B N, for Tor) or
+    mapped into N (contravariant: Hom_B(res, N), for Ext), in slice
+    coordinates, up to degree top_degree.
 
     res is a minimal resolution over B^op (or B); each summand A e_s becomes
-    the slice e_s N and each algebra-form block acts through N's action.
-    Returns (dims, list of matrices d_i: T_i -> T_{i-1})."""
+    the slice e_s N and each algebra-form block w acts through N's action:
+    covariantly from the slice of the degree-i summand to that of the
+    degree-(i-1) summand, contravariantly the other way. Returns (term
+    dims, [map between degrees i - 1 and i for i = 1, 2, ...])."""
     f = n.algebra.field
-    terms = []
-    for i in range(min(top_degree, len(res.gens) - 1) + 1):
-        terms.append([_slice_of(n, base_algebra, s) for s in res.gens[i]])
+    terms = [[_slice_of(n, base_algebra, s) for s in res.gens[i]]
+             for i in range(min(top_degree, len(res.gens) - 1) + 1)]
+    dims = [sum(sl.dim for sl in t) for t in terms]
     mats = []
     for i in range(1, len(terms)):
-        rows = sum(sl.dim for sl in terms[i - 1])
-        cols = sum(sl.dim for sl in terms[i])
-        mat = [[f.zero] * cols for _ in range(rows)]
-        blocks = res.w_blocks[i]
-        coff = 0
-        for c, col_blocks in enumerate(blocks):
-            csl = terms[i][c]
-            roff = 0
+        src_dim, dst_dim = ((dims[i - 1], dims[i]) if contravariant
+                            else (dims[i], dims[i - 1]))
+        mat = [[f.zero] * src_dim for _ in range(dst_dim)]
+        hi_off = 0
+        for c, col_blocks in enumerate(res.w_blocks[i]):
+            lo_off = 0
             for r, w in enumerate(col_blocks):
-                rsl = terms[i - 1][r]
-                if w is not None and csl.dim and rsl.dim:
-                    for cc in range(csl.dim):
-                        img = n.act(w, csl.basis.rows[cc])
-                        coords = rsl.basis.coords(img)
-                        if coords is None:
-                            raise InternalCheckError("tensored block leaves its slice")
-                        for rr, v in enumerate(coords):
-                            if not f.is_zero(v):
-                                mat[roff + rr][coff + cc] = v
-                roff += rsl.dim
-            coff += csl.dim
-        m = Matrix(f, mat) if mat else Matrix.zeros(f, rows, cols)
-        m.ncols = cols
-        mats.append(m)
-    dims = [sum(sl.dim for sl in t) for t in terms]
+                src, s_off = terms[i][c], hi_off
+                dst, d_off = terms[i - 1][r], lo_off
+                lo_off += dst.dim
+                if contravariant:
+                    src, s_off, dst, d_off = dst, d_off, src, s_off
+                if w is None or not src.dim or not dst.dim:
+                    continue
+                for cc, x in enumerate(src.basis.rows):
+                    coords = dst.basis.coords(n.act(w, x))
+                    if coords is None:
+                        raise InternalCheckError(
+                            "hom block leaves its slice" if contravariant
+                            else "tensored block leaves its slice")
+                    for rr, v in enumerate(coords):
+                        if v:
+                            mat[d_off + rr][s_off + cc] = v
+            hi_off += terms[i][c].dim
+        mats.append(Matrix(f, mat, src_dim))
     return dims, mats
+
+
+def homology_dims(dims, ranks):
+    """Homology dimension at each degree of a complex with terms of
+    dimension dims[i], where ranks[i] is the rank of the map between
+    degrees i - 1 and i (in either direction; absent means zero)."""
+    return {i: d - ranks.get(i, 0) - ranks.get(i + 1, 0)
+            for i, d in dims.items()}
+
+
+def _derived_dims(res, n, base_algebra, i_max, contravariant):
+    """Tor (covariant) or Ext (contravariant) dimensions for i = 0..i_max,
+    from a resolution computed to length i_max + 1."""
+    from .linalg import rank
+    dims, mats = _apply_to_resolution(res, n, base_algebra, i_max + 1,
+                                      contravariant)
+    h = homology_dims(dict(enumerate(dims)),
+                      {i: rank(m) for i, m in enumerate(mats, 1)})
+    return [h.get(i, 0) for i in range(i_max + 1)]
 
 
 def tor(m_right, n_left, i_max, resolve="first"):
@@ -414,78 +382,19 @@ def tor(m_right, n_left, i_max, resolve="first"):
                               "over the same algebra")
     if resolve == "first":
         res = minimal_resolution(m_right, i_max + 1)
-        dims, mats = _tensored_complex(res, n_left, bop, i_max + 1)
-    elif resolve == "second":
+        return _derived_dims(res, n_left, bop, i_max, contravariant=False)
+    if resolve == "second":
         res = minimal_resolution(n_left, i_max + 1)
-        dims, mats = _tensored_complex(res, m_right, b, i_max + 1)
-    else:
-        raise ValidationError("resolve must be 'first' or 'second'")
-    return _homology_dims(dims, mats, i_max)
-
-
-def _homology_dims(dims, mats, i_max):
-    from .linalg import rank
-    ranks = [rank(m) for m in mats]
-    out = []
-    for i in range(i_max + 1):
-        if i >= len(dims):
-            out.append(0)
-            continue
-        di = ranks[i - 1] if i - 1 >= 0 and i - 1 < len(ranks) else 0
-        di1 = ranks[i] if i < len(ranks) else 0
-        out.append(dims[i] - di - di1)
-    return out
+        return _derived_dims(res, m_right, b, i_max, contravariant=False)
+    raise ValidationError("resolve must be 'first' or 'second'")
 
 
 def ext(m, n, i_max):
     """Ext^i_A(M, N) dimensions for i = 0..i_max (left modules)."""
     if m.algebra is not n.algebra:
         raise ValidationError("ext arguments over different algebras")
-    a = m.algebra
-    f = a.field
     res = minimal_resolution(m, i_max + 1)
-    top = min(i_max + 1, len(res.gens) - 1)
-    terms = []
-    for i in range(top + 1):
-        terms.append([_slice_of(n, a, s) for s in res.gens[i]])
-    mats = []  # delta_i: Hom(P_{i-1}, N) -> Hom(P_i, N)
-    for i in range(1, top + 1):
-        rows = sum(sl.dim for sl in terms[i])
-        cols = sum(sl.dim for sl in terms[i - 1])
-        mat = [[f.zero] * cols for _ in range(rows)]
-        blocks = res.w_blocks[i]
-        roff = 0
-        for c, col_blocks in enumerate(blocks):
-            csl = terms[i][c]
-            coff = 0
-            for r, w in enumerate(col_blocks):
-                rsl = terms[i - 1][r]
-                if w is not None and csl.dim and rsl.dim:
-                    for cc in range(rsl.dim):
-                        img = n.act(w, rsl.basis.rows[cc])
-                        coords = csl.basis.coords(img)
-                        if coords is None:
-                            raise InternalCheckError("hom block leaves its slice")
-                        for rr, v in enumerate(coords):
-                            if not f.is_zero(v):
-                                mat[roff + rr][coff + cc] = v
-                coff += rsl.dim
-            roff += csl.dim
-        mm = Matrix(f, mat) if mat else Matrix.zeros(f, rows, cols)
-        mm.ncols = cols
-        mats.append(mm)
-    from .linalg import rank
-    ranks = [rank(mm) for mm in mats]
-    dims = [sum(sl.dim for sl in t) for t in terms]
-    out = []
-    for i in range(i_max + 1):
-        if i >= len(dims):
-            out.append(0)
-            continue
-        dprev = ranks[i - 1] if i - 1 >= 0 and i - 1 < len(ranks) else 0
-        dnext = ranks[i] if i < len(ranks) else 0
-        out.append(dims[i] - dprev - dnext)
-    return out
+    return _derived_dims(res, n, m.algebra, i_max, contravariant=True)
 
 
 class PdVerdict:
@@ -590,15 +499,9 @@ class ChainComplex:
     def homology(self):
         """Dimension of homology at each degree."""
         from .linalg import rank
-        out = {}
-        for i in self.degrees():
-            dim = self.modules[i].dim
-            din = self.diffs.get(i)
-            dout = self.diffs.get(i + 1)
-            r_in = rank(din.matrix) if din is not None else 0
-            r_out = rank(dout.matrix) if dout is not None else 0
-            out[i] = dim - r_in - r_out
-        return out
+        ranks = {i: rank(d.matrix) for i, d in self.diffs.items()}
+        return homology_dims({i: self.modules[i].dim for i in self.degrees()},
+                             ranks)
 
     def is_exact(self):
         return all(v == 0 for v in self.homology().values())

@@ -211,3 +211,25 @@ def test_echelon_span_membership():
     assert rb.dim == 2
     assert rb.coords([2, 4, 6]) is not None
     assert rb.coords([0, 0, 1]) is None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_zero_row_matrix_keeps_its_width(field):
+    z = Matrix.zeros(field, 0, 3)
+    assert (z.nrows, z.ncols) == (0, 3)
+    for out in (z.add(z), z.sub(z), z.neg(), z.scale(field.one)):
+        assert (out.nrows, out.ncols) == (0, 3)
+        assert out == z
+    assert z.transpose() == Matrix.zeros(field, 3, 0)
+    assert Matrix(field, [], 3) == z
+
+
+def test_matrix_is_immutable():
+    m = Matrix.identity(QQ, 2)
+    with pytest.raises(AttributeError):
+        m.ncols = 5
+    with pytest.raises(AttributeError):
+        m.rows = ()
+    with pytest.raises(AttributeError):
+        del m.nrows
+    assert (m.nrows, m.ncols) == (2, 2)

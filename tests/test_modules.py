@@ -159,8 +159,7 @@ def test_hom_space_generators_equal_full_basis(gamma, dual_numbers):
                                     row[i * md + t] = f.sub(row[i * md + t],
                                                             mg[t, j])
                             rows.append(row)
-                system = Matrix(f, rows)
-                system.ncols = nd * md
+                system = Matrix(f, rows, nd * md)
                 assert kernel_basis(system).ncols == len(via_gens)
 
 

@@ -169,3 +169,23 @@ def test_tensored_homology_concentration(gamma_in_lambda):
     dims = tor(q.as_right_module(), q.as_left_module(), 6)
     assert dims[1:] == [0] * 6
     assert dims[0] == tensor_over(q, q).dim == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_ext_tor_duality_random(field):
+    """Ext^i(M, DX) = D Tor_i(X, M) and Ext^0(M, N) = Hom(M, N), on random
+    algebras of dimension at most 5; the only check of ext on modules
+    over random algebras."""
+    from quiverext.modules import dual_module, hom_space
+    rng = random.Random(31)
+    cases = 0
+    while cases < 7:
+        a = random_quiver_algebra(rng, field)
+        if a.dim > 5:
+            continue
+        x = random_module(rng, opposite(a))
+        m = random_module(rng, a)
+        n = random_module(rng, a)
+        assert ext(m, dual_module(x), 3) == tor(x, m, 3)
+        assert ext(m, n, 3)[0] == len(hom_space(m, n))
+        cases += 1
