@@ -31,7 +31,7 @@ class Algebra:
         self.dim = len(basis_labels)
         self.basis_labels = tuple(basis_labels)
         self.table = tuple(
-            tuple(tuple((k, field.of(c)) for k, c in cell if not field.is_zero(field.of(c)))
+            tuple(tuple((k, x) for k, c in cell if (x := field.of(c)))
                   for cell in row)
             for row in table)
         self.unit = tuple(field.of(x) for x in unit)
@@ -307,10 +307,10 @@ def tensor_algebra(a, b):
 
     unit = [f.zero] * n
     for i, x in enumerate(a.unit):
-        if f.is_zero(x):
+        if not x:
             continue
         for j, y in enumerate(b.unit):
-            if not f.is_zero(y):
+            if y:
                 unit[idx(i, j)] = f.mul(x, y)
 
     span = EchelonSpan(f, n)
@@ -318,14 +318,14 @@ def tensor_algebra(a, b):
         for j in range(nb):
             vec = [f.zero] * n
             for i, x in enumerate(r):
-                if not f.is_zero(x):
+                if x:
                     vec[idx(i, j)] = x
             span.insert(vec)
     for s in b.radical_rows:
         for i in range(na):
             vec = [f.zero] * n
             for j, y in enumerate(s):
-                if not f.is_zero(y):
+                if y:
                     vec[idx(i, j)] = y
             span.insert(vec)
     radical_rows = tuple(tuple(r) for r in span.reduced_basis().rows)
@@ -335,10 +335,10 @@ def tensor_algebra(a, b):
         for g in b.idempotents:
             vec = [f.zero] * n
             for i, x in enumerate(e):
-                if f.is_zero(x):
+                if not x:
                     continue
                 for j, y in enumerate(g):
-                    if not f.is_zero(y):
+                    if y:
                         vec[idx(i, j)] = f.mul(x, y)
             idempotents.append(tuple(vec))
 

@@ -9,8 +9,10 @@ Two truncated complexes are provided:
     small for quiver algebras because only idempotent-compatible chains
     survive.
 
-Both compute homology through sparse exact rank and share nothing with the
-minimal-resolution route in resolutions.py, which is the point.
+Both compute homology through the ranks of their differentials, fed as
+sparse rows to the one elimination kernel (linalg.EchelonSpan), and share
+nothing with the minimal-resolution route in resolutions.py, which is the
+point.
 """
 
 from .errors import InternalCheckError, ValidationError
@@ -62,7 +64,7 @@ def full_bar_homology(a, i_max):
                     idx = index(make(k))
                     val = col.get(idx, f.zero)
                     val = f.add(val, f.neg(c) if negate else c)
-                    if f.is_zero(val):
+                    if not val:
                         col.pop(idx, None)
                     else:
                         col[idx] = val
@@ -86,11 +88,11 @@ def _sandwich_blocks(a, rows):
         total_in.insert(x)
         for u in range(r):
             left = a.multiply(a.idempotents[u], x)
-            if all(f.is_zero(t) for t in left):
+            if not any(left):
                 continue
             for v in range(r):
                 w = a.multiply(left, a.idempotents[v])
-                if any(not f.is_zero(t) for t in w):
+                if any(w):
                     spans.setdefault((u, v), EchelonSpan(f, a.dim)).insert(w)
     blocks = {uv: s.reduced_basis() for uv, s in spans.items()}
     if sum(b.dim for b in blocks.values()) != total_in.rank:
@@ -166,7 +168,7 @@ def relative_bar_homology(a, i_max):
                     new_path = (path[i],) + path[1:i + 1]
                     blk = a_blocks.get((new_path[0], new_path[1]))
                     build = lambda row: (row,) + vecs[1:i]
-                if all(f.is_zero(t) for t in prod):
+                if not any(prod):
                     continue
                 if blk is None:
                     raise InternalCheckError("face product outside known blocks")
@@ -175,7 +177,7 @@ def relative_bar_homology(a, i_max):
                     raise InternalCheckError("face product left its sandwich block")
                 negate = j % 2 == 1
                 for t, c in enumerate(coords):
-                    if f.is_zero(c):
+                    if not c:
                         continue
                     key = (new_path, tuple(build(blk.rows[t])))
                     target = imap.get(key)
@@ -183,7 +185,7 @@ def relative_bar_homology(a, i_max):
                         raise InternalCheckError("face image missing from basis")
                     val = col.get(target, f.zero)
                     val = f.add(val, f.neg(c) if negate else c)
-                    if f.is_zero(val):
+                    if not val:
                         col.pop(target, None)
                     else:
                         col[target] = val

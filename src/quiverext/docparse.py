@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import QuiverExtError
-from .linalg import Matrix, field_from_spec
+from .linalg import Matrix, field_from_spec, linear_combination
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .modules import Bimodule
 from .extensions import (morita_ring_zero, subalgebra_extension,
@@ -451,9 +451,8 @@ def _generator_element(algebra, label, line=0, col=0):
 def evaluate_expr(algebra, terms):
     """Evaluate a parsed expression to an element of the algebra."""
     f = algebra.field
-    out = [f.zero] * algebra.dim
+    summands = []
     for coeff, path in terms:
-        c = f.of(coeff)
         if not path:
             vec = algebra.unit
         else:
@@ -461,10 +460,8 @@ def evaluate_expr(algebra, terms):
             for lab in reversed(path):
                 g = _generator_element(algebra, lab)
                 vec = g if vec is None else algebra.multiply(g, vec)
-        for t, v in enumerate(vec):
-            if not f.is_zero(v):
-                out[t] = f.add(out[t], f.mul(c, v))
-    return tuple(out)
+        summands.append((f.of(coeff), vec))
+    return linear_combination(f, summands, algebra.dim)
 
 
 def _action_from_generators(algebra, gen_rows, dim, field, side, line=0, col=0):

@@ -131,15 +131,13 @@ def trivial_extension(r, m):
             row.append(tuple(r.table[i][j]))
         for j in range(nm):
             col = m.left_action[i].col(j)
-            row.append(tuple((nr + t, c) for t, c in enumerate(col)
-                             if not f.is_zero(c)))
+            row.append(tuple((nr + t, c) for t, c in enumerate(col) if c))
         table.append(tuple(row))
     for i in range(nm):
         row = []
         for j in range(nr):
             col = m.right_action[j].col(i)
-            row.append(tuple((nr + t, c) for t, c in enumerate(col)
-                             if not f.is_zero(c)))
+            row.append(tuple((nr + t, c) for t, c in enumerate(col) if c))
         for j in range(nm):
             row.append(tuple())
         table.append(tuple(row))
@@ -428,7 +426,7 @@ def _check_descent(mapped, proj_source):
     if ker.ncols == 0:
         return
     img = mapped.mul(ker)
-    if not img.is_zero():
+    if any(map(any, img.rows)):
         raise InternalCheckError(
             "bar differential does not descend to the tensor quotient")
 

@@ -4,22 +4,28 @@ Everything in this module is exact: rational arithmetic uses
 fractions.Fraction (always in lowest terms with positive denominator),
 prime-field arithmetic uses canonical residues in [0, p).
 
-Elimination over the rationals is fraction-free: rows are scaled to
-integers and row operations use cross-multiplication followed by a gcd
-division, which keeps intermediate entries small without ever rounding.
-Dense matrices are the right shape for this engine; the modules that sit
-on top stay in the tens-to-hundreds of dimensions.
+There is one elimination loop, EchelonSpan's. It keeps each pivot row
+sparse, as a dict of its nonzero entries, since the rows the engine
+eliminates are mostly zeros. Over the rationals it is fraction-free:
+rows are scaled to primitive integer rows, and a row is reduced by
+cross-multiplication with a pivot row followed by a gcd division, which
+keeps entries small without ever rounding. `rank`, `sparse_rank`, `rref`,
+`null_space`, `kernel_basis`, `solve_linear` and `quotient_space` all feed
+their rows to an EchelonSpan. A ReducedBasis reads its result, and its
+`complement` (the projection onto the free columns along the span) is the
+one reader of the free columns: it gives the null space, the quotient
+projection, and, in the layers above, the quiver normal forms and
+`tensor_over`.
 
-This module is the one home of dense assembly. A Matrix is immutable and
-its shape is fixed at construction (`ncols` keeps the width of a matrix
-without rows). The shared helpers are `unit_vector`, `linear_combination`
-and `matrix_combination` (sums c * x, testing zero by truthiness, exact on
-canonical elements), `block_diag`, `kron`, and `null_space`, whose
-free-column loop also gives `kernel_basis` and `quotient_space`.
+This module is also the one home of dense assembly. A Matrix is immutable
+and its shape is fixed at construction (`ncols` keeps the width of a
+matrix without rows). The shared helpers are `unit_vector`,
+`linear_combination` and `matrix_combination` (sums c * x, testing zero
+by truthiness, exact on canonical elements), `block_diag` and `kron`.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import FieldMismatchError, LinAlgError
 
@@ -234,11 +240,13 @@ class Matrix:
         if len(vec) != self.ncols:
             raise LinAlgError("vector length mismatch")
         f = self.field
+        nonzero = [(j, x) for j, x in enumerate(vec) if x]
         out = []
         for row in self.rows:
             s = f.zero
-            for a, x in zip(row, vec):
-                if a and x:
+            for j, x in nonzero:
+                a = row[j]
+                if a:
                     s = f.add(s, f.mul(a, x))
             out.append(s)
         return tuple(out)
@@ -271,8 +279,7 @@ class Matrix:
             raise LinAlgError("shape mismatch")
 
     def is_zero(self):
-        f = self.field
-        return all(f.is_zero(a) for r in self.rows for a in r)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -349,107 +356,91 @@ def kron(a, b):
     return Matrix(f, rows, a.ncols * b.ncols)
 
 
-def _int_row_from_fractions(row):
-    """Scale a rational row to a primitive integer row (gcd 1)."""
-    den = 1
-    for a in row:
-        d = a.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    if den == 1:
-        ints = [a.numerator for a in row]
-    else:
-        ints = [(a.numerator * den) // a.denominator for a in row]
+def _primitive(row):
+    """Divide an integer row (dict col -> int) by the gcd of its entries."""
     g = 0
-    for v in ints:
+    for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return ints
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _normalize_int_row(row):
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        row = [v // g for v in row]
-    return row
+            return row
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 class EchelonSpan:
-    """A growing subspace of k^width kept in row-echelon form.
+    """A growing subspace of k^width kept in row-echelon form; the
+    engine's one elimination loop.
 
-    Over the rationals rows are stored as primitive integer vectors and
-    reduction uses cross-multiplication plus a gcd division (fraction-free);
-    over GF(p) rows are stored with leading coefficient 1. Insertion cost is
-    O(rank * width) per vector, which makes this the workhorse for all the
-    span/quotient bookkeeping in the engine.
+    Each pivot row is stored sparse, as a dict col -> value of its nonzero
+    entries: a primitive integer row with a positive leading entry over the
+    rationals, residues with leading coefficient 1 over GF(p). A vector is
+    reduced at its lowest nonzero column first. Over the rationals that is
+    fraction-free: cross-multiplication with the pivot row, then a gcd
+    division. Insertion touches only the nonzero entries of the vector and
+    of the pivot rows it meets.
     """
 
-    __slots__ = ("field", "width", "pivot_to_row", "_rational")
+    __slots__ = ("field", "width", "pivot_to_row", "_p")
 
     def __init__(self, field, width):
         self.field = field
         self.width = width
         self.pivot_to_row = {}
-        self._rational = field.characteristic == 0
+        self._p = field.characteristic
 
     @property
     def rank(self):
         return len(self.pivot_to_row)
 
-    def _prepare(self, vec):
-        if self._rational:
-            row = [v if type(v) is Fraction else Fraction(v) for v in vec]
-            return _int_row_from_fractions(row)
-        p = self.field.p
-        return [int(v) % p for v in vec]
-
-    def _reduce(self, row):
-        """Reduce an integer/residue row against the stored pivots.
-
-        Returns the reduced row (possibly all zero)."""
+    def _reduce(self, vec):
+        """Reduce vec (a sequence, or a dict col -> value) against the
+        stored pivots. Returns the sparse remainder and its lead column,
+        None when vec lies in the span."""
+        p = self._p
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        if p:
+            row = {c: r for c, v in items if v and (r := int(v) % p)}
+        else:
+            row = {c: v for c, v in items if v}
+            den = lcm(*(v.denominator for v in row.values()))
+            row = _primitive({c: v.numerator * (den // v.denominator)
+                              for c, v in row.items()})
         piv = self.pivot_to_row
-        if self._rational:
-            lead = _first_nonzero(row)
-            while lead is not None and lead in piv:
-                prow = piv[lead]
-                a, b = prow[lead], row[lead]
-                row = [x * a - y * b for x, y in zip(row, prow)]
-                row = _normalize_int_row(row)
-                lead = _first_nonzero(row, lead + 1)
-            return row, lead
-        p = self.field.p
-        lead = _first_nonzero(row)
-        while lead is not None and lead in piv:
-            prow = piv[lead]
-            b = row[lead]
-            row = [(x - y * b) % p for x, y in zip(row, prow)]
-            lead = _first_nonzero(row, lead + 1)
-        return row, lead
+        while row:
+            lead = min(row)
+            prow = piv.get(lead)
+            if prow is None:
+                return row, lead
+            a, b = prow[lead], row[lead]
+            if a != 1:  # only over QQ: GF(p) pivot rows lead with 1
+                row = {c: x * a for c, x in row.items()}
+            for c, y in prow.items():
+                v = row.get(c, 0) - y * b
+                if p:
+                    v %= p
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            if not p:
+                row = _primitive(row)
+        return row, None
 
     def insert(self, vec):
-        """Add vec to the span. Returns True if the span grew."""
-        row, lead = self._reduce(self._prepare(vec))
+        """Add vec (a sequence, or a dict col -> value) to the span.
+        Returns True if the span grew."""
+        row, lead = self._reduce(vec)
         if lead is None:
             return False
-        if self._rational:
-            if row[lead] < 0:
-                row = [-x for x in row]
-        else:
-            inv = pow(row[lead], -1, self.field.p)
-            row = [(x * inv) % self.field.p for x in row]
+        if self._p:
+            inv = pow(row[lead], -1, self._p)
+            row = {c: (x * inv) % self._p for c, x in row.items()}
+        elif row[lead] < 0:
+            row = {c: -x for c, x in row.items()}
         self.pivot_to_row[lead] = row
         return True
 
     def contains(self, vec):
-        row, lead = self._reduce(self._prepare(vec))
-        return lead is None
+        return self._reduce(vec)[1] is None
 
     def extend(self, vecs):
         for v in vecs:
@@ -464,31 +455,32 @@ class EchelonSpan:
         for p in pivots:
             raw = self.pivot_to_row[p]
             inv = f.inv(of(raw[p]))
-            rows.append([mul(inv, of(x)) if x else zero for x in raw])
+            rows.append({c: mul(inv, of(x)) for c, x in raw.items()})
         # eliminate pivot columns above each pivot
         for i in range(len(pivots) - 1, -1, -1):
             p = pivots[i]
-            nonzero = [(t, b) for t, b in enumerate(rows[i]) if b]
-            for j in range(i):
-                row = rows[j]
-                c = row[p]
+            for row in rows[:i]:
+                c = row.get(p)
                 if c:
-                    for t, b in nonzero:
-                        row[t] = sub(row[t], mul(c, b))
-        return ReducedBasis(f, self.width, rows, pivots)
+                    for t, b in rows[i].items():
+                        v = sub(row.get(t, zero), mul(c, b))
+                        if v:
+                            row[t] = v
+                        else:
+                            del row[t]
+        dense = []
+        for row in rows:
+            d = [zero] * self.width
+            for t, b in row.items():
+                d[t] = b
+            dense.append(d)
+        return ReducedBasis(f, self.width, dense, pivots)
 
 
 def nonzero_pairs(field, vec):
     """The nonzero entries of vec, canonicalised, as (index, coeff) pairs."""
     of = field.of
     return [(i, of(c)) for i, c in enumerate(vec) if c]
-
-
-def _first_nonzero(row, start=0):
-    for i in range(start, len(row)):
-        if row[i]:
-            return i
-    return None
 
 
 class ReducedBasis:
@@ -557,59 +549,74 @@ class ReducedBasis:
         """Basis vectors as columns (width x dim)."""
         return self.row_matrix().transpose()
 
+    def complement(self):
+        """The projection of k^width onto the free (non-pivot) coordinates
+        along this span, and the free columns.
+
+        Row t of the projection is the vector v with v[j] = 1 at the t-th
+        free column j, v[p] = -row[j] at the pivot p of each row, and zero
+        elsewhere. The rows span the null space of this basis; column j is
+        the free-coordinate normal form of the j-th unit vector modulo the
+        span."""
+        f = self.field
+        pivot_set = set(self.pivots)
+        free = [j for j in range(self.width) if j not in pivot_set]
+        proj = []
+        for j in free:
+            v = list(unit_vector(f, self.width, j))
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = f.neg(row[j])
+            proj.append(v)
+        return Matrix(f, proj, self.width), free
+
 
 class RREF:
-    __slots__ = ("reduced", "pivots", "rank")
+    """A reduced row echelon form: the ReducedBasis of the row space, and
+    the padded `reduced` matrix (the input's shape, nonzero rows first)
+    built on demand."""
 
-    def __init__(self, reduced, pivots):
-        self.reduced = reduced
-        self.pivots = tuple(pivots)
-        self.rank = len(self.pivots)
+    __slots__ = ("basis", "nrows")
+
+    def __init__(self, basis, nrows):
+        self.basis = basis
+        self.nrows = nrows
+
+    @property
+    def pivots(self):
+        return self.basis.pivots
+
+    @property
+    def rank(self):
+        return self.basis.dim
+
+    @property
+    def reduced(self):
+        b = self.basis
+        zrow = (b.field.zero,) * b.width
+        return Matrix(b.field, b.rows + [zrow] * (self.nrows - b.dim), b.width)
+
+
+def _row_span(m):
+    span = EchelonSpan(m.field, m.ncols)
+    span.extend(m.rows)
+    return span
 
 
 def rref(m):
-    """Reduced row echelon form: returns an RREF(reduced, pivots, rank).
-
-    The reduced matrix has the same shape as the input: nonzero rows first
-    (leading one, zeros above and below each pivot), then zero rows.
-    """
-    span = EchelonSpan(m.field, m.ncols)
-    for row in m.rows:
-        span.insert(row)
-    rb = span.reduced_basis()
-    f = m.field
-    zrow = (f.zero,) * m.ncols
-    rows = list(rb.rows) + [zrow] * (m.nrows - rb.dim)
-    return RREF(Matrix(f, rows, m.ncols), rb.pivots)
+    """Reduced row echelon form of m, as an RREF."""
+    return RREF(_row_span(m).reduced_basis(), m.nrows)
 
 
 def rank(m):
-    return rref(m).rank
-
-
-def _free_kernel(field, rows, pivots, width):
-    """For reduced echelon rows with the given pivots, one vector v per
-    free column j: v[j] = 1, v[p] = -row[j] at the pivot p of each row, and
-    zero elsewhere. They span the null space of the rows; as rows of a
-    matrix they project k^width onto the free coordinates along the row
-    space. Returns (vectors, free columns)."""
-    pivot_set = set(pivots)
-    free = [j for j in range(width) if j not in pivot_set]
-    vecs = []
-    for fcol in free:
-        v = list(unit_vector(field, width, fcol))
-        for row, p in zip(rows, pivots):
-            v[p] = field.neg(row[fcol])
-        vecs.append(tuple(v))
-    return vecs, free
+    return _row_span(m).rank
 
 
 def null_space(m):
     """Null-space vectors of m, one per free column of its echelon form,
     and the free columns; a vector's entries at the free columns are its
     coordinates in this basis."""
-    r = rref(m)
-    return _free_kernel(m.field, r.reduced.rows, r.pivots, m.ncols)
+    proj, free = rref(m).basis.complement()
+    return proj.rows, free
 
 
 def kernel_basis(m):
@@ -628,16 +635,14 @@ def solve_linear(a, b):
     if a.nrows != b.nrows:
         raise LinAlgError("row counts differ")
     f = a.field
-    aug_rows = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    r = rref(Matrix(f, aug_rows, a.ncols + b.ncols))
-    for i, p in enumerate(r.pivots):
-        if p >= a.ncols:
-            return None
-    sol = [[f.zero] * b.ncols for _ in range(a.ncols)]
-    for i, p in enumerate(r.pivots):
-        row = r.reduced.rows[i]
-        for j in range(b.ncols):
-            sol[p][j] = row[a.ncols + j]
+    n = a.ncols
+    aug_rows = [ra + rb for ra, rb in zip(a.rows, b.rows)]
+    r = rref(Matrix(f, aug_rows, n + b.ncols)).basis
+    if r.pivots and r.pivots[-1] >= n:
+        return None
+    sol = [(f.zero,) * b.ncols] * n
+    for row, p in zip(r.rows, r.pivots):
+        sol[p] = row[n:]
     return Matrix(f, sol, b.ncols)
 
 
@@ -653,76 +658,15 @@ def quotient_space(ambient_dim, subspace):
     if subspace.nrows not in (0, ambient_dim) and subspace.ncols > 0:
         raise LinAlgError("subspace columns do not live in the ambient space")
     span = EchelonSpan(f, ambient_dim)
-    for j in range(subspace.ncols):
-        span.insert(subspace.col(j))
-    rb = span.reduced_basis()
-    proj, free = _free_kernel(f, rb.rows, rb.pivots, ambient_dim)
-    sect = [unit_vector(f, ambient_dim, fcol) for fcol in free]
-    return (Matrix(f, proj, ambient_dim),
-            Matrix(f, sect, ambient_dim).transpose())
+    span.extend(subspace.col(j) for j in range(subspace.ncols))
+    proj, free = span.reduced_basis().complement()
+    sect = [unit_vector(f, ambient_dim, j) for j in free]
+    return proj, Matrix(f, sect, ambient_dim).transpose()
 
 
 def sparse_rank(rows, width, field):
-    """Rank of a matrix given as an iterable of sparse rows (dict col->val).
-
-    Fraction-free over the rationals. Used for the big, very sparse
-    differentials of bar-type complexes where dense elimination would be
-    wasteful.
-    """
-    rational = field.characteristic == 0
-    pivots = {}
-    rk = 0
-    for row in rows:
-        if rational:
-            vec = {c: Fraction(v) for c, v in row.items() if v}
-            if vec:
-                den = 1
-                for v in vec.values():
-                    den = den * v.denominator // gcd(den, v.denominator)
-                vec = {c: int(v * den) for c, v in vec.items()}
-        else:
-            p = field.p
-            vec = {c: int(v) % p for c, v in row.items() if int(v) % p}
-        while vec:
-            lead = min(vec)
-            prow = pivots.get(lead)
-            if prow is None:
-                if rational:
-                    g = 0
-                    for v in vec.values():
-                        g = gcd(g, v)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        vec = {c: v // g for c, v in vec.items()}
-                else:
-                    inv = pow(vec[lead], -1, field.p)
-                    vec = {c: (v * inv) % field.p for c, v in vec.items()}
-                pivots[lead] = vec
-                rk += 1
-                break
-            if rational:
-                a, b = prow[lead], vec[lead]
-                new = {}
-                for c in set(vec) | set(prow):
-                    v = vec.get(c, 0) * a - prow.get(c, 0) * b
-                    if v:
-                        new[c] = v
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                vec = new
-            else:
-                p = field.p
-                b = vec[lead]
-                new = {}
-                for c in set(vec) | set(prow):
-                    v = (vec.get(c, 0) - prow.get(c, 0) * b) % p
-                    if v:
-                        new[c] = v
-                vec = new
-    return rk
+    """Rank of a matrix given as an iterable of sparse rows (dict col->val),
+    for the big, very sparse differentials of bar-type complexes."""
+    span = EchelonSpan(field, width)
+    span.extend(rows)
+    return span.rank

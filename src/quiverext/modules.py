@@ -262,12 +262,12 @@ def hom_space(m, n):
                 # (N_g X)[i,j] = sum_k N_g[i,k] X[k,j]
                 for k in range(nd):
                     c = ng[i, k]
-                    if not f.is_zero(c):
+                    if c:
                         row[k * md + j] = f.add(row[k * md + j], c)
                 # (X M_g)[i,j] = sum_k X[i,k] M_g[k,j]
                 for k in range(md):
                     c = mg[k, j]
-                    if not f.is_zero(c):
+                    if c:
                         row[i * md + k] = f.sub(row[i * md + k], c)
                 rows.append(row)
     kb = kernel_basis(Matrix(f, rows, unknowns))
@@ -490,83 +490,54 @@ def tensor_over(x, y, validate=False, return_maps=False):
     f = b.field
     mx, my = x.dim, y.dim
     amb = mx * my
+
+    # the pair x_i (x) y_j is coordinate k = i * my + j of x (x)_k y
+    def left_image(m, k):
+        """(m (x) 1)(x_i (x) y_j) = sum_s m[s, i] x_s (x) y_j, as a dict."""
+        i, j = divmod(k, my)
+        return {s * my + j: c for s, c in enumerate(m.col(i)) if c}
+
+    def right_image(m, k):
+        """(1 (x) m)(x_i (x) y_j) = sum_s m[s, j] x_i (x) y_s, as a dict."""
+        i, j = divmod(k, my)
+        return {i * my + s: c for s, c in enumerate(m.col(j)) if c}
+
     span = EchelonSpan(f, amb)
     for g in b.generators():
-        # right action of g on x and left action of g on y
+        # the relations (x.g) (x) y - x (x) (g.y)
         rg = matrix_combination(f, g, x.right_action, mx, mx)
         lg = matrix_combination(f, g, y.left_action, my, my)
-        rg_cols = [rg.col(i) for i in range(mx)]
-        lg_cols = [lg.col(j) for j in range(my)]
-        for i in range(mx):
-            ri = rg_cols[i]
-            for j in range(my):
-                lj = lg_cols[j]
-                vec = [f.zero] * amb
-                for t in range(mx):
-                    if not f.is_zero(ri[t]):
-                        vec[t * my + j] = ri[t]
-                for t in range(my):
-                    if not f.is_zero(lj[t]):
-                        vec[i * my + t] = f.sub(vec[i * my + t], lj[t])
-                span.insert(vec)
-    rb = span.reduced_basis()
-    pivot_set = set(rb.pivots)
-    free = [t for t in range(amb) if t not in pivot_set]
+        for k in range(amb):
+            rel = left_image(rg, k)
+            for t, c in right_image(lg, k).items():
+                rel[t] = f.sub(rel.get(t, f.zero), c)
+            span.insert(rel)
+    proj, free = span.reduced_basis().complement()
     q = len(free)
+    classes = proj.transpose().rows  # the class of each pair in the quotient
 
-    def project(vec):
-        out = [f.zero] * q
-        for t, fcol in enumerate(free):
-            out[t] = vec[fcol]
-        for i, p in enumerate(rb.pivots):
-            c = vec[p]
-            if not f.is_zero(c):
-                row = rb.rows[i]
-                for t, fcol in enumerate(free):
-                    if not f.is_zero(row[fcol]):
-                        out[t] = f.sub(out[t], f.mul(c, row[fcol]))
+    def induced(mats, image):
+        """The maps on the quotient induced by the pair-space maps
+        image(m, .): a free pair goes to the sum of its image's classes."""
+        out = []
+        for m in mats:
+            cols = [linear_combination(f, [(c, classes[t]) for t, c
+                                           in image(m, k).items()], q)
+                    for k in free]
+            out.append(Matrix.from_cols(f, cols, nrows=q))
         return out
 
-    left_action = None
+    left_action = right_action = None
     if x.left_alg is not None:
-        left_action = []
-        for i in range(x.left_alg.dim):
-            li = x.left_action[i]
-            cols = []
-            for t in range(q):
-                fcol = free[t]
-                xi, yj = divmod(fcol, my)
-                col = li.col(xi)
-                vec = [f.zero] * amb
-                for s in range(mx):
-                    if not f.is_zero(col[s]):
-                        vec[s * my + yj] = col[s]
-                cols.append(project(vec))
-            left_action.append(Matrix.from_cols(f, cols, nrows=q))
-    right_action = None
+        left_action = induced(x.left_action, left_image)
     if y.right_alg is not None:
-        right_action = []
-        for i in range(y.right_alg.dim):
-            ri = y.right_action[i]
-            cols = []
-            for t in range(q):
-                fcol = free[t]
-                xi, yj = divmod(fcol, my)
-                col = ri.col(yj)
-                vec = [f.zero] * amb
-                for s in range(my):
-                    if not f.is_zero(col[s]):
-                        vec[xi * my + s] = col[s]
-                cols.append(project(vec))
-            right_action.append(Matrix.from_cols(f, cols, nrows=q))
+        right_action = induced(y.right_action, right_image)
     out = Bimodule(x.left_alg if left_action is not None else None,
                    y.right_alg if right_action is not None else None,
                    q, left_action, right_action, validate=validate)
     if return_maps:
-        proj_cols = [project(unit_vector(f, amb, j)) for j in range(amb)]
-        proj = Matrix.from_cols(f, proj_cols, nrows=q)
-        sect_cols = [unit_vector(f, amb, fcol) for fcol in free]
-        sect = Matrix.from_cols(f, sect_cols, nrows=amb)
+        sect = Matrix.from_cols(f, [unit_vector(f, amb, k) for k in free],
+                                nrows=amb)
         return out, proj, sect
     return out
 

@@ -139,7 +139,7 @@ def algebra_from_presentation(pres, field):
             for t, d in cand_nf[deg].get(ext, {}).items():
                 v = out.get(t, field.zero)
                 v = field.add(v, field.mul(c, d))
-                if field.is_zero(v):
+                if not v:
                     out.pop(t, None)
                 else:
                     out[t] = v
@@ -189,19 +189,12 @@ def algebra_from_presentation(pres, field):
                         nonzero = True
                 if nonzero:
                     span.insert(vec)
-        rb = span.reduced_basis()
-        pivot_set = set(rb.pivots)
-        free = [i for i in range(len(cands)) if i not in pivot_set]
+        # the normal form of a candidate is its column of the projection
+        # onto the survivors along the relations
+        proj, free = span.reduced_basis().complement()
         surv = [cands[i] for i in free]
-        nf = {cands[i]: {cands[i]: field.one} for i in free}
-        for i, p in enumerate(rb.pivots):
-            row = rb.rows[i]
-            entry = {}
-            for fcol in free:
-                c = row[fcol]
-                if not field.is_zero(c):
-                    entry[cands[fcol]] = field.neg(c)
-            nf[cands[p]] = entry
+        nf = {c: {s: x for s, x in zip(surv, col) if x}
+              for c, col in zip(cands, proj.transpose().rows)}
         survivors.append(surv)
         cand_nf.append(nf)
 

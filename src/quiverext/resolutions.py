@@ -46,7 +46,7 @@ class _ProjectiveAmbient:
             triples = projective_data(self.algebra, s).sparse_action[u]
             for r, c, v in triples:
                 x = vec[off + c]
-                if not f.is_zero(x):
+                if x:
                     out[off + r] = f.add(out[off + r], f.mul(v, x))
         return out
 
@@ -490,7 +490,7 @@ class ChainComplex:
             up = self.diffs.get(i + 1)
             if up is not None:
                 comp = d.matrix.mul(up.matrix)
-                if not comp.is_zero():
+                if any(map(any, comp.rows)):
                     raise ValidationError(f"d o d != 0 at degree {i + 1}")
 
     def degrees(self):

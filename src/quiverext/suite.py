@@ -113,7 +113,7 @@ def corner_projective_bimodule(rng, b):
             corner_dim = 0
             for t in range(b.dim):
                 w = b.multiply(ej, b.multiply(b.basis_vector(t), ei))
-                if any(not b.field.is_zero(x) for x in w):
+                if any(w):
                     corner_dim += 1
                     break
             if corner_dim == 0:

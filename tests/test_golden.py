@@ -6,7 +6,9 @@ stay as it is unless a change shows the recorded value is wrong; a change
 that alters one of these reports has to re-record the file and say why.
 The invariants document is the worked example with its `check extension`
 line replaced by two `check invariants` lines, which runs Ext through the
-orthogonality (`perp`) verdicts.
+orthogonality (`perp`) verdicts. The random-suite reports pin the
+constructor-rejection count of a seeded stream of random presentations,
+which runs through the quiver normal forms.
 """
 
 import contextlib
@@ -51,6 +53,17 @@ def test_check_extension_machine_report_matches_golden(tmp_path):
 def test_invariants_machine_report_matches_golden(field, name):
     argv = ["invariants", os.path.join(GOLDEN, "invariants_demo.txt"),
             "--machine"]
+    if field is not None:
+        argv += ["--field", field]
+    code, out = run_cli(argv)
+    assert code == 0
+    assert out == golden(name)
+
+
+@pytest.mark.parametrize("field, name", [(None, "random_suite_qq.machine"),
+                                         ("p:2", "random_suite_gf2.machine")])
+def test_random_suite_machine_report_matches_golden(field, name):
+    argv = ["random-suite", "--seed", "3", "--count", "40", "--machine"]
     if field is not None:
         argv += ["--field", field]
     code, out = run_cli(argv)

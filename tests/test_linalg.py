@@ -193,11 +193,12 @@ def test_quotient_projection_full_row_rank(m):
         assert proj.mul(sect) == Matrix.identity(QQ, proj.nrows)
 
 
-@given(m=matrices(QQ))
+@given(m=st.one_of(matrices(QQ), matrices(GF(2)), matrices(GF(3))))
 @settings(max_examples=30, deadline=None)
 def test_sparse_rank_agrees(m):
     rows = [{j: v for j, v in enumerate(row) if v} for row in m.rows]
-    assert sparse_rank(rows, m.ncols, QQ) == rank(m)
+    assert sparse_rank(rows, m.ncols, m.field) == rank(m)
+    assert rank(m) == rank_by_minor_enumeration(m)
 
 
 def test_echelon_span_membership():
