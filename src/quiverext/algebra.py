@@ -18,7 +18,8 @@ canonicalises the stored data, `linalg.nonzero_pairs` outside vectors.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import EchelonSpan, Matrix, nonzero_pairs, unit_vector
+from .linalg import (EchelonSpan, Matrix, dense_vector, nonzero_pairs,
+                     unit_vector)
 
 
 class Algebra:
@@ -65,10 +66,7 @@ class Algebra:
 
     def dense(self, pairs):
         """The coordinate vector with the given (index, coeff) entries."""
-        out = [self.field.zero] * self.dim
-        for k, c in pairs:
-            out[k] = c
-        return tuple(out)
+        return dense_vector(self.field, self.dim, pairs)
 
     def multiply(self, x, y):
         """Product of two coordinate vectors."""
@@ -123,7 +121,7 @@ class Algebra:
             for s in rb.sparse_rows:
                 prod = self.sparse_multiply(r, s)
                 if prod:
-                    sq.insert(self.dense(prod))
+                    sq.insert(dict(prod))
         gens = list(self.idempotents)
         for r in rb.rows:
             if sq.insert(r):
@@ -239,7 +237,7 @@ class Algebra:
                 for r in rows:
                     prod = self.sparse_multiply(x, r)
                     if prod:
-                        nxt.insert(self.dense(prod))
+                        nxt.insert(dict(prod))
             current = nxt.reduced_basis().sparse_rows
         raise ValidationError("radical is not nilpotent")
 

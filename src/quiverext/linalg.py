@@ -10,18 +10,19 @@ eliminates are mostly zeros. Over the rationals it is fraction-free:
 rows are scaled to primitive integer rows, and a row is reduced by
 cross-multiplication with a pivot row followed by a gcd division, which
 keeps entries small without ever rounding. `rank`, `sparse_rank`, `rref`,
-`null_space`, `kernel_basis`, `solve_linear` and `quotient_space` all feed
-their rows to an EchelonSpan. A ReducedBasis reads its result, and its
-`complement` (the projection onto the free columns along the span) is the
-one reader of the free columns: it gives the null space, the quotient
-projection, and, in the layers above, the quiver normal forms and
-`tensor_over`.
+`kernel_basis`, `solve_linear` and `quotient_space` all feed their rows to
+an EchelonSpan. A ReducedBasis reads its result and keeps its rows sparse.
+Its `complement` (the projection onto the free columns along the span,
+as sparse rows) is the one reader of the free columns: it gives kernels,
+the quotient projection, and, in the layers above, the kernels of
+resolution differentials, the quiver normal forms and `tensor_over`.
 
 This module is also the one home of dense assembly. A Matrix is immutable
 and its shape is fixed at construction (`ncols` keeps the width of a
 matrix without rows). The shared helpers are `unit_vector`,
-`linear_combination` and `matrix_combination` (sums c * x, testing zero
-by truthiness, exact on canonical elements), `block_diag` and `kron`.
+`dense_vector`, `linear_combination`, `sparse_combination` and
+`matrix_combination` (sums c * x, testing zero by truthiness, exact on
+canonical elements), `block_diag` and `kron`.
 """
 
 from fractions import Fraction
@@ -92,6 +93,8 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise LinAlgError(f"denominator not invertible mod {self.p}")
@@ -196,6 +199,13 @@ class Matrix:
     @classmethod
     def identity(cls, field, n):
         return cls(field, [unit_vector(field, n, i) for i in range(n)], n)
+
+    @classmethod
+    def from_sparse(cls, field, rows, ncols):
+        """The matrix whose rows have the given nonzero entries, each row a
+        dict col -> canonical value."""
+        return cls(field, [dense_vector(field, ncols, r.items()) for r in rows],
+                   ncols)
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
@@ -306,6 +316,15 @@ def unit_vector(field, n, i):
     return tuple(v)
 
 
+def dense_vector(field, n, entries):
+    """The vector of k^n with the given (index, coeff) entries, zero
+    elsewhere."""
+    v = [field.zero] * n
+    for i, c in entries:
+        v[i] = c
+    return tuple(v)
+
+
 def linear_combination(field, terms, n):
     """The sum of c * v over (c, v) pairs, each v of length n.
 
@@ -319,6 +338,18 @@ def linear_combination(field, terms, n):
                 if x:
                     out[t] = add(out[t], mul(c, x))
     return tuple(out)
+
+
+def sparse_combination(field, terms):
+    """The sum of c * v over (c, v) pairs, each v given by its nonzero
+    (index, coeff) entries, as a dict of the nonzero entries of the sum."""
+    add, mul, zero = field.add, field.mul, field.zero
+    out = {}
+    for c, v in terms:
+        if c:
+            for i, x in v:
+                out[i] = add(out.get(i, zero), mul(c, x))
+    return {i: x for i, x in out.items() if x}
 
 
 def matrix_combination(field, coeffs, mats, nrows, ncols):
@@ -468,13 +499,8 @@ class EchelonSpan:
                             row[t] = v
                         else:
                             del row[t]
-        dense = []
-        for row in rows:
-            d = [zero] * self.width
-            for t, b in row.items():
-                d[t] = b
-            dense.append(d)
-        return ReducedBasis(f, self.width, dense, pivots)
+        return ReducedBasis(f, self.width,
+                            [tuple(sorted(row.items())) for row in rows], pivots)
 
 
 def nonzero_pairs(field, vec):
@@ -488,39 +514,40 @@ class ReducedBasis:
 
     Rows have leading coefficient one and zeros in the other pivot columns,
     so the coordinates of a vector in the span are just its pivot entries.
-    Each row's nonzero entries are kept as well, so a vector is reduced
-    only at the pivots where it is nonzero, by sparse row updates.
+    The rows are kept sparse, as tuples of their nonzero (index, coeff)
+    entries in index order (`sparse_rows`), so a vector is reduced only at
+    the pivots where it is nonzero, by sparse row updates. The dense `rows`
+    are built on first use, as most bases never need them.
     """
 
-    __slots__ = ("field", "width", "rows", "pivots", "_sparse")
+    __slots__ = ("field", "width", "sparse_rows", "pivots", "_row_of",
+                 "_rows")
 
-    def __init__(self, field, width, rows, pivots):
+    def __init__(self, field, width, sparse_rows, pivots):
         self.field = field
         self.width = width
-        self.rows = [tuple(r) for r in rows]
+        self.sparse_rows = sparse_rows
         self.pivots = tuple(pivots)
-        self._sparse = None
+        self._row_of = {p: t for t, p in enumerate(self.pivots)}
+        self._rows = None
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     @property
-    def sparse_rows(self):
-        """Each row's nonzero entries as (index, coeff) pairs; built on
-        first use, with the row of each pivot, as most bases never need it."""
-        if self._sparse is None:
-            self._sparse = ([tuple((i, b) for i, b in enumerate(r) if b)
-                             for r in self.rows],
-                            {p: t for t, p in enumerate(self.pivots)})
-        return self._sparse[0]
+    def rows(self):
+        if self._rows is None:
+            self._rows = [dense_vector(self.field, self.width, r)
+                          for r in self.sparse_rows]
+        return self._rows
 
     def sparse_coords(self, vec):
         """Coordinates of a vector given as (index, canonical coeff) pairs,
         as a dict row -> coeff, or None if the vector is not in the span."""
         f = self.field
         sub, mul, zero = f.sub, f.mul, f.zero
-        sparse_rows, row_of = self.sparse_rows, self._sparse[1]
+        sparse_rows, row_of = self.sparse_rows, self._row_of
         resid = dict(vec)
         cs = {}
         for k, c in vec:
@@ -539,8 +566,8 @@ class ReducedBasis:
 
     def combine(self, coords):
         """The vector with the given coordinates."""
-        return linear_combination(self.field, zip(coords, self.rows),
-                                  self.width)
+        return dense_vector(self.field, self.width, sparse_combination(
+            self.field, zip(coords, self.sparse_rows)).items())
 
     def row_matrix(self):
         return Matrix(self.field, self.rows, self.width)
@@ -551,7 +578,8 @@ class ReducedBasis:
 
     def complement(self):
         """The projection of k^width onto the free (non-pivot) coordinates
-        along this span, and the free columns.
+        along this span, as sparse rows (dicts col -> value), and the free
+        columns.
 
         Row t of the projection is the vector v with v[j] = 1 at the t-th
         free column j, v[p] = -row[j] at the pivot p of each row, and zero
@@ -559,15 +587,15 @@ class ReducedBasis:
         the free-coordinate normal form of the j-th unit vector modulo the
         span."""
         f = self.field
-        pivot_set = set(self.pivots)
-        free = [j for j in range(self.width) if j not in pivot_set]
-        proj = []
-        for j in free:
-            v = list(unit_vector(f, self.width, j))
-            for row, p in zip(self.rows, self.pivots):
-                v[p] = f.neg(row[j])
-            proj.append(v)
-        return Matrix(f, proj, self.width), free
+        row_of = self._row_of
+        free = [j for j in range(self.width) if j not in row_of]
+        proj = [{j: f.one} for j in free]
+        slot = {j: v for j, v in zip(free, proj)}
+        for row, p in zip(self.sparse_rows, self.pivots):
+            for j, b in row:
+                if j != p:
+                    slot[j][p] = f.neg(b)
+        return proj, free
 
 
 class RREF:
@@ -611,17 +639,11 @@ def rank(m):
     return _row_span(m).rank
 
 
-def null_space(m):
-    """Null-space vectors of m, one per free column of its echelon form,
-    and the free columns; a vector's entries at the free columns are its
-    coordinates in this basis."""
-    proj, free = rref(m).basis.complement()
-    return proj.rows, free
-
-
 def kernel_basis(m):
-    """A matrix whose columns span the null space of m (ncols x nullity)."""
-    return Matrix.from_cols(m.field, null_space(m)[0], nrows=m.ncols)
+    """A matrix whose columns span the null space of m (ncols x nullity),
+    one per free column of its echelon form."""
+    proj, _ = rref(m).basis.complement()
+    return Matrix.from_sparse(m.field, proj, m.ncols).transpose()
 
 
 def solve_linear(a, b):
@@ -661,7 +683,8 @@ def quotient_space(ambient_dim, subspace):
     span.extend(subspace.col(j) for j in range(subspace.ncols))
     proj, free = span.reduced_basis().complement()
     sect = [unit_vector(f, ambient_dim, j) for j in free]
-    return proj, Matrix(f, sect, ambient_dim).transpose()
+    return (Matrix.from_sparse(f, proj, ambient_dim),
+            Matrix(f, sect, ambient_dim).transpose())
 
 
 def sparse_rank(rows, width, field):

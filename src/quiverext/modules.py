@@ -137,14 +137,34 @@ def direct_sum(modules):
 
 class _ProjectiveData:
     """Cached data for the projective A e_s: a reduced basis of its
-    underlying subspace of A and sparse action matrices."""
+    underlying subspace of A, and the action of each basis element b_u of
+    A in that basis, kept by column: sparse_action[u] maps each column c
+    with b_u . basis[c] != 0 to the nonzero (row, coeff) entries of that
+    column. Resolutions apply it to sparse vectors, touching only their
+    nonzero columns. The dense action matrices (`module`) are built on
+    first read."""
 
-    __slots__ = ("basis", "module", "sparse_action")
+    __slots__ = ("algebra", "basis", "sparse_action", "_module")
 
-    def __init__(self, basis, module, sparse_action):
+    def __init__(self, algebra, basis, sparse_action):
+        self.algebra = algebra
         self.basis = basis
-        self.module = module
         self.sparse_action = sparse_action
+        self._module = None
+
+    @property
+    def module(self):
+        if self._module is None:
+            d = self.basis.dim
+            action = []
+            for cols in self.sparse_action:
+                rows = [{} for _ in range(d)]
+                for c, col in cols.items():
+                    for r, v in col:
+                        rows[r][c] = v
+                action.append(Matrix.from_sparse(self.algebra.field, rows, d))
+            self._module = Module(self.algebra, action, validate=False)
+        return self._module
 
 
 def projective_data(algebra, s):
@@ -158,31 +178,22 @@ def projective_data(algebra, s):
     for j in range(algebra.dim):
         prod = algebra.sparse_multiply(((j, one),), es)
         if prod:
-            span.insert(algebra.dense(prod))
+            span.insert(dict(prod))
     rb = span.reduced_basis()
-    d = rb.dim
     sparse = []
-    action = []
     for i in range(algebra.dim):
         bi = ((i, one),)
-        cols = []
-        triples = []
+        cols = {}
         for c, row in enumerate(rb.sparse_rows):
             coords = rb.sparse_coords(algebra.sparse_multiply(bi, row))
             if coords is None:
                 raise ValidationError("projective module not closed under action")
-            col = [f.zero] * d
-            for r, v in sorted(coords.items()):
-                col[r] = v
-                triples.append((r, c, v))
-            cols.append(col)
-        mat = Matrix.from_cols(f, cols, nrows=d)
-        action.append(mat)
-        sparse.append(tuple(triples))
-    module = Module(algebra, action, validate=False)
+            if coords:
+                cols[c] = tuple(sorted(coords.items()))
+        sparse.append(cols)
     if rb.coords(e) is None:
         raise ValidationError("idempotent not inside its own projective")
-    data = _ProjectiveData(rb, module, tuple(sparse))
+    data = _ProjectiveData(algebra, rb, tuple(sparse))
     algebra._cache[key] = data
     return data
 
@@ -199,21 +210,16 @@ def simple_top_coefficients(algebra):
     if "simple_coeffs" in algebra._cache:
         return algebra._cache["simple_coeffs"]
     f = algebra.field
-    rb = algebra.radical_basis()
     r = len(algebra.idempotents)
-    # express b_j mod rad over the idempotent classes: b_j - sum c_s e_s in rad
-    cols = []
-    for j in range(algebra.dim):
-        target = Matrix.from_cols(f, [algebra.basis_vector(j)], nrows=algebra.dim)
-        gens = [list(e) for e in algebra.idempotents]
-        for row in rb.rows:
-            gens.append(list(row))
-        amat = Matrix.from_cols(f, gens, nrows=algebra.dim)
-        sol = solve_linear(amat, target)
-        if sol is None:
-            raise ValidationError("basis element not in idempotents + radical span")
-        cols.append([sol[i, 0] for i in range(r)])
-    out = Matrix.from_cols(f, cols, nrows=r)
+    # express each b_j mod rad over the idempotent classes, b_j - sum c_s e_s
+    # in rad, by one solve against the identity; the idempotents and the
+    # radical basis are independent, so the solution is unique
+    gens = list(algebra.idempotents) + list(algebra.radical_basis().rows)
+    amat = Matrix.from_cols(f, gens, nrows=algebra.dim)
+    sol = solve_linear(amat, Matrix.identity(f, algebra.dim))
+    if sol is None:
+        raise ValidationError("basis element not in idempotents + radical span")
+    out = Matrix(f, sol.rows[:r], algebra.dim)
     algebra._cache["simple_coeffs"] = out
     return out
 
@@ -512,8 +518,9 @@ def tensor_over(x, y, validate=False, return_maps=False):
             for t, c in right_image(lg, k).items():
                 rel[t] = f.sub(rel.get(t, f.zero), c)
             span.insert(rel)
-    proj, free = span.reduced_basis().complement()
+    rows, free = span.reduced_basis().complement()
     q = len(free)
+    proj = Matrix.from_sparse(f, rows, amb)
     classes = proj.transpose().rows  # the class of each pair in the quotient
 
     def induced(mats, image):
@@ -524,7 +531,7 @@ def tensor_over(x, y, validate=False, return_maps=False):
             cols = [linear_combination(f, [(c, classes[t]) for t, c
                                            in image(m, k).items()], q)
                     for k in free]
-            out.append(Matrix.from_cols(f, cols, nrows=q))
+            out.append(Matrix(f, zip(*cols), q))
         return out
 
     left_action = right_action = None

@@ -193,8 +193,10 @@ def algebra_from_presentation(pres, field):
         # onto the survivors along the relations
         proj, free = span.reduced_basis().complement()
         surv = [cands[i] for i in free]
-        nf = {c: {s: x for s, x in zip(surv, col) if x}
-              for c, col in zip(cands, proj.transpose().rows)}
+        nf = {c: {} for c in cands}
+        for s, row in zip(surv, proj):
+            for j, x in row.items():
+                nf[cands[j]][s] = x
         survivors.append(surv)
         cand_nf.append(nf)
 

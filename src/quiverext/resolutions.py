@@ -2,9 +2,16 @@
 
 Resolutions are built by iterated projective covers. Internally a cover
 target lives inside the previous projective (or inside the resolved module
-at the start), so syzygies are tracked as explicit kernel subspaces and the
-only dense linear algebra per step is one kernel computation; module action
-matrices for syzygies are materialized only on demand.
+at the start), so syzygies are tracked as explicit kernel subspaces.
+
+Every vector on this path is sparse, a dict index -> value of its nonzero
+canonical entries: the vectors spanning a cover target, the chosen
+generators, the rows of each differential and the kernel vectors. Acting
+on a vector touches only its nonzero coordinates, through the columns of
+the sparse action of each summand. The kernel of a differential is one
+EchelonSpan over its sparse rows, read through ReducedBasis.complement.
+Dense matrices (the differentials in `Resolution.diffs`, the action of a
+syzygy) are built only when something reads them.
 
 Each differential is also stored in "algebra form": the map
 + A e_{s(c)} -> + A e_{s(r)} is right multiplication by elements
@@ -15,87 +22,94 @@ cheap once the resolution is known.
 """
 
 from .errors import InternalCheckError, ValidationError
-from .linalg import (EchelonSpan, Matrix, linear_combination, null_space,
-                     unit_vector)
+from .linalg import (EchelonSpan, Matrix, nonzero_pairs, sparse_combination,
+                     sparse_rank, unit_vector)
 from .modules import (Module, ModuleMap, direct_sum, is_isomorphic,
-                      projective_data, simple_modules)
+                      projective_data, simple_modules, zero_module)
 from .algebra import opposite
 
 
-class _ProjectiveAmbient:
-    """Direct sum of projectives A e_s with sparse action application."""
+class _Ambient:
+    """A module acting on sparse vectors: the resolved module itself (the
+    degree-minus-one ambient) or a direct sum of projectives A e_s.
 
-    __slots__ = ("algebra", "summands", "offsets", "dim")
+    It is a direct sum of blocks, each given by its dimension and its
+    action by column, cols[u] = {c: ((r, coeff), ...)}, the nonzero entries
+    of each nonzero column c of the action of b_u on the block."""
 
-    def __init__(self, algebra, summands):
-        self.algebra = algebra
-        self.summands = tuple(summands)
-        offs = []
-        off = 0
-        for s in summands:
-            offs.append(off)
-            off += projective_data(algebra, s).basis.dim
-        self.offsets = tuple(offs)
-        self.dim = off
+    __slots__ = ("field", "dim", "_place")
 
-    def apply_basis(self, u, vec):
-        """Apply the algebra basis element b_u."""
-        f = self.algebra.field
-        out = [f.zero] * self.dim
-        for s, off in zip(self.summands, self.offsets):
-            triples = projective_data(self.algebra, s).sparse_action[u]
-            for r, c, v in triples:
-                x = vec[off + c]
-                if x:
-                    out[off + r] = f.add(out[off + r], f.mul(v, x))
-        return out
+    def __init__(self, field, blocks):
+        self.field = field
+        place = []  # coordinate -> (its block's columns, block offset, column)
+        for cols, dim in blocks:
+            off = len(place)
+            place.extend((cols, off, c) for c in range(dim))
+        self._place = place
+        self.dim = len(place)
 
-    def apply_elem(self, avec, vec):
-        return linear_combination(
-            self.algebra.field,
-            [(cu, self.apply_basis(u, vec)) for u, cu in enumerate(avec) if cu],
-            self.dim)
-
-    def module(self):
-        mods = [projective_data(self.algebra, s).module for s in self.summands]
-        if not mods:
-            from .modules import zero_module
-            return zero_module(self.algebra)
-        return direct_sum(mods)
+    def apply(self, elem, vec):
+        """The action on vec of the algebra element with nonzero
+        (index, coeff) entries elem, as a sparse vector."""
+        f = self.field
+        add, mul, zero = f.add, f.mul, f.zero
+        out = {}
+        for i, x in vec.items():
+            cols, off, c = self._place[i]
+            for u, a in elem:
+                col = cols[u].get(c)
+                if col:
+                    ax = mul(a, x)
+                    for r, v in col:
+                        k = off + r
+                        out[k] = add(out.get(k, zero), mul(v, ax))
+        return {k: y for k, y in out.items() if y}
 
 
-class _ModuleAmbient:
-    """The resolved module itself, as the degree-minus-one ambient."""
+def _module_ambient(m):
+    """The module itself, its action matrices read by column."""
+    cols = []
+    for mat in m.action:
+        by_col = {}
+        for r, row in enumerate(mat.rows):
+            for c, v in enumerate(row):
+                if v:
+                    by_col.setdefault(c, []).append((r, v))
+        cols.append(by_col)
+    return _Ambient(m.algebra.field, [(cols, m.dim)])
 
-    __slots__ = ("module", "dim")
 
-    def __init__(self, module):
-        self.module = module
-        self.dim = module.dim
+def _projective_ambient(algebra, summands):
+    data = [projective_data(algebra, s) for s in summands]
+    return _Ambient(algebra.field, [(d.sparse_action, d.basis.dim)
+                                    for d in data])
 
-    def apply_basis(self, u, vec):
-        return list(self.module.action[u].apply(vec))
 
-    def apply_elem(self, avec, vec):
-        return self.module.act(avec, vec)
+def _projective_sum(algebra, summands):
+    """The module + A e_s over the given summands."""
+    mods = [projective_data(algebra, s).module for s in summands]
+    return direct_sum(mods) if mods else zero_module(algebra)
 
 
 class Resolution:
     """A minimal projective resolution, possibly truncated at a cap.
 
     Degrees run 0, 1, 2, ...; gens[i] lists the idempotent index of each
-    indecomposable summand of P_i. diffs[0] is the augmentation onto the
-    module; diffs[i] maps P_i into P_{i-1}. kernels[i] spans the syzygy
-    inside P_i. terminated means some kernel was zero within the cap.
+    indecomposable summand of P_i. sparse_diffs[i] holds the differential
+    out of P_i as (rows, ncols), one dict col -> value per row: degree 0 is
+    the augmentation onto the module, degree i maps P_i into P_{i-1}.
+    kernels[i] spans the syzygy inside P_i, as sparse vectors whose
+    entries at kernel_free[i] are their coordinates. terminated means some
+    kernel was zero within the cap.
     """
 
-    __slots__ = ("module", "gens", "diffs", "w_blocks", "kernels",
+    __slots__ = ("module", "gens", "sparse_diffs", "w_blocks", "kernels",
                  "kernel_free", "terminated", "cap")
 
     def __init__(self, module, cap):
         self.module = module
         self.gens = []
-        self.diffs = []
+        self.sparse_diffs = []
         self.w_blocks = []
         self.kernels = []
         self.kernel_free = []
@@ -106,6 +120,13 @@ class Resolution:
     def length(self):
         return len(self.gens) - 1
 
+    @property
+    def diffs(self):
+        """The differentials as dense matrices, built on each read."""
+        f = self.module.algebra.field
+        return [Matrix.from_sparse(f, rows, ncols)
+                for rows, ncols in self.sparse_diffs]
+
     def term_dim(self, i):
         a = self.module.algebra
         return sum(projective_data(a, s).basis.dim for s in self.gens[i])
@@ -114,7 +135,7 @@ class Resolution:
         return [self.term_dim(i) for i in range(len(self.gens))]
 
     def projective_module(self, i):
-        return _ProjectiveAmbient(self.module.algebra, self.gens[i]).module()
+        return _projective_sum(self.module.algebra, self.gens[i])
 
     def syzygy_module(self, t):
         """Materialize the t-th syzygy as a Module (t >= 1)."""
@@ -123,25 +144,24 @@ class Resolution:
         if t - 1 >= len(self.kernels):
             raise ValidationError("resolution not computed that far")
         a = self.module.algebra
-        cols = self.kernels[t - 1]
+        f = a.field
+        vecs = self.kernels[t - 1]
         free = self.kernel_free[t - 1]
-        if not cols:
-            from .modules import zero_module
+        if not vecs:
             return zero_module(a)
-        amb = _ProjectiveAmbient(a, self.gens[t - 1])
-        d = len(cols)
+        amb = _projective_ambient(a, self.gens[t - 1])
         action = []
         for u in range(a.dim):
             acts = []
-            for col in cols:
-                img = amb.apply_basis(u, col)
-                coords = [img[fi] for fi in free]
+            for vec in vecs:
+                img = amb.apply(((u, f.one),), vec)
+                coords = [img.get(j, f.zero) for j in free]
                 acts.append(coords)
                 # exactness of the coordinate extraction is a consistency check
-                if linear_combination(a.field, zip(coords, cols),
-                                      amb.dim) != tuple(img):
+                if sparse_combination(f, [(c, v.items()) for c, v
+                                          in zip(coords, vecs)]) != img:
                     raise InternalCheckError("syzygy not closed under the action")
-            action.append(Matrix.from_cols(a.field, acts, nrows=d))
+            action.append(Matrix(f, zip(*acts), len(vecs)))
         return Module(a, action, validate=False)
 
     def check_minimal(self):
@@ -157,53 +177,76 @@ class Resolution:
         return True
 
 
-def _cover_step(algebra, ambient, current_cols):
-    """One projective cover: returns (gen_idempotents, gen_vectors).
+def _cover_step(algebra, ambient, current):
+    """One projective cover: returns [(idempotent index, generator)].
 
-    current_cols spans a submodule of the ambient; generators are chosen
-    idempotent-homogeneous lifts of a basis of the top (Nakayama)."""
+    current (sparse vectors) spans a submodule of the ambient; generators
+    are chosen idempotent-homogeneous lifts of a basis of the top
+    (Nakayama)."""
     f = algebra.field
     span = EchelonSpan(f, ambient.dim)
-    rad_rows = algebra.radical_basis().rows
-    for v in current_cols:
+    rad_rows = algebra.radical_basis().sparse_rows
+    for v in current:
         for r in rad_rows:
-            span.insert(ambient.apply_elem(r, v))
+            span.insert(ambient.apply(r, v))
     gens = []
-    for s in range(len(algebra.idempotents)):
-        e = algebra.idempotents[s]
-        for v in current_cols:
-            u = ambient.apply_elem(e, v)
+    for s, e in enumerate(algebra.idempotents):
+        es = nonzero_pairs(f, e)
+        for v in current:
+            u = ambient.apply(es, v)
             if span.insert(u):
-                gens.append((s, tuple(u)))
-    if span.rank != len(current_cols):
+                gens.append((s, u))
+    if span.rank != len(current):
         raise InternalCheckError("cover generators do not span the target")
     return gens
 
 
 def _build_differential(algebra, ambient, gens):
-    """Matrix of + A e_s -> ambient sending the generator of each summand
-    to its chosen vector, together with per-generator images of all basis
-    elements (used to read off the algebra-form blocks)."""
+    """The map + A e_s -> ambient sending the generator of each summand to
+    its chosen vector, as (rows, ncols): one sparse row per ambient
+    coordinate. Basis element b of A e_s goes to b . generator."""
+    rows = [{} for _ in range(ambient.dim)]
+    col = 0
+    for s, g in gens:
+        for brow in projective_data(algebra, s).basis.sparse_rows:
+            for r, x in ambient.apply(brow, g).items():
+                rows[r][col] = x
+            col += 1
+    return rows, col
+
+
+def _module_cover(m):
+    """The degree-0 cover of a module: its generators and differential."""
+    a = m.algebra
+    ambient = _module_ambient(m)
+    gens = _cover_step(a, ambient, [{i: a.field.one} for i in range(m.dim)])
+    return gens, _build_differential(a, ambient, gens)
+
+
+def _kernel(field, diff):
+    """Sparse kernel vectors of a differential, and the free columns at
+    which they have their coordinates."""
+    rows, ncols = diff
+    span = EchelonSpan(field, ncols)
+    span.extend(rows)
+    return span.reduced_basis().complement()
+
+
+def _w_blocks(algebra, prev_gens, gens):
+    """Algebra-form blocks w[c][r] in e_{s(c)} A e_{s(r)} of a differential:
+    the component of generator c in summand r of the previous term, as an
+    element of A."""
     f = algebra.field
-    cols = []
-    for s, g in gens:
-        data = projective_data(algebra, s)
-        imgs = [ambient.apply_basis(u, g) for u in range(algebra.dim)]
-        for brow in data.basis.rows:
-            cols.append(linear_combination(f, zip(brow, imgs), ambient.dim))
-    return Matrix.from_cols(f, cols, nrows=ambient.dim)
-
-
-def _w_blocks(algebra, prev_gens, prev_offsets, gens):
-    """Algebra-form blocks w[c][r] in e_{s(c)} A e_{s(r)} of a differential."""
+    bases = [projective_data(algebra, s).basis for s, _ in prev_gens]
+    owner = [(r, t) for r, b in enumerate(bases) for t in range(b.dim)]
     blocks = []
-    for s, g in gens:
-        col = []
-        for (sr, _), off in zip(prev_gens, prev_offsets):
-            basis = projective_data(algebra, sr).basis
-            comp = g[off:off + basis.dim]
-            col.append(basis.combine(comp) if any(comp) else None)
-        blocks.append(col)
+    for _, g in gens:
+        comps = [[] for _ in bases]
+        for i, x in g.items():
+            r, t = owner[i]
+            comps[r].append((x, bases[r].sparse_rows[t]))
+        blocks.append([algebra.dense(sparse_combination(f, comp).items())
+                       if comp else None for comp in comps])
     return blocks
 
 
@@ -213,42 +256,30 @@ def minimal_resolution(m, cap):
         raise ValidationError("cap must be nonnegative")
     a = m.algebra
     res = Resolution(m, cap)
-    ambient = _ModuleAmbient(m)
-    current = [unit_vector(a.field, m.dim, i) for i in range(m.dim)]
-    prev_gens = None
-    prev_offsets = None
+    gens, diff = _module_cover(m)
     for degree in range(cap + 1):
-        gens = _cover_step(a, ambient, current)
-        diff = _build_differential(a, ambient, gens)
+        if degree:
+            prev_gens = gens
+            ambient = _projective_ambient(a, res.gens[-1])
+            gens = _cover_step(a, ambient, res.kernels[-1])
+            diff = _build_differential(a, ambient, gens)
         res.gens.append([s for s, _ in gens])
-        res.diffs.append(diff)
-        if degree == 0:
-            res.w_blocks.append(None)
-        else:
-            res.w_blocks.append(_w_blocks(a, prev_gens, prev_offsets, gens))
-        kcols, kfree = null_space(diff)
-        res.kernels.append(kcols)
+        res.sparse_diffs.append(diff)
+        res.w_blocks.append(_w_blocks(a, prev_gens, gens) if degree else None)
+        kvecs, kfree = _kernel(a.field, diff)
+        res.kernels.append(kvecs)
         res.kernel_free.append(kfree)
-        if not kcols:
+        if not kvecs:
             res.terminated = True
             break
-        new_amb = _ProjectiveAmbient(a, [s for s, _ in gens])
-        offsets = new_amb.offsets
-        prev_gens = gens
-        prev_offsets = offsets
-        ambient = new_amb
-        current = kcols
     return res
 
 
 def projective_cover(m):
     """Projective cover as (projective module, epimorphism)."""
-    a = m.algebra
-    ambient = _ModuleAmbient(m)
-    current = [unit_vector(a.field, m.dim, i) for i in range(m.dim)]
-    gens = _cover_step(a, ambient, current)
-    diff = _build_differential(a, ambient, gens)
-    p = _ProjectiveAmbient(a, [s for s, _ in gens]).module()
+    gens, (rows, ncols) = _module_cover(m)
+    p = _projective_sum(m.algebra, [s for s, _ in gens])
+    diff = Matrix.from_sparse(m.algebra.field, rows, ncols)
     return p, ModuleMap(p, m, diff, validate=False)
 
 
@@ -258,7 +289,6 @@ def syzygy(m, t, cap=None):
         return m
     res = minimal_resolution(m, t if cap is None else cap)
     if t - 1 >= len(res.kernels):
-        from .modules import zero_module
         return zero_module(m.algebra)
     return res.syzygy_module(t)
 
@@ -267,16 +297,8 @@ def is_projective(m):
     """Projectivity via the cover: projective iff the cover kernel is zero."""
     if m.dim == 0:
         return True
-    a = m.algebra
-    ambient = _ModuleAmbient(m)
-    current = [unit_vector(a.field, m.dim, i) for i in range(m.dim)]
-    gens = _cover_step(a, ambient, current)
-    p_dim = sum(projective_data(a, s).basis.dim for s, _ in gens)
-    if p_dim != m.dim:
-        return False
-    diff = _build_differential(a, ambient, gens)
-    from .linalg import rank
-    return rank(diff) == m.dim
+    _, (rows, ncols) = _module_cover(m)
+    return ncols == m.dim and sparse_rank(rows, ncols, m.algebra.field) == m.dim
 
 
 class _Slice:

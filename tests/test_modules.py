@@ -166,3 +166,27 @@ def test_hom_space_generators_equal_full_basis(gamma, dual_numbers):
 def test_module_validation_full_flag(gamma):
     for m in projective_indecomposables(gamma):
         m.validate(full=True)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_simple_top_coefficients_match_per_column_solve(p):
+    """The one solve against the identity gives, column by column, what
+    solving amat . x = b_j for each basis element b_j gives."""
+    import random
+    from quiverext.linalg import GF, solve_linear
+    from quiverext.modules import simple_top_coefficients
+    from quiverext.suite import random_quiver_algebra
+    field = GF(p) if p else QQ
+    rng = random.Random(5 + p)
+    for _ in range(6):
+        a = random_quiver_algebra(rng, field)
+        gens = list(a.idempotents) + list(a.radical_basis().rows)
+        amat = Matrix.from_cols(field, gens, nrows=a.dim)
+        cols = []
+        for j in range(a.dim):
+            target = Matrix.from_cols(field, [a.basis_vector(j)], nrows=a.dim)
+            sol = solve_linear(amat, target)
+            assert sol is not None
+            cols.append([sol[i, 0] for i in range(len(a.idempotents))])
+        expected = Matrix.from_cols(field, cols, nrows=len(a.idempotents))
+        assert simple_top_coefficients(a) == expected

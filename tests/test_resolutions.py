@@ -189,3 +189,60 @@ def test_ext_tor_duality_random(field):
         assert ext(m, dual_module(x), 3) == tor(x, m, 3)
         assert ext(m, n, 3)[0] == len(hom_space(m, n))
         cases += 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_resolution_structure_random(field):
+    """Every computed degree of a minimal resolution, on random modules
+    over random algebras of dimension at most 5: each differential is a
+    module map into the previous term, d o d = 0, d_0 is onto M, the
+    complex is exact below the top, every block lies in the radical, and
+    the algebra-form blocks reproduce the differentials."""
+    from quiverext.linalg import rank
+    rng = random.Random(47 + field.characteristic)
+    cases = 0
+    while cases < 10:
+        a = random_quiver_algebra(rng, field)
+        if a.dim > 5:
+            continue
+        # a simple summand keeps most resolutions from stopping at P_0
+        m = direct_sum([random_module(rng, a), rng.choice(simple_modules(a))])
+        res = minimal_resolution(m, 3)
+        diffs = res.diffs
+        assert len(diffs) == len(res.gens)
+        terms = [res.projective_module(i) for i in range(len(diffs))]
+        for i, d in enumerate(diffs):
+            ModuleMap(terms[i], terms[i - 1] if i else m, d)
+            if i:
+                assert diffs[i - 1].mul(d).is_zero()
+        ranks = [rank(d) for d in diffs]
+        assert ranks[0] == m.dim
+        for i in range(len(diffs) - 1):
+            assert ranks[i] + ranks[i + 1] == res.term_dim(i)
+        if res.terminated:
+            assert ranks[-1] == res.term_dim(len(diffs) - 1)
+        assert res.check_minimal()
+        for i in range(1, len(diffs)):
+            _assert_w_blocks_match(a, res.gens[i - 1], res.gens[i],
+                                   res.w_blocks[i], diffs[i])
+        cases += 1
+
+
+def _assert_w_blocks_match(a, lo_gens, hi_gens, blocks, d):
+    """Column t of summand c of the source goes to b_t . w[c][r] in
+    summand r of the target, read through the projective action of A e_r."""
+    f = a.field
+    lo_data = [projective_data(a, s) for s in lo_gens]
+    col = 0
+    for s, col_blocks in zip(hi_gens, blocks):
+        for brow in projective_data(a, s).basis.rows:
+            row = 0
+            for data, w in zip(lo_data, col_blocks):
+                dim = data.basis.dim
+                img = ((f.zero,) * dim if w is None else
+                       data.module.act(brow, data.basis.coords(w)))
+                assert d.col(col)[row:row + dim] == img
+                row += dim
+            assert row == d.nrows
+            col += 1
+    assert col == d.ncols
