@@ -103,9 +103,6 @@ class Algebra:
             self._cache["rad_basis"] = span.reduced_basis()
         return self._cache["rad_basis"]
 
-    def in_radical(self, vec):
-        return self.radical_basis().coords(vec) is not None
-
     def generators(self):
         """An algebra generating set: idempotents plus lifts of rad/rad^2.
 

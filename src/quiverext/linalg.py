@@ -153,7 +153,10 @@ def field_from_spec(spec):
     if spec == "q" or spec == "0":
         return QQ
     if spec.startswith("p:"):
-        return GF(int(spec[2:]))
+        try:
+            return GF(int(spec[2:]))
+        except ValueError:
+            pass
     raise LinAlgError(f"unknown field spec {spec!r}")
 
 

@@ -15,15 +15,20 @@ syzygy) are built only when something reads them.
 
 Each differential is also stored in "algebra form": the map
 + A e_{s(c)} -> + A e_{s(r)} is right multiplication by elements
-w[c][r] in e_{s(c)} A e_{s(r)}. Tensoring with a module N then collapses
-each summand A e_s to the slice e_s N and each block to the action of w
-on N, which is what makes Tor and Ext over the big enveloping algebras
-cheap once the resolution is known.
+w[c][r] in e_{s(c)} A e_{s(r)}, each kept as its sparse entries. Tensoring
+with a module N then collapses each summand A e_s to the slice e_s N and
+each block to the action of w on N, which is what makes Tor and Ext over
+the big enveloping algebras cheap once the resolution is known. Tor and
+Ext stay sparse too: a slice is read off the columns of the action of
+e_s, each block acts on the sparse rows of a slice basis, and each map is
+ranked from its sparse images.
 """
+
+from itertools import accumulate
 
 from .errors import InternalCheckError, ValidationError
 from .linalg import (EchelonSpan, Matrix, nonzero_pairs, sparse_combination,
-                     sparse_rank, unit_vector)
+                     sparse_rank)
 from .modules import (Module, ModuleMap, direct_sum, is_isomorphic,
                       projective_data, simple_modules, zero_module)
 from .algebra import opposite
@@ -66,16 +71,16 @@ class _Ambient:
         return {k: y for k, y in out.items() if y}
 
 
-def _module_ambient(m):
-    """The module itself, its action matrices read by column."""
-    cols = []
-    for mat in m.action:
-        by_col = {}
-        for r, row in enumerate(mat.rows):
+def _module_ambient(m, support):
+    """The module itself, the action matrices of the basis elements in
+    support read by column; only those elements may act on it."""
+    cols = [{} for _ in m.action]
+    for u in support:
+        by_col = cols[u]
+        for r, row in enumerate(m.action[u].rows):
             for c, v in enumerate(row):
                 if v:
                     by_col.setdefault(c, []).append((r, v))
-        cols.append(by_col)
     return _Ambient(m.algebra.field, [(cols, m.dim)])
 
 
@@ -166,13 +171,11 @@ class Resolution:
 
     def check_minimal(self):
         """Every differential block lands in the radical."""
-        a = self.module.algebra
-        for blocks in self.w_blocks:
-            if blocks is None:
-                continue
+        rad = self.module.algebra.radical_basis()
+        for blocks in self.w_blocks[1:]:
             for col in blocks:
                 for w in col:
-                    if w is not None and not a.in_radical(w):
+                    if rad.sparse_coords(w) is None:
                         raise InternalCheckError("resolution is not minimal")
         return True
 
@@ -218,7 +221,7 @@ def _build_differential(algebra, ambient, gens):
 def _module_cover(m):
     """The degree-0 cover of a module: its generators and differential."""
     a = m.algebra
-    ambient = _module_ambient(m)
+    ambient = _module_ambient(m, range(a.dim))
     gens = _cover_step(a, ambient, [{i: a.field.one} for i in range(m.dim)])
     return gens, _build_differential(a, ambient, gens)
 
@@ -235,7 +238,8 @@ def _kernel(field, diff):
 def _w_blocks(algebra, prev_gens, gens):
     """Algebra-form blocks w[c][r] in e_{s(c)} A e_{s(r)} of a differential:
     the component of generator c in summand r of the previous term, as an
-    element of A."""
+    element of A given by its nonzero (index, coeff) entries in index
+    order, empty when the component is zero."""
     f = algebra.field
     bases = [projective_data(algebra, s).basis for s, _ in prev_gens]
     owner = [(r, t) for r, b in enumerate(bases) for t in range(b.dim)]
@@ -245,8 +249,8 @@ def _w_blocks(algebra, prev_gens, gens):
         for i, x in g.items():
             r, t = owner[i]
             comps[r].append((x, bases[r].sparse_rows[t]))
-        blocks.append([algebra.dense(sparse_combination(f, comp).items())
-                       if comp else None for comp in comps])
+        blocks.append([tuple(sorted(sparse_combination(f, comp).items()))
+                       if comp else () for comp in comps])
     return blocks
 
 
@@ -301,75 +305,6 @@ def is_projective(m):
     return ncols == m.dim and sparse_rank(rows, ncols, m.algebra.field) == m.dim
 
 
-class _Slice:
-    """The slice e_s . N of a module, with coordinates."""
-
-    __slots__ = ("basis",)
-
-    def __init__(self, module, s_vec):
-        f = module.algebra.field
-        span = EchelonSpan(f, module.dim)
-        for j in range(module.dim):
-            span.insert(module.act(s_vec, unit_vector(f, module.dim, j)))
-        self.basis = span.reduced_basis()
-
-    @property
-    def dim(self):
-        return self.basis.dim
-
-
-def _slice_of(n, algebra_of_w, s):
-    key = ("slice", algebra_of_w, s)
-    if key not in n._cache:
-        e = algebra_of_w.idempotents[s]
-        n._cache[key] = _Slice(n, e)
-    return n._cache[key]
-
-
-def _apply_to_resolution(res, n, base_algebra, top_degree, contravariant):
-    """The resolution tensored with N (covariant: res (x)_B N, for Tor) or
-    mapped into N (contravariant: Hom_B(res, N), for Ext), in slice
-    coordinates, up to degree top_degree.
-
-    res is a minimal resolution over B^op (or B); each summand A e_s becomes
-    the slice e_s N and each algebra-form block w acts through N's action:
-    covariantly from the slice of the degree-i summand to that of the
-    degree-(i-1) summand, contravariantly the other way. Returns (term
-    dims, [map between degrees i - 1 and i for i = 1, 2, ...])."""
-    f = n.algebra.field
-    terms = [[_slice_of(n, base_algebra, s) for s in res.gens[i]]
-             for i in range(min(top_degree, len(res.gens) - 1) + 1)]
-    dims = [sum(sl.dim for sl in t) for t in terms]
-    mats = []
-    for i in range(1, len(terms)):
-        src_dim, dst_dim = ((dims[i - 1], dims[i]) if contravariant
-                            else (dims[i], dims[i - 1]))
-        mat = [[f.zero] * src_dim for _ in range(dst_dim)]
-        hi_off = 0
-        for c, col_blocks in enumerate(res.w_blocks[i]):
-            lo_off = 0
-            for r, w in enumerate(col_blocks):
-                src, s_off = terms[i][c], hi_off
-                dst, d_off = terms[i - 1][r], lo_off
-                lo_off += dst.dim
-                if contravariant:
-                    src, s_off, dst, d_off = dst, d_off, src, s_off
-                if w is None or not src.dim or not dst.dim:
-                    continue
-                for cc, x in enumerate(src.basis.rows):
-                    coords = dst.basis.coords(n.act(w, x))
-                    if coords is None:
-                        raise InternalCheckError(
-                            "hom block leaves its slice" if contravariant
-                            else "tensored block leaves its slice")
-                    for rr, v in enumerate(coords):
-                        if v:
-                            mat[d_off + rr][s_off + cc] = v
-            hi_off += terms[i][c].dim
-        mats.append(Matrix(f, mat, src_dim))
-    return dims, mats
-
-
 def homology_dims(dims, ranks):
     """Homology dimension at each degree of a complex with terms of
     dimension dims[i], where ranks[i] is the rank of the map between
@@ -378,14 +313,64 @@ def homology_dims(dims, ranks):
             for i, d in dims.items()}
 
 
+def _slice(n, ambient, algebra_of_e, s):
+    """The slice e_s N of a module, as a ReducedBasis cached on N: the span
+    of the columns of the action of e_s, read through an ambient of N that
+    holds the columns of e_s."""
+    key = ("slice", algebra_of_e, s)
+    if key not in n._cache:
+        f = n.algebra.field
+        es = nonzero_pairs(f, algebra_of_e.idempotents[s])
+        span = EchelonSpan(f, n.dim)
+        for j in range(n.dim):
+            span.insert(ambient.apply(es, {j: f.one}))
+        n._cache[key] = span.reduced_basis()
+    return n._cache[key]
+
+
 def _derived_dims(res, n, base_algebra, i_max, contravariant):
     """Tor (covariant) or Ext (contravariant) dimensions for i = 0..i_max,
-    from a resolution computed to length i_max + 1."""
-    from .linalg import rank
-    dims, mats = _apply_to_resolution(res, n, base_algebra, i_max + 1,
-                                      contravariant)
-    h = homology_dims(dict(enumerate(dims)),
-                      {i: rank(m) for i, m in enumerate(mats, 1)})
+    from a resolution computed to length i_max + 1.
+
+    res is a minimal resolution over B^op (or B). Tensored with N (for Tor)
+    or mapped into N (for Ext), each summand A e_s becomes the slice e_s N,
+    and each algebra-form block w acts on N: covariantly from the slice of
+    the degree-i summand to that of the degree-(i-1) summand,
+    contravariantly the other way. Each map is ranked from its images, one
+    sparse row per source basis vector; a map and its transpose have the
+    same rank, so only source and target swap."""
+    f = n.algebra.field
+    top = min(i_max + 1, len(res.gens) - 1)
+    degrees = res.w_blocks[1:top + 1]
+    support = {u for e in base_algebra.idempotents for u, c in enumerate(e) if c}
+    support.update(u for blocks in degrees for col in blocks for w in col
+                   for u, _ in w)
+    ambient = _module_ambient(n, support)
+    terms = [[_slice(n, ambient, base_algebra, s) for s in gens]
+             for gens in res.gens[:top + 1]]
+    ranks = {}
+    for i, blocks in enumerate(degrees, 1):
+        src, dst = ((terms[i - 1], terms[i]) if contravariant
+                    else (terms[i], terms[i - 1]))
+        by_src = list(zip(*blocks)) if contravariant else blocks
+        offs = list(accumulate((b.dim for b in dst), initial=0))
+        rows = []
+        for basis, ws in zip(src, by_src):
+            for x in basis.sparse_rows:
+                x, row = dict(x), {}
+                for k, w in enumerate(ws):
+                    if not w:
+                        continue
+                    cs = dst[k].sparse_coords(ambient.apply(w, x).items())
+                    if cs is None:
+                        raise InternalCheckError(
+                            "hom block leaves its slice" if contravariant
+                            else "tensored block leaves its slice")
+                    row.update((offs[k] + t, v) for t, v in cs.items())
+                rows.append(row)
+        ranks[i] = sparse_rank(rows, offs[-1], f)
+    h = homology_dims({i: sum(b.dim for b in t) for i, t in enumerate(terms)},
+                      ranks)
     return [h.get(i, 0) for i in range(i_max + 1)]
 
 

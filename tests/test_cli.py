@@ -100,6 +100,22 @@ def test_parse_error_exit_three():
         os.unlink(path)
 
 
+def test_non_integer_prime_spec_exit_three():
+    code, _, err = run_cli(["demo", "example-4-5", "--field", "p:x"])
+    assert code == 3
+    assert "input error" in err
+    code, _, err = run_cli(["random-suite", "--count", "1", "--field", "p:x"])
+    assert code == 3
+    assert "unknown field spec" in err
+    path = write_temp("field p:x\n")
+    try:
+        code, _, err = run_cli(["check-extension", path])
+        assert code == 3
+        assert "line" in err
+    finally:
+        os.unlink(path)
+
+
 def test_missing_check_block_exit_three():
     path = write_temp("field q\nquiver X\n  vertices 1\nend\n")
     try:

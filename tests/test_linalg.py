@@ -54,6 +54,9 @@ def test_field_spec():
     assert field_from_spec("p:3").characteristic == 3
     with pytest.raises(LinAlgError):
         field_from_spec("p:4")
+    for spec in ("p:x", "p:", "p:2.5"):
+        with pytest.raises(LinAlgError, match="unknown field spec"):
+            field_from_spec(spec)
 
 
 def test_rref_identity():

@@ -2,16 +2,18 @@ import random
 
 import pytest
 
-from quiverext.errors import ValidationError
-from quiverext.linalg import GF, QQ, Matrix
+from quiverext.errors import InternalCheckError, ValidationError
+from quiverext.linalg import GF, QQ, Matrix, nonzero_pairs
 from quiverext.algebra import opposite
 from quiverext.modules import (ModuleMap, direct_sum, is_isomorphic,
                                left_regular_module, projective_data,
                                projective_indecomposables, simple_modules,
                                tensor_over, zero_module)
-from quiverext.resolutions import (ChainComplex, ext, is_projective,
-                                   minimal_resolution, projective_cover,
-                                   projective_dimension, syzygy, tor)
+from quiverext.quiver import QuiverPresentation, algebra_from_presentation
+from quiverext.resolutions import (ChainComplex, _derived_dims, ext,
+                                   is_projective, minimal_resolution,
+                                   projective_cover, projective_dimension,
+                                   syzygy, tor)
 from quiverext.suite import random_module, random_quiver_algebra
 
 
@@ -174,21 +176,139 @@ def test_tensored_homology_concentration(gamma_in_lambda):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
 def test_ext_tor_duality_random(field):
     """Ext^i(M, DX) = D Tor_i(X, M) and Ext^0(M, N) = Hom(M, N), on random
-    algebras of dimension at most 5; the only check of ext on modules
-    over random algebras."""
+    algebras of dimension at most 5. A simple summand on M and X keeps
+    most resolutions from stopping at P_0, and at least one case must have
+    a nonzero higher Ext, so degrees past 0 are exercised."""
     from quiverext.modules import dual_module, hom_space
     rng = random.Random(31)
-    cases = 0
+    cases = higher = 0
     while cases < 7:
         a = random_quiver_algebra(rng, field)
         if a.dim > 5:
             continue
-        x = random_module(rng, opposite(a))
-        m = random_module(rng, a)
+        x = direct_sum([random_module(rng, opposite(a)),
+                        rng.choice(simple_modules(opposite(a)))])
+        m = direct_sum([random_module(rng, a), rng.choice(simple_modules(a))])
         n = random_module(rng, a)
-        assert ext(m, dual_module(x), 3) == tor(x, m, 3)
+        dims = ext(m, dual_module(x), 3)
+        assert dims == tor(x, m, 3)
         assert ext(m, n, 3)[0] == len(hom_space(m, n))
+        higher += any(dims[1:])
         cases += 1
+    assert higher
+
+
+def _ext_by_hom_complex(m, n, i_max):
+    """Ext^i(M, N) for i = 0..i_max from the complex Hom_A(P_., N): the
+    basis of each term from hom_space, the rank of each map from the
+    flattened composites h . d_i in one EchelonSpan. Shares nothing with
+    slices or the algebra-form blocks."""
+    from quiverext.linalg import EchelonSpan
+    from quiverext.modules import hom_space
+    res = minimal_resolution(m, i_max + 1)
+    diffs = res.diffs
+    homs = [hom_space(res.projective_module(i), n)
+            for i in range(len(res.gens))]
+    ranks = {}
+    for i in range(1, len(homs)):
+        span = EchelonSpan(m.algebra.field, n.dim * diffs[i].ncols)
+        for h in homs[i - 1]:
+            span.insert([x for row in h.matrix.mul(diffs[i]).rows
+                         for x in row])
+        ranks[i] = span.rank
+    return [len(homs[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0)
+            if i < len(homs) else 0 for i in range(i_max + 1)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_ext_matches_hom_complex_oracle(field):
+    """ext against Ext read off Hom_A(P_., N) directly, on a random module
+    plus a simple summand on each side, over random algebras of dimension
+    at most 5; some case must have a nonzero higher Ext."""
+    rng = random.Random(59 + field.characteristic)
+    cases = higher = 0
+    while cases < 6:
+        a = random_quiver_algebra(rng, field)
+        if a.dim > 5:
+            continue
+        m = direct_sum([random_module(rng, a), rng.choice(simple_modules(a))])
+        n = direct_sum([random_module(rng, a), rng.choice(simple_modules(a))])
+        dims = ext(m, n, 3)
+        assert dims == _ext_by_hom_complex(m, n, 3)
+        higher += any(dims[1:])
+        cases += 1
+    assert higher
+
+
+def _gamma(field):
+    """The loop quiver algebra of the gamma fixture over the given field."""
+    pres = QuiverPresentation(
+        ("1", "2"), (("beta", "1", "2"), ("gamma", "1", "1")),
+        (((1, ("gamma", "gamma")),),))
+    return algebra_from_presentation(pres, field)
+
+
+def _idempotent(algebra, s):
+    return tuple(nonzero_pairs(algebra.field, algebra.idempotents[s]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_check_minimal_rejects_block_outside_radical(field):
+    a = _gamma(field)
+    res = minimal_resolution(simple_modules(a)[0], 3)
+    assert res.check_minimal()
+    res.w_blocks[1][0][0] = _idempotent(a, res.gens[1][0])
+    with pytest.raises(InternalCheckError, match="not minimal"):
+        res.check_minimal()
+
+
+def test_pd_crosscheck_rejects_short_resolution(monkeypatch, hereditary_a2):
+    """A resolution that forgets its top degree claims pd 0 for a simple of
+    pd 1; Tor_1 against the semisimple module disagrees."""
+    from quiverext import resolutions
+    s = next(x for x in simple_modules(hereditary_a2)
+             if projective_dimension(x, 4).value == 1)
+    real = resolutions.minimal_resolution
+
+    def short(m, cap):
+        res = real(m, cap)
+        if m is s:
+            del res.gens[-1]
+        return res
+
+    monkeypatch.setattr(resolutions, "minimal_resolution", short)
+    with pytest.raises(InternalCheckError, match="pd cross-check failed"):
+        projective_dimension(s, 4)
+
+
+def _block_across_vertices(res):
+    """A degree i and block (c, r) of a resolution whose summands of P_i
+    and P_{i-1} sit at different vertices."""
+    for i in range(1, len(res.gens)):
+        for c, s in enumerate(res.gens[i]):
+            for r, t in enumerate(res.gens[i - 1]):
+                if s != t:
+                    return i, c, r
+    raise AssertionError("no block between different vertices")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_derived_dims_reject_block_leaving_its_slice(field):
+    """A block replaced by the idempotent of its source summand maps the
+    source slice identically, so outside a target slice at another
+    vertex; every slice of the regular module is nonzero."""
+    a = _gamma(field)
+    aop = opposite(a)
+    res = minimal_resolution(simple_modules(aop)[1], 3)
+    i, c, r = _block_across_vertices(res)
+    res.w_blocks[i][c][r] = _idempotent(aop, res.gens[i][c])
+    with pytest.raises(InternalCheckError, match="tensored block leaves"):
+        _derived_dims(res, left_regular_module(a), aop, i, contravariant=False)
+    res = minimal_resolution(simple_modules(a)[0], 3)
+    i, c, r = _block_across_vertices(res)
+    res.w_blocks[i][c][r] = _idempotent(a, res.gens[i - 1][r])
+    with pytest.raises(InternalCheckError, match="hom block leaves"):
+        _derived_dims(res, left_regular_module(a), a, i, contravariant=True)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
@@ -230,7 +350,8 @@ def test_resolution_structure_random(field):
 
 def _assert_w_blocks_match(a, lo_gens, hi_gens, blocks, d):
     """Column t of summand c of the source goes to b_t . w[c][r] in
-    summand r of the target, read through the projective action of A e_r."""
+    summand r of the target, read through the projective action of A e_r;
+    each block w is given by its sparse (index, coeff) entries."""
     f = a.field
     lo_data = [projective_data(a, s) for s in lo_gens]
     col = 0
@@ -239,8 +360,9 @@ def _assert_w_blocks_match(a, lo_gens, hi_gens, blocks, d):
             row = 0
             for data, w in zip(lo_data, col_blocks):
                 dim = data.basis.dim
-                img = ((f.zero,) * dim if w is None else
-                       data.module.act(brow, data.basis.coords(w)))
+                cs = data.basis.sparse_coords(w)
+                img = data.module.act(brow, [cs.get(t, f.zero)
+                                             for t in range(dim)])
                 assert d.col(col)[row:row + dim] == img
                 row += dim
             assert row == d.nrows
