@@ -14,9 +14,8 @@ __version__ = "0.1.0"
 
 from .linalg import (GF, QQ, EchelonSpan, Matrix, field_from_spec,
                      kernel_basis, quotient_space, rank, rref, solve_linear)
-from .algebra import (Algebra, enveloping_algebra, opposite, product_algebra,
-                      scalar_algebra, tensor_algebra,
-                      verify_algebra_isomorphism)
+from .algebra import (Algebra, opposite, product_algebra, scalar_algebra,
+                      tensor_algebra, verify_algebra_isomorphism)
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .modules import (Bimodule, Module, ModuleMap, bimodule_direct_sum,
                       direct_sum, dual_module, hom_space, is_isomorphic,

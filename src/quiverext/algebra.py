@@ -343,13 +343,6 @@ def tensor_algebra(a, b):
     return out
 
 
-def enveloping_algebra(a):
-    """A (x)_k A^op, with bimodules over A seen as its left modules."""
-    if "enveloping" not in a._cache:
-        a._cache["enveloping"] = tensor_algebra(a, opposite(a))
-    return a._cache["enveloping"]
-
-
 def product_algebra(a, b):
     """Direct product A x B with block-diagonal structure constants."""
     if a.field != b.field:

@@ -10,7 +10,8 @@ Commands:
                          battery over them
 
 Exit codes: 0 conclusions hold / success, 1 a hypothesis or assertion
-fails, 2 undetermined at the configured bounds, 3 input error.
+fails, or an internal check fails (an engine bug), 2 undetermined at the
+configured bounds, 3 input error.
 Reports are deterministic: the same input, seed and bounds produce byte
 identical output.
 """
@@ -99,12 +100,7 @@ def _extension_section(report, name, hrep):
 
 def cmd_check_extension(args, text=None):
     text = text if text is not None else _load_text(args.file)
-    try:
-        doc = parse_document(text)
-        built = build_document(doc, field_override=args.field)
-    except QuiverExtError as e:
-        sys.stderr.write(f"input error: {e}\n")
-        return EXIT_INPUT
+    built = build_document(parse_document(text), field_override=args.field)
     report = Report("check-extension", input_text=text, seed=args.seed)
     codes = []
     ran = False
@@ -114,11 +110,7 @@ def cmd_check_extension(args, text=None):
         ran = True
         ext = built.env[check.name]
         cfg = _config_from(args, check.options)
-        try:
-            hrep = check_extension(ext, cfg)
-        except InternalCheckError as e:
-            sys.stderr.write(f"internal check failed: {e}\n")
-            return EXIT_FAILS
+        hrep = check_extension(ext, cfg)
         _extension_section(report, check.name, hrep)
         codes.append(hrep.exit_code())
     if not ran:
@@ -134,12 +126,7 @@ def cmd_check_extension(args, text=None):
 
 def cmd_invariants(args, text=None):
     text = text if text is not None else _load_text(args.file)
-    try:
-        doc = parse_document(text)
-        built = build_document(doc, field_override=args.field)
-    except QuiverExtError as e:
-        sys.stderr.write(f"input error: {e}\n")
-        return EXIT_INPUT
+    built = build_document(parse_document(text), field_override=args.field)
     report = Report("invariants", input_text=text, seed=args.seed)
     ran = False
     for check in built.checks:
@@ -184,12 +171,7 @@ def cmd_demo(args):
         sys.stderr.write(f"unknown demo {args.name!r}\n")
         return EXIT_INPUT
     text = demo_document()
-    try:
-        doc = parse_document(text)
-        built = build_document(doc, field_override=args.field)
-    except QuiverExtError as e:
-        sys.stderr.write(f"input error: {e}\n")
-        return EXIT_INPUT
+    built = build_document(parse_document(text), field_override=args.field)
     ext = built.env["GammaInLambda"]
     lam, gam = ext.ambient, ext.sub
     cfg = _config_from(args, built.checks[0].options if built.checks else {})
@@ -328,13 +310,18 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; an engine error that escapes it is mapped to its
+    exit code here: a failed internal check (an engine bug) to 1, any other
+    error (bad input) to 3."""
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        return args.func(args)
+    except InternalCheckError as e:
+        sys.stderr.write(f"internal check failed: {e}\n")
+        return EXIT_FAILS
     except QuiverExtError as e:
-        sys.stderr.write(f"error: {e}\n")
-        code = EXIT_INPUT
-    return code
+        sys.stderr.write(f"input error: {e}\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

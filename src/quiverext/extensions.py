@@ -28,8 +28,8 @@ from .errors import (FieldMismatchError, InternalCheckError, ValidationError,
                      WitnessError)
 from .linalg import (Matrix, kernel_basis, kron, quotient_space, rank,
                      unit_vector)
-from .algebra import Algebra, opposite, product_algebra
-from .modules import (Bimodule, Module, ModuleMap, bimodule_direct_sum,
+from .algebra import Algebra, product_algebra
+from .modules import (Bimodule, ModuleMap, bimodule_direct_sum,
                       projective_bimodule, tensor_over)
 from .resolutions import (ChainComplex, is_projective, minimal_resolution,
                           projective_dimension, tor)
@@ -340,7 +340,9 @@ def relative_bar_complex(ext, p):
     Differentials are alternating sums of the adjacent multiplication
     maps (inner multiplications land in the next quotient power; the end
     multiplications land in the A factors). Descent to the tensor-product
-    coordinates and d o d = 0 are verified at construction.
+    coordinates, d o d = 0 and commutation of each differential with the
+    left and the right actions of A are verified at construction; the
+    complex's modules are the terms' left A-modules.
     """
     a, b = ext.ambient, ext.sub
     f = a.field
@@ -383,12 +385,10 @@ def relative_bar_complex(ext, p):
         comp_sect = kron(lsect, Matrix.identity(f, n)).mul(se)
         terms.append((xj, comp_proj, comp_sect))
 
-    modules = {-1: Bimodule.regular(a).as_env_module()}
+    bimods = {-1: Bimodule.regular(a)}
+    bimods.update((j, terms[j][0]) for j in range(p))
+    modules = {j: m.as_left_module() for j, m in bimods.items()}
     diffs = {}
-    env_mods = {}
-    for j in range(p):
-        env_mods[j] = terms[j][0].as_env_module()
-        modules[j] = env_mods[j]
 
     # augmentation: multiplication A (x)_B A -> A
     _x0, p0, s0 = terms[0]
@@ -416,6 +416,11 @@ def relative_bar_complex(ext, p):
         diffs[j] = ModuleMap(modules[j], modules[j - 1], d, validate=False)
 
     cc = ChainComplex(modules, diffs, validate=True)
+    # A (x) 1 and 1 (x) A^op generate A^e, so a map that commutes with the
+    # left actions (checked above) and the right ones is a bimodule map
+    for j, d in diffs.items():
+        ModuleMap(bimods[j].as_right_module(), bimods[j - 1].as_right_module(),
+                  d.matrix)
     return cc
 
 
@@ -434,19 +439,6 @@ def _check_descent(mapped, proj_source):
 # -- derived Tor families and projectivity transport ---------------------
 
 
-def _ambient_as_b_modules(ext):
-    """A as a right B-module (over B^op) and as a left B-module."""
-    a, b = ext.ambient, ext.sub
-    if "amb_b_mods" not in ext._cache:
-        left = Module(b, [a.left_mult_matrix(ext.embed(b.basis_vector(i)))
-                          for i in range(b.dim)], validate=False)
-        right = Module(opposite(b),
-                       [a.right_mult_matrix(ext.embed(b.basis_vector(i)))
-                        for i in range(b.dim)], validate=False)
-        ext._cache["amb_b_mods"] = (right, left)
-    return ext._cache["amb_b_mods"]
-
-
 def check_derived_tor_families(ext, p, cap):
     """The three induced vanishing families over B, given the main ones:
 
@@ -457,7 +449,8 @@ def check_derived_tor_families(ext, p, cap):
     Any nonzero cell is reported as a counterexample candidate; on inputs
     whose main hypotheses hold this indicates an engine bug."""
     q = quotient_bimodule(ext)
-    a_right, a_left = _ambient_as_b_modules(ext)
+    a_ab, a_ba = _ext_side_bimodules(ext)
+    a_right, a_left = a_ab.as_right_module(), a_ba.as_left_module()
     report = {"family1": {}, "family2": {}, "family3": {}, "nonzero": []}
     dims = tor(a_right, a_left, cap)
     for i in range(1, cap + 1):
@@ -468,9 +461,7 @@ def check_derived_tor_families(ext, p, cap):
     for j in range(1, p):
         if power.dim:
             d2 = tor(power.as_right_module(), a_left, cap)
-            mixed = tensor_over(power, Bimodule(ext.sub, None, a_left.dim,
-                                                a_left.action, None,
-                                                validate=False))
+            mixed = tensor_over(power, Bimodule.from_left_module(a_left))
             d3 = tor(a_right, mixed.as_left_module(), cap)
         else:
             d2 = [0] * (cap + 1)

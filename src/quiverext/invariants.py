@@ -6,18 +6,18 @@ category are never constructed, only their vanishing criteria are decided:
 the singularity category vanishes exactly for finite global dimension, the
 defect category exactly for Gorenstein algebras.
 
-Hochschild homology is computed as Tor over the enveloping algebra of the
-regular bimodule with itself; the bar-complex routes in barcomplex.py
-serve as independent oracles in the test suite.
+Hochschild homology is read through Ext over the enveloping algebra, from
+the regular bimodule into its k-linear dual, so A^e is the only enveloping
+algebra built; the bar-complex routes in barcomplex.py serve as
+independent oracles in the test suite.
 """
 
 from .errors import InternalCheckError
 from .linalg import EchelonSpan
-from .algebra import opposite
 from .modules import (Bimodule, dual_module, left_regular_module,
                       right_regular_module, simple_modules)
 from .resolutions import ext as ext_dims
-from .resolutions import projective_dimension, tor
+from .resolutions import projective_dimension
 from . import verdicts
 from .verdicts import Verdict
 
@@ -116,17 +116,21 @@ def commutator_rank(a):
 
 
 def hochschild_homology(a, i_max):
-    """Hochschild homology dimensions HH_i for i = 0..i_max, as Tor over
-    the enveloping algebra of the regular bimodule with itself.
+    """Hochschild homology dimensions HH_i for i = 0..i_max.
+
+    HH_i(A) = Tor_i^{A^e}(A, A) is the k-dual of Ext^i_{A^e}(A, DA), with
+    DA the dual of the regular bimodule, (x f y)(m) = f(y m x): x acts on
+    the left by the transposed right multiplication and y on the right by
+    the transposed left one. Only A^e is built, never its opposite.
 
     The degree-zero value is cross-checked against dim A - dim [A, A]
     computed independently; a mismatch raises (engine bug)."""
     reg = Bimodule.regular(a)
-    m_right = reg.as_opposite_env_module()
-    n_left = reg.as_env_module()
-    dims = tor(m_right, n_left, i_max)
+    dual = Bimodule(a, a, a.dim, [m.transpose() for m in reg.right_action],
+                    [m.transpose() for m in reg.left_action], validate=False)
+    dims = ext_dims(reg.as_env_module(), dual.as_env_module(), i_max)
     hh0 = a.dim - commutator_rank(a)
     if dims[0] != hh0:
         raise InternalCheckError(
-            f"HH_0 mismatch: Tor gives {dims[0]}, commutator count gives {hh0}")
+            f"HH_0 mismatch: Ext gives {dims[0]}, commutator count gives {hh0}")
     return dims

@@ -451,26 +451,6 @@ class Bimodule:
         self._cache["as_env"] = mod
         return mod
 
-    def as_opposite_env_module(self):
-        """For an (A, A)-bimodule: the right module over A (x) A^op, i.e. a
-        left module over the opposite enveloping algebra, where
-        m . (x (x) y^op) = y m x."""
-        if self.left_alg is None or self.right_alg is None \
-                or self.left_alg is not self.right_alg:
-            raise ValidationError("opposite enveloping view needs matching sides")
-        if "as_opp_env" in self._cache:
-            return self._cache["as_opp_env"]
-        env_op = opposite(self.env_algebra())
-        nb = self.right_alg.dim
-        action = []
-        for i in range(self.left_alg.dim):
-            ri = self.right_action[i]
-            for j in range(nb):
-                action.append(self.left_action[j].mul(ri))
-        mod = Module(env_op, action, validate=False)
-        self._cache["as_opp_env"] = mod
-        return mod
-
     def __repr__(self):
         l = self.left_alg.dim if self.left_alg else "-"
         r = self.right_alg.dim if self.right_alg else "-"

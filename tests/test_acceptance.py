@@ -182,14 +182,13 @@ def test_criterion_4_homology_concentration(extension_pool):
     resolution is concentrated in degree zero and the degree-zero
     dimension equals the coequalizer dimension."""
     instances = 0
-    from quiverext.extensions import _ambient_as_b_modules
+    from quiverext.extensions import _ext_side_bimodules
     for ext, rep in extension_pool:
         q = quotient_bimodule(ext)
-        a_right, a_left = _ambient_as_b_modules(ext)
-        a_left_bimod = Bimodule(ext.sub, None, a_left.dim, a_left.action, None,
-                                validate=False)
-        a_right_bimod = Bimodule(None, ext.sub, a_right.dim, None,
-                                 a_right.action, validate=False)
+        a_ab, a_ba = _ext_side_bimodules(ext)
+        a_left_bimod = Bimodule.from_left_module(a_ba.as_left_module())
+        a_right_bimod = Bimodule(None, ext.sub, a_ab.dim, None,
+                                 a_ab.right_action, validate=False)
         for x, y in ((q, a_left_bimod), (a_right_bimod, a_left_bimod),
                      (q, q)):
             dims = tor(x.as_right_module() if x.right_alg is not None else x,

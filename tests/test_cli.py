@@ -116,6 +116,36 @@ def test_non_integer_prime_spec_exit_three():
         os.unlink(path)
 
 
+def test_error_escaping_a_command_is_an_input_error():
+    code, out, err = run_cli(["random-suite", "--count", "1", "--field",
+                              "p:4"])
+    assert code == 3
+    assert out == ""
+    assert err == "input error: 4 is not prime\n"
+
+
+@pytest.fixture(scope="module")
+def hh_path():
+    path = write_temp(demo_document() + "check invariants Gamma hh 1\n")
+    yield path
+    os.unlink(path)
+
+
+@pytest.mark.parametrize("command", ["demo", "invariants", "check-extension"])
+def test_internal_check_failure_exit_one(monkeypatch, demo_path, hh_path,
+                                         command):
+    # a wrong commutator count makes the HH_0 cross-check fail, which is
+    # an engine bug, not an input error
+    from quiverext import invariants
+    monkeypatch.setattr(invariants, "commutator_rank", lambda a: 0)
+    target = {"demo": "example-4-5", "invariants": hh_path,
+              "check-extension": demo_path}[command]
+    code, out, err = run_cli([command, target])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal check failed: HH_0 mismatch")
+
+
 def test_missing_check_block_exit_three():
     path = write_temp("field q\nquiver X\n  vertices 1\nend\n")
     try:

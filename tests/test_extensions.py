@@ -1,6 +1,6 @@
 import pytest
 
-from quiverext.errors import WitnessError
+from quiverext.errors import ValidationError, WitnessError
 from quiverext.linalg import QQ, Matrix
 from quiverext.algebra import (opposite, product_algebra,
                                verify_algebra_isomorphism)
@@ -319,6 +319,38 @@ def test_bar_complex_worked_example(gamma_in_lambda):
     assert dims[0] == 9
     assert cc.euler_characteristic() == 0
     assert cc.is_exact()
+
+
+@pytest.mark.parametrize("field", [None, "p:2"])
+def test_bar_complex_checks_the_right_action(monkeypatch, field):
+    """Zero the right action on the degree-0 term A (x)_B A: every
+    differential still commutes with the left actions and d o d = 0 still
+    holds, but the augmentation no longer commutes with the right actions,
+    so construction must fail."""
+    from quiverext import extensions
+    from quiverext.cli import demo_document
+    from quiverext.docparse import build_document, parse_document
+    ext = build_document(parse_document(demo_document()),
+                         field_override=field).env["GammaInLambda"]
+    real = extensions.tensor_over
+    patched = []
+
+    def tensor_over(x, y, **kw):
+        out = real(x, y, **kw)
+        if y.right_alg is ext.ambient and not patched:
+            term, proj, sect = out
+            zero = Matrix.zeros(term.field, term.dim, term.dim)
+            term = Bimodule(term.left_alg, term.right_alg, term.dim,
+                            term.left_action, [zero] * ext.ambient.dim,
+                            validate=False)
+            patched.append(term)
+            out = term, proj, sect
+        return out
+
+    monkeypatch.setattr(extensions, "tensor_over", tensor_over)
+    with pytest.raises(ValidationError, match="does not intertwine"):
+        relative_bar_complex(ext, 2)
+    assert patched
 
 
 def test_projectivity_transport_worked_example(gamma_in_lambda):

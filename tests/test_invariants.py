@@ -1,6 +1,6 @@
 import random
 
-from quiverext.linalg import QQ
+from quiverext.linalg import GF, QQ
 from quiverext.algebra import opposite, product_algebra, scalar_algebra
 from quiverext.barcomplex import full_bar_homology, relative_bar_homology
 from quiverext.invariants import (commutator_rank, global_dimension,
@@ -109,17 +109,23 @@ def test_hh_zero_equals_commutator_count(gamma, lam):
 
 
 def test_hh_agreement_small_random():
-    rng = random.Random(5)
-    checked = 0
-    while checked < 6:
-        a = random_quiver_algebra(rng, QQ, max_vertices=2, max_arrows=2,
-                                  truncate=2)
-        if a.dim > 3:
-            continue
-        checked += 1
-        tor_route = hochschild_homology(a, 3)
-        assert tor_route == relative_bar_homology(a, 3)
-        assert tor_route == full_bar_homology(a, 3)
+    """The Ext-into-DA route agrees with both bar-complex oracles on random
+    algebras of dim <= 5 over QQ, GF(2) and GF(3), and some case per field
+    has HH_i != 0 for some i >= 1."""
+    for field in (QQ, GF(2), GF(3)):
+        rng = random.Random(5)
+        checked = nonzero = 0
+        while checked < 8:
+            a = random_quiver_algebra(rng, field, max_vertices=2,
+                                      max_arrows=3, truncate=3)
+            if a.dim > 5:
+                continue
+            checked += 1
+            ext_route = hochschild_homology(a, 3)
+            assert ext_route == relative_bar_homology(a, 3)
+            assert ext_route == full_bar_homology(a, 3)
+            nonzero += any(ext_route[1:])
+        assert nonzero, field
 
 
 def test_hh_worked_example_oracle(gamma, lam):
