@@ -391,6 +391,13 @@ def parse_document(text):
                     i += 1
                     continue
                 val = _expect(toks, i + 1, line, f"value for option {key!r}")
+                if key in ("cap", "pmax", "hh", "perp"):
+                    try:
+                        int(val)
+                    except ValueError:
+                        raise ParseError(line, toks[i + 1][1],
+                                         f"option {key!r} needs an integer, "
+                                         f"got {val!r}") from None
                 options[key] = val
                 i += 2
             blocks.append(CheckBlock(kind, name, options))

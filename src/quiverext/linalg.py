@@ -264,33 +264,6 @@ class Matrix:
             out.append(s)
         return tuple(out)
 
-    def add(self, other):
-        self._check_same_shape(other)
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def sub(self, other):
-        self._check_same_shape(other)
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def scale(self, c):
-        f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows],
-                      self.ncols)
-
-    def neg(self):
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows], self.ncols)
-
-    def _check_same_shape(self, other):
-        if self.field != other.field:
-            raise FieldMismatchError("matrix fields differ")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise LinAlgError("shape mismatch")
-
     def is_zero(self):
         return not any(map(any, self.rows))
 

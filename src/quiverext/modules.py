@@ -15,7 +15,7 @@ the same relation subspace as all of B.
 from .errors import FieldMismatchError, ValidationError
 from .linalg import (EchelonSpan, Matrix, block_diag, kernel_basis, kron,
                      linear_combination, matrix_combination, nonzero_pairs,
-                     rank, solve_linear, unit_vector)
+                     rank, solve_linear, sparse_combination, unit_vector)
 from .algebra import opposite, tensor_algebra
 
 
@@ -24,7 +24,7 @@ class Module:
 
     __slots__ = ("algebra", "dim", "action", "_cache")
 
-    def __init__(self, algebra, action, validate=True, full_check=False):
+    def __init__(self, algebra, action, validate=True):
         self.algebra = algebra
         self.action = tuple(action)
         if len(self.action) != algebra.dim:
@@ -35,7 +35,7 @@ class Module:
                 raise ValidationError("action matrices must be square of module dim")
         self._cache = {}
         if validate and algebra.dim:
-            self.validate(full=full_check)
+            self.validate()
 
     def act(self, vec, x):
         """Action of the algebra element with coordinates `vec`."""
@@ -286,14 +286,14 @@ def hom_space(m, n):
     return maps
 
 
-def is_isomorphic(m, n, seed=0, max_trials=40):
+def is_isomorphic(m, n, seed=0):
     """Three-valued isomorphism test.
 
     Returns (verdict, witness): verdict is "yes" with an exactly verified
     invertible intertwiner, "no" on a dimension or hom-space obstruction,
     or "unresolved" if the randomized search over integer combinations of
-    the hom basis fails. A "yes" is always sound; "unresolved" is never
-    silently turned into "no".
+    the hom basis (the basis itself, then 40 random draws) fails. A "yes"
+    is always sound; "unresolved" is never silently turned into "no".
     """
     import random
     if m.algebra is not n.algebra:
@@ -310,7 +310,7 @@ def is_isomorphic(m, n, seed=0, max_trials=40):
     # try the basis elements themselves first, then random combinations
     candidates = [unit_vector(f, len(basis), i) for i in range(len(basis))]
     p = f.characteristic
-    for _ in range(max_trials):
+    for _ in range(40):
         if p:
             candidates.append([f.of(rng.randrange(p)) for _ in basis])
         else:
@@ -375,7 +375,7 @@ class Bimodule:
                                                validate=False)
         return a._cache["regular_bimodule"]
 
-    def validate(self, full=False):
+    def validate(self):
         f = self.field
         if self.dim == 0:
             return
@@ -388,7 +388,7 @@ class Bimodule:
             a = self.left_alg
             if mat(self.left_action, a.unit) != ident:
                 raise ValidationError("left unit does not act as identity")
-            gens = [a.basis_vector(i) for i in range(a.dim)] if full else a.generators()
+            gens = a.generators()
             for x in gens:
                 for y in gens:
                     if mat(self.left_action, x).mul(mat(self.left_action, y)) != \
@@ -398,7 +398,7 @@ class Bimodule:
             b = self.right_alg
             if mat(self.right_action, b.unit) != ident:
                 raise ValidationError("right unit does not act as identity")
-            gens = [b.basis_vector(i) for i in range(b.dim)] if full else b.generators()
+            gens = b.generators()
             for x in gens:
                 for y in gens:
                     if mat(self.right_action, y).mul(mat(self.right_action, x)) != \
@@ -457,14 +457,16 @@ class Bimodule:
         return f"Bimodule(dim={self.dim}, left={l}, right={r})"
 
 
-def tensor_over(x, y, validate=False, return_maps=False):
+def tensor_over(x, y, return_maps=False):
     """Tensor product over the middle algebra: x (x)_B y.
 
     x must carry a right B-structure and y a left B-structure. The result
     keeps whatever outer structures the inputs had. Dimension is computed
-    exactly via the coequalizer quotient. With return_maps the projection
-    and section between the pair space x (x)_k y and the quotient are
-    returned as well.
+    exactly via the coequalizer quotient. The pair x_i (x) y_j is
+    coordinate k = i * dim(y) + j of x (x)_k y. With return_maps the class
+    of each pair in the quotient (a dict of its nonzero coordinates) and
+    the free pairs are returned as well: basis vector c of the quotient is
+    the class of the pair free[c], and that class is the unit vector at c.
     """
     if x.right_alg is None or y.left_alg is None:
         raise ValidationError("tensor_over needs a right structure and a left structure")
@@ -477,7 +479,6 @@ def tensor_over(x, y, validate=False, return_maps=False):
     mx, my = x.dim, y.dim
     amb = mx * my
 
-    # the pair x_i (x) y_j is coordinate k = i * my + j of x (x)_k y
     def left_image(m, k):
         """(m (x) 1)(x_i (x) y_j) = sum_s m[s, i] x_s (x) y_j, as a dict."""
         i, j = divmod(k, my)
@@ -500,18 +501,20 @@ def tensor_over(x, y, validate=False, return_maps=False):
             span.insert(rel)
     rows, free = span.reduced_basis().complement()
     q = len(free)
-    proj = Matrix.from_sparse(f, rows, amb)
-    classes = proj.transpose().rows  # the class of each pair in the quotient
+    classes = [{} for _ in range(amb)]
+    for t, row in enumerate(rows):
+        for k, c in row.items():
+            classes[k][t] = c
 
     def induced(mats, image):
         """The maps on the quotient induced by the pair-space maps
         image(m, .): a free pair goes to the sum of its image's classes."""
         out = []
         for m in mats:
-            cols = [linear_combination(f, [(c, classes[t]) for t, c
-                                           in image(m, k).items()], q)
+            cols = [sparse_combination(f, [(c, classes[t].items()) for t, c
+                                           in image(m, k).items()])
                     for k in free]
-            out.append(Matrix(f, zip(*cols), q))
+            out.append(Matrix.from_sparse(f, cols, q).transpose())
         return out
 
     left_action = right_action = None
@@ -521,11 +524,9 @@ def tensor_over(x, y, validate=False, return_maps=False):
         right_action = induced(y.right_action, right_image)
     out = Bimodule(x.left_alg if left_action is not None else None,
                    y.right_alg if right_action is not None else None,
-                   q, left_action, right_action, validate=validate)
+                   q, left_action, right_action, validate=False)
     if return_maps:
-        sect = Matrix.from_cols(f, [unit_vector(f, amb, k) for k in free],
-                                nrows=amb)
-        return out, proj, sect
+        return out, classes, free
     return out
 
 

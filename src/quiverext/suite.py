@@ -14,7 +14,7 @@ zero, pd 0) or as cokernels of injective maps between projective bimodules
 self-injective factors like the dual numbers.
 """
 
-from .linalg import EchelonSpan, Matrix
+from .linalg import EchelonSpan, Matrix, matrix_combination
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .errors import AdmissibilityError, PresentationError
 from .modules import (Bimodule, Module, bimodule_direct_sum, projective_data,
@@ -150,11 +150,9 @@ def cokernel_pd1_bimodule(rng, bleft, bright=None, tries=12):
                 coeffs = [f.of(rng.randrange(p)) for _ in basis]
             else:
                 coeffs = [f.of(rng.randint(-2, 2)) for _ in basis]
-            mat = None
-            for c, bm in zip(coeffs, basis):
-                part = bm.matrix.scale(c)
-                mat = part if mat is None else mat.add(part)
-            if mat is None or rank(mat) != src.dim:
+            mat = matrix_combination(f, coeffs, [bm.matrix for bm in basis],
+                                     tgt.dim, src.dim)
+            if rank(mat) != src.dim:
                 continue
             proj_map, sect = quotient_space(tgt.dim, mat)
             left = [proj_map.mul(m).mul(sect) for m in tgt.left_action]

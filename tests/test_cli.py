@@ -116,6 +116,25 @@ def test_non_integer_prime_spec_exit_three():
         os.unlink(path)
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("invariants", demo_document() + "check invariants Gamma hh x\n"),
+    ("invariants", demo_document() + "check invariants Gamma perp 1.5\n"),
+    ("invariants", demo_document() + "check invariants Gamma gldim cap x\n"),
+    ("check-extension", demo_document().replace("cap 12", "cap x")),
+    ("check-extension", demo_document().replace("pmax 8", "pmax 8x")),
+], ids=["hh", "perp", "invariants-cap", "cap", "pmax"])
+def test_non_integer_option_value_exit_three(command, doc):
+    path = write_temp(doc)
+    try:
+        code, out, err = run_cli([command, path])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("input error: line ")
+        assert "needs an integer" in err
+    finally:
+        os.unlink(path)
+
+
 def test_error_escaping_a_command_is_an_input_error():
     code, out, err = run_cli(["random-suite", "--count", "1", "--field",
                               "p:4"])

@@ -1,6 +1,7 @@
 import pytest
 
-from quiverext.errors import ValidationError, WitnessError
+from quiverext.errors import (InternalCheckError, ValidationError,
+                              WitnessError)
 from quiverext.linalg import QQ, Matrix
 from quiverext.algebra import (opposite, product_algebra,
                                verify_algebra_isomorphism)
@@ -313,12 +314,20 @@ def test_bar_complex_triangular_dims(k):
     assert cc.is_exact()
 
 
+def demo_extension(field):
+    from quiverext.cli import demo_document
+    from quiverext.docparse import build_document, parse_document
+    return build_document(parse_document(demo_document()),
+                          field_override=field).env["GammaInLambda"]
+
+
 def test_bar_complex_worked_example(gamma_in_lambda):
-    cc = relative_bar_complex(gamma_in_lambda, 2)
-    dims = [cc.modules[d].dim for d in sorted(cc.degrees())]
-    assert dims[0] == 9
-    assert cc.euler_characteristic() == 0
-    assert cc.is_exact()
+    for ext in (gamma_in_lambda, demo_extension("p:2"), demo_extension("p:3")):
+        cc = relative_bar_complex(ext, 2)
+        dims = [cc.modules[d].dim for d in sorted(cc.degrees())]
+        assert dims == [9, 13, 4]
+        assert cc.euler_characteristic() == 0
+        assert cc.is_exact()
 
 
 @pytest.mark.parametrize("field", [None, "p:2"])
@@ -328,10 +337,7 @@ def test_bar_complex_checks_the_right_action(monkeypatch, field):
     holds, but the augmentation no longer commutes with the right actions,
     so construction must fail."""
     from quiverext import extensions
-    from quiverext.cli import demo_document
-    from quiverext.docparse import build_document, parse_document
-    ext = build_document(parse_document(demo_document()),
-                         field_override=field).env["GammaInLambda"]
+    ext = demo_extension(field)
     real = extensions.tensor_over
     patched = []
 
@@ -351,6 +357,35 @@ def test_bar_complex_checks_the_right_action(monkeypatch, field):
     with pytest.raises(ValidationError, match="does not intertwine"):
         relative_bar_complex(ext, 2)
     assert patched
+
+
+@pytest.mark.parametrize("field", [None, "p:2"])
+def test_bar_complex_checks_descent(monkeypatch, field):
+    """Empty the class of one non-free pair x_i (x) x_i' of the degree-0
+    term A (x)_B A with x_i x_i' != 0: the differential is unchanged, but
+    the augmentation no longer agrees with the face on that raw tensor,
+    so the faces do not descend and construction must fail."""
+    from quiverext import extensions
+    ext = demo_extension(field)
+    a = ext.ambient
+    real = extensions.tensor_over
+    emptied = []
+
+    def tensor_over(x, y, **kw):
+        term, classes, free = real(x, y, **kw)
+        if y.right_alg is a and not emptied:
+            k = next(k for k in range(len(classes)) if k not in free and any(
+                a.multiply(a.basis_vector(k // a.dim),
+                           a.basis_vector(k % a.dim))))
+            classes = list(classes)
+            classes[k] = {}
+            emptied.append(k)
+        return term, classes, free
+
+    monkeypatch.setattr(extensions, "tensor_over", tensor_over)
+    with pytest.raises(InternalCheckError, match="descend"):
+        relative_bar_complex(ext, 2)
+    assert emptied
 
 
 def test_projectivity_transport_worked_example(gamma_in_lambda):
