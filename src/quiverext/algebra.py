@@ -15,11 +15,15 @@ nonempty table cells; the battery runs on it and skips only products that
 are zero by construction, so its checks are as strong as dense ones. Zero
 is tested by truthiness, exact on canonical elements: `__init__`
 canonicalises the stored data, `linalg.nonzero_pairs` outside vectors.
+
+A claimed algebra map (an embedding, a retraction, an isomorphism
+witness) is checked by one routine, `map_violation`: shape, unit and
+every basis product. Its callers add only their own extra condition.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, Matrix, dense_vector, nonzero_pairs,
-                     unit_vector)
+from .linalg import (EchelonSpan, Matrix, dense_vector, nonzero_pairs, rank,
+                     sparse_combination, unit_vector)
 
 
 class Algebra:
@@ -371,24 +375,34 @@ def product_algebra(a, b):
                    meta={"kind": "product", "left_dim": na, "right_dim": nb})
 
 
+def map_violation(a, b, matrix, what):
+    """The first identity of a unital algebra map A -> B that `matrix`
+    (dim B x dim A) violates, as a message naming the map `what`, or None
+    when it is one: the shape, the unit, and the product of every basis
+    pair, from the image of each basis element computed once."""
+    if matrix.nrows != b.dim or matrix.ncols != a.dim:
+        return (f"{what} matrix has shape {matrix.nrows}x{matrix.ncols}, "
+                f"expected {b.dim}x{a.dim}")
+    if matrix.apply(a.unit) != b.unit:
+        return f"{what} is not unital"
+    f = b.field
+    images = [nonzero_pairs(f, col) for col in matrix.transpose().rows]
+    for i, row in enumerate(a.table):
+        for j, cell in enumerate(row):
+            image = sparse_combination(f, [(c, images[k]) for k, c in cell])
+            if image != dict(b.sparse_multiply(images[i], images[j])):
+                return f"{what} not multiplicative at basis pair ({i}, {j})"
+    return None
+
+
 def verify_algebra_isomorphism(a, b, matrix):
     """Check that `matrix` (dim b x dim a) is a unital algebra isomorphism
     A -> B. Raises ValidationError when it is not; no search is performed."""
-    from .linalg import rank
     if a.field != b.field:
         raise FieldMismatchError("fields differ")
-    if matrix.nrows != b.dim or matrix.ncols != a.dim:
-        raise ValidationError("isomorphism witness has wrong shape")
-    if a.dim != b.dim or rank(matrix) != a.dim:
-        raise ValidationError("isomorphism witness is not bijective")
-    if matrix.apply(a.unit) != b.unit:
-        raise ValidationError("isomorphism witness is not unital")
-    for i in range(a.dim):
-        xi = matrix.apply(a.basis_vector(i))
-        for j in range(a.dim):
-            lhs = matrix.apply(a.multiply(a.basis_vector(i), a.basis_vector(j)))
-            rhs = b.multiply(xi, matrix.apply(a.basis_vector(j)))
-            if lhs != rhs:
-                raise ValidationError(
-                    f"isomorphism witness not multiplicative at (b{i}, b{j})")
+    problem = map_violation(a, b, matrix, "isomorphism witness")
+    if not problem and (a.dim != b.dim or rank(matrix) != a.dim):
+        problem = "isomorphism witness is not bijective"
+    if problem:
+        raise ValidationError(problem)
     return True

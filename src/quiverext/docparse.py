@@ -179,12 +179,6 @@ class _Lines:
                 return self.pos, toks
         return None, None
 
-    def peek_first(self):
-        save = self.pos
-        line, toks = self.next_tokens()
-        self.pos = save
-        return line, toks
-
 
 def _expect(toks, i, line, what):
     if i >= len(toks):

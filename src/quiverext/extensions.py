@@ -27,9 +27,9 @@ from itertools import product
 
 from .errors import (FieldMismatchError, InternalCheckError, ValidationError,
                      WitnessError)
-from .linalg import (Matrix, kron, nonzero_pairs, quotient_space, rank,
+from .linalg import (Matrix, nonzero_pairs, quotient_space, rank,
                      sparse_combination, unit_vector)
-from .algebra import Algebra, product_algebra
+from .algebra import Algebra, map_violation, product_algebra
 from .modules import (Bimodule, ModuleMap, bimodule_direct_sum,
                       projective_bimodule, tensor_over)
 from .resolutions import (ChainComplex, is_projective, minimal_resolution,
@@ -56,28 +56,16 @@ class ExtensionPresentation:
             self.validate()
 
     def validate(self):
-        a, b, emb = self.ambient, self.sub, self.embedding
+        a, b = self.ambient, self.sub
         if a.field != b.field:
             raise FieldMismatchError("extension members over different fields")
-        if emb.nrows != a.dim or emb.ncols != b.dim:
-            raise WitnessError("embedding matrix has shape "
-                               f"{emb.nrows}x{emb.ncols}, expected {a.dim}x{b.dim}")
-        if rank(emb) != b.dim:
-            raise WitnessError("embedding is not injective")
-        if emb.apply(b.unit) != a.unit:
-            raise WitnessError("embedding is not unital")
-        images = [emb.apply(b.basis_vector(i)) for i in range(b.dim)]
-        for i in range(b.dim):
-            for j in range(b.dim):
-                lhs = emb.apply(b.multiply(b.basis_vector(i), b.basis_vector(j)))
-                rhs = a.multiply(images[i], images[j])
-                if lhs != rhs:
-                    raise WitnessError(
-                        f"embedding not multiplicative at basis pair ({i}, {j})")
-        if self.retraction is not None:
+        problem = map_violation(b, a, self.embedding, "embedding")
+        if not problem and rank(self.embedding) != b.dim:
+            problem = "embedding is not injective"
+        if not problem and self.retraction is not None:
             problem = retraction_violation(self)
-            if problem:
-                raise WitnessError(problem)
+        if problem:
+            raise WitnessError(problem)
 
     def embed(self, bvec):
         return self.embedding.apply(bvec)
@@ -90,19 +78,10 @@ class ExtensionPresentation:
 def retraction_violation(ext):
     """Return a description of the first violated retraction identity, or
     None when the witness verifies."""
-    a, b = ext.ambient, ext.sub
-    ret = ext.retraction
-    if ret.nrows != b.dim or ret.ncols != a.dim:
-        return "retraction matrix has the wrong shape"
-    if ret.apply(a.unit) != b.unit:
-        return "retraction is not unital"
-    for i in range(a.dim):
-        xi = ret.apply(a.basis_vector(i))
-        for j in range(a.dim):
-            lhs = ret.apply(a.multiply(a.basis_vector(i), a.basis_vector(j)))
-            rhs = b.multiply(xi, ret.apply(a.basis_vector(j)))
-            if lhs != rhs:
-                return f"retraction not multiplicative at basis pair ({i}, {j})"
+    b, ret = ext.sub, ext.retraction
+    problem = map_violation(ext.ambient, b, ret, "retraction")
+    if problem:
+        return problem
     for i in range(b.dim):
         if ret.apply(ext.embed(b.basis_vector(i))) != b.basis_vector(i):
             return f"retraction does not split the embedding at basis element {i}"
@@ -322,12 +301,11 @@ def _ext_side_bimodules(ext):
     a, b = ext.ambient, ext.sub
     if "side_bimods" in ext._cache:
         return ext._cache["side_bimods"]
-    la = [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
-    ra = [a.right_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
+    reg = Bimodule.regular(a)
     lb = [a.left_mult_matrix(ext.embed(b.basis_vector(i))) for i in range(b.dim)]
     rb = [a.right_mult_matrix(ext.embed(b.basis_vector(i))) for i in range(b.dim)]
-    a_ab = Bimodule(a, b, a.dim, la, rb, validate=False)
-    a_ba = Bimodule(b, a, a.dim, lb, ra, validate=False)
+    a_ab = Bimodule(a, b, a.dim, reg.left_action, rb, validate=False)
+    a_ba = Bimodule(b, a, a.dim, lb, reg.right_action, validate=False)
     ext._cache["side_bimods"] = (a_ab, a_ba)
     return a_ab, a_ba
 
@@ -455,7 +433,7 @@ def check_derived_tor_families(ext, p, cap):
     for j in range(1, p):
         if power.dim:
             d2 = tor(power.as_right_module(), a_left, cap)
-            mixed = tensor_over(power, Bimodule.from_left_module(a_left))
+            mixed = tensor_over(power, a_ba)
             d3 = tor(a_right, mixed.as_left_module(), cap)
         else:
             d2 = [0] * (cap + 1)
@@ -484,9 +462,8 @@ def projectivity_transport_check(ext, cap=12):
     b = ext.sub
     a_ab, a_ba = _ext_side_bimodules(ext)
     results = {"transported": [], "resolution_terms": [], "all_projective": True}
-    pairs = [(u, v) for u in range(len(b.idempotents))
-             for v in range(len(b.idempotents))]
-    for u, v in pairs:
+    r = len(b.idempotents)
+    for u, v in product(range(r), repeat=2):
         pb = projective_bimodule(b, u, v)
         moved = tensor_over(tensor_over(a_ab, pb), a_ba)
         ok = is_projective(moved.as_env_module())
@@ -495,18 +472,8 @@ def projectivity_transport_check(ext, cap=12):
             results["all_projective"] = False
     q = quotient_bimodule(ext)
     res = minimal_resolution(q.as_env_module(), cap=cap)
-    # B (x)_k B as a (B, B)-bimodule: left action on the left factor,
-    # right action on the right factor, middle structure free
-    f = b.field
-    nb = b.dim
-    left = []
-    right = []
-    for i in range(nb):
-        li = b.left_mult_matrix(b.basis_vector(i))
-        left.append(kron(li, Matrix.identity(f, nb)))
-        ri = b.right_mult_matrix(b.basis_vector(i))
-        right.append(kron(Matrix.identity(f, nb), ri))
-    bkb = Bimodule(b, b, nb * nb, left, right, validate=False)
+    # B (x)_k B is the sum of the B e_u (x)_k e_v B over all (u, v)
+    bkb = _env_projective_bimodule(b, range(r * r))
     for i, gens in enumerate(res.gens):
         term = _env_projective_bimodule(b, gens)
         if term is None:

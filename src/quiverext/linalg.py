@@ -223,9 +223,6 @@ class Matrix:
         return Matrix(self.field, [self.col(j) for j in range(self.ncols)],
                       self.nrows)
 
-    def __matmul__(self, other):
-        return self.mul(other)
-
     def mul(self, other):
         if self.field != other.field:
             raise FieldMismatchError("matrix fields differ")

@@ -2,9 +2,11 @@
 
 A Module is a finitely generated left module: one action matrix per
 algebra basis element. Right modules are left modules over the opposite
-algebra. A Bimodule stores one action family per side and exposes the
-equivalent left module over the tensor algebra L (x) R^op on demand;
-storing the sides separately keeps validation and tensor products cheap.
+algebra. A Bimodule always has both sides: it stores one action family per
+side and exposes the equivalent left module over the tensor algebra
+L (x) R^op on demand; storing the sides separately keeps validation and
+tensor products cheap. One routine, `_check_action`, checks every action:
+a module's, and each side of a bimodule's.
 
 Tensor products over an algebra are computed as explicit coequalizers:
 (M (x)_k N) / span{ m.b (x) n - m (x) b.n }, with b running over an
@@ -48,28 +50,38 @@ class Module:
                                   self.dim, self.dim)
 
     def validate(self, full=False):
+        """Check the action on every basis pair (full) or on every pair of
+        algebra generators, which implies it."""
         a = self.algebra
-        f = a.field
-        if self.dim == 0:
-            return
-        ident = Matrix.identity(f, self.dim)
-        if self.act_matrix(a.unit) != ident:
-            raise ValidationError("unit does not act as the identity")
-        pairs = []
-        if full:
-            pairs = [(a.basis_vector(i), a.basis_vector(j))
-                     for i in range(a.dim) for j in range(a.dim)]
-        else:
-            gens = a.generators()
-            pairs = [(g, h) for g in gens for h in gens]
-        for x, y in pairs:
-            lhs = self.act_matrix(x).mul(self.act_matrix(y))
-            rhs = self.act_matrix(a.multiply(x, y))
-            if lhs != rhs:
-                raise ValidationError("module action is not multiplicative")
+        elems = ([a.basis_vector(i) for i in range(a.dim)] if full
+                 else a.generators())
+        _check_action(a, self.action, self.dim, elems, a.multiply, "module")
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
+
+
+def _check_action(alg, action, dim, elems, product, side):
+    """Raise unless `action` (one dim x dim matrix per basis element of alg)
+    is unital and x.(y.m) = product(x, y).m for all x, y in elems. The
+    matrix of each element of elems is built once, and they are returned.
+    A right action is checked with the reversed product y x, as a left
+    action of the opposite algebra, without building that algebra."""
+    if not dim:
+        return []
+    f = alg.field
+
+    def mat(vec):
+        return matrix_combination(f, vec, action, dim, dim)
+
+    if mat(alg.unit) != Matrix.identity(f, dim):
+        raise ValidationError(f"{side} action: unit does not act as the identity")
+    mats = [mat(x) for x in elems]
+    for x, mx in zip(elems, mats):
+        for y, my in zip(elems, mats):
+            if mx.mul(my) != mat(product(x, y)):
+                raise ValidationError(f"{side} action is not multiplicative")
+    return mats
 
 
 class ModuleMap:
@@ -106,21 +118,12 @@ def zero_module(algebra):
 
 
 def left_regular_module(algebra):
-    if "left_regular" not in algebra._cache:
-        action = [algebra.left_mult_matrix(algebra.basis_vector(i))
-                  for i in range(algebra.dim)]
-        algebra._cache["left_regular"] = Module(algebra, action, validate=False)
-    return algebra._cache["left_regular"]
+    return Bimodule.regular(algebra).as_left_module()
 
 
 def right_regular_module(algebra):
     """The right regular module, as a left module over the opposite algebra."""
-    if "right_regular" not in algebra._cache:
-        action = [algebra.right_mult_matrix(algebra.basis_vector(i))
-                  for i in range(algebra.dim)]
-        algebra._cache["right_regular"] = Module(opposite(algebra), action,
-                                                 validate=False)
-    return algebra._cache["right_regular"]
+    return Bimodule.regular(algebra).as_right_module()
 
 
 def direct_sum(modules):
@@ -325,12 +328,13 @@ def is_isomorphic(m, n, seed=0):
 
 
 class Bimodule:
-    """An (L, R)-bimodule; either side may be absent (None).
+    """An (L, R)-bimodule: a left action of L and a right action of R on the
+    same space, both always present.
 
-    With both sides present this is the data of a left module over
-    tensor_algebra(L, opposite(R)), available via as_env_module(). The
-    left action is an algebra map, the right action an anti-map, and the
-    two commute; validation checks this on generators.
+    This is the data of a left module over tensor_algebra(L, opposite(R)),
+    available via as_env_module(). The left action is an algebra map, the
+    right action an anti-map, and the two commute; validation checks this
+    on generators.
     """
 
     __slots__ = ("left_alg", "right_alg", "dim", "left_action", "right_action",
@@ -338,33 +342,20 @@ class Bimodule:
 
     def __init__(self, left_alg, right_alg, dim, left_action, right_action,
                  validate=True):
+        if left_alg.field != right_alg.field:
+            raise FieldMismatchError("bimodule sides over different fields")
         self.left_alg = left_alg
         self.right_alg = right_alg
         self.dim = dim
-        self.left_action = tuple(left_action) if left_action is not None else None
-        self.right_action = tuple(right_action) if right_action is not None else None
-        if (left_alg is None) != (self.left_action is None):
-            raise ValidationError("left algebra and left action must come together")
-        if (right_alg is None) != (self.right_action is None):
-            raise ValidationError("right algebra and right action must come together")
-        if left_alg is not None and right_alg is not None \
-                and left_alg.field != right_alg.field:
-            raise FieldMismatchError("bimodule sides over different fields")
+        self.left_action = tuple(left_action)
+        self.right_action = tuple(right_action)
         self._cache = {}
         if validate:
             self.validate()
 
     @property
     def field(self):
-        if self.left_alg is not None:
-            return self.left_alg.field
-        if self.right_alg is not None:
-            return self.right_alg.field
-        raise ValidationError("bare vector space has no preferred field")
-
-    @classmethod
-    def from_left_module(cls, m):
-        return cls(m.algebra, None, m.dim, m.action, None, validate=False)
+        return self.left_alg.field
 
     @classmethod
     def regular(cls, a):
@@ -376,47 +367,17 @@ class Bimodule:
         return a._cache["regular_bimodule"]
 
     def validate(self):
-        f = self.field
-        if self.dim == 0:
-            return
-        ident = Matrix.identity(f, self.dim)
-
-        def mat(family, vec):
-            return matrix_combination(f, vec, family, self.dim, self.dim)
-
-        if self.left_alg is not None:
-            a = self.left_alg
-            if mat(self.left_action, a.unit) != ident:
-                raise ValidationError("left unit does not act as identity")
-            gens = a.generators()
-            for x in gens:
-                for y in gens:
-                    if mat(self.left_action, x).mul(mat(self.left_action, y)) != \
-                            mat(self.left_action, a.multiply(x, y)):
-                        raise ValidationError("left action not multiplicative")
-        if self.right_alg is not None:
-            b = self.right_alg
-            if mat(self.right_action, b.unit) != ident:
-                raise ValidationError("right unit does not act as identity")
-            gens = b.generators()
-            for x in gens:
-                for y in gens:
-                    if mat(self.right_action, y).mul(mat(self.right_action, x)) != \
-                            mat(self.right_action, b.multiply(x, y)):
-                        raise ValidationError("right action not anti-multiplicative")
-        if self.left_alg is not None and self.right_alg is not None:
-            lg = self.left_alg.generators()
-            rg = self.right_alg.generators()
-            for x in lg:
-                lx = mat(self.left_action, x)
-                for y in rg:
-                    ry = mat(self.right_action, y)
-                    if lx.mul(ry) != ry.mul(lx):
-                        raise ValidationError("left and right actions do not commute")
+        l, r = self.left_alg, self.right_alg
+        lmats = _check_action(l, self.left_action, self.dim, l.generators(),
+                              l.multiply, "left")
+        rmats = _check_action(r, self.right_action, self.dim, r.generators(),
+                              lambda x, y: r.multiply(y, x), "right")
+        for lx in lmats:
+            for ry in rmats:
+                if lx.mul(ry) != ry.mul(lx):
+                    raise ValidationError("left and right actions do not commute")
 
     def as_left_module(self):
-        if self.left_alg is None:
-            raise ValidationError("bimodule has no left structure")
         if "as_left" not in self._cache:
             self._cache["as_left"] = Module(self.left_alg, self.left_action,
                                             validate=False)
@@ -424,8 +385,6 @@ class Bimodule:
 
     def as_right_module(self):
         """The right structure as a left module over opposite(right_alg)."""
-        if self.right_alg is None:
-            raise ValidationError("bimodule has no right structure")
         if "as_right" not in self._cache:
             self._cache["as_right"] = Module(opposite(self.right_alg),
                                              self.right_action, validate=False)
@@ -436,8 +395,6 @@ class Bimodule:
 
     def as_env_module(self):
         """Left module over L (x) R^op: (x (x) y^op) . m = x m y."""
-        if self.left_alg is None or self.right_alg is None:
-            raise ValidationError("need both sides for the enveloping module")
         if "as_env" in self._cache:
             return self._cache["as_env"]
         env = self.env_algebra()
@@ -452,24 +409,21 @@ class Bimodule:
         return mod
 
     def __repr__(self):
-        l = self.left_alg.dim if self.left_alg else "-"
-        r = self.right_alg.dim if self.right_alg else "-"
-        return f"Bimodule(dim={self.dim}, left={l}, right={r})"
+        return (f"Bimodule(dim={self.dim}, left={self.left_alg.dim}, "
+                f"right={self.right_alg.dim})")
 
 
 def tensor_over(x, y, return_maps=False):
-    """Tensor product over the middle algebra: x (x)_B y.
+    """Tensor product over the middle algebra: x (x)_B y, for an (L, B)-
+    bimodule x and a (B, R)-bimodule y; the result is an (L, R)-bimodule.
 
-    x must carry a right B-structure and y a left B-structure. The result
-    keeps whatever outer structures the inputs had. Dimension is computed
-    exactly via the coequalizer quotient. The pair x_i (x) y_j is
-    coordinate k = i * dim(y) + j of x (x)_k y. With return_maps the class
-    of each pair in the quotient (a dict of its nonzero coordinates) and
-    the free pairs are returned as well: basis vector c of the quotient is
-    the class of the pair free[c], and that class is the unit vector at c.
+    Dimension is computed exactly via the coequalizer quotient. The pair
+    x_i (x) y_j is coordinate k = i * dim(y) + j of x (x)_k y. With
+    return_maps the class of each pair in the quotient (a dict of its
+    nonzero coordinates) and the free pairs are returned as well: basis
+    vector c of the quotient is the class of the pair free[c], and that
+    class is the unit vector at c.
     """
-    if x.right_alg is None or y.left_alg is None:
-        raise ValidationError("tensor_over needs a right structure and a left structure")
     if x.right_alg is not y.left_alg:
         if x.right_alg.field != y.left_alg.field or x.right_alg.dim != y.left_alg.dim \
                 or x.right_alg.table != y.left_alg.table:
@@ -479,21 +433,26 @@ def tensor_over(x, y, return_maps=False):
     mx, my = x.dim, y.dim
     amb = mx * my
 
-    def left_image(m, k):
+    def columns(m):
+        """The nonzero (row, coeff) entries of each column of m, read once."""
+        return [[(s, c) for s, c in enumerate(col) if c]
+                for col in m.transpose().rows]
+
+    def left_image(cols, k):
         """(m (x) 1)(x_i (x) y_j) = sum_s m[s, i] x_s (x) y_j, as a dict."""
         i, j = divmod(k, my)
-        return {s * my + j: c for s, c in enumerate(m.col(i)) if c}
+        return {s * my + j: c for s, c in cols[i]}
 
-    def right_image(m, k):
+    def right_image(cols, k):
         """(1 (x) m)(x_i (x) y_j) = sum_s m[s, j] x_i (x) y_s, as a dict."""
         i, j = divmod(k, my)
-        return {i * my + s: c for s, c in enumerate(m.col(j)) if c}
+        return {i * my + s: c for s, c in cols[j]}
 
     span = EchelonSpan(f, amb)
     for g in b.generators():
         # the relations (x.g) (x) y - x (x) (g.y)
-        rg = matrix_combination(f, g, x.right_action, mx, mx)
-        lg = matrix_combination(f, g, y.left_action, my, my)
+        rg = columns(matrix_combination(f, g, x.right_action, mx, mx))
+        lg = columns(matrix_combination(f, g, y.left_action, my, my))
         for k in range(amb):
             rel = left_image(rg, k)
             for t, c in right_image(lg, k).items():
@@ -511,20 +470,16 @@ def tensor_over(x, y, return_maps=False):
         image(m, .): a free pair goes to the sum of its image's classes."""
         out = []
         for m in mats:
-            cols = [sparse_combination(f, [(c, classes[t].items()) for t, c
-                                           in image(m, k).items()])
-                    for k in free]
-            out.append(Matrix.from_sparse(f, cols, q).transpose())
+            cols = columns(m)
+            images = [sparse_combination(f, [(c, classes[t].items()) for t, c
+                                             in image(cols, k).items()])
+                      for k in free]
+            out.append(Matrix.from_sparse(f, images, q).transpose())
         return out
 
-    left_action = right_action = None
-    if x.left_alg is not None:
-        left_action = induced(x.left_action, left_image)
-    if y.right_alg is not None:
-        right_action = induced(y.right_action, right_image)
-    out = Bimodule(x.left_alg if left_action is not None else None,
-                   y.right_alg if right_action is not None else None,
-                   q, left_action, right_action, validate=False)
+    out = Bimodule(x.left_alg, y.right_alg, q,
+                   induced(x.left_action, left_image),
+                   induced(y.right_action, right_image), validate=False)
     if return_maps:
         return out, classes, free
     return out
@@ -535,8 +490,6 @@ def tensor_power(m, j):
     to the zero power once any intermediate power vanishes."""
     if j < 1:
         raise ValidationError("tensor powers start at j = 1")
-    if m.left_alg is None or m.right_alg is None:
-        raise ValidationError("tensor powers need a bimodule")
     out = m
     for _ in range(j - 1):
         if out.dim == 0:
@@ -546,7 +499,7 @@ def tensor_power(m, j):
 
 
 def bimodule_direct_sum(bimodules):
-    """Direct sum of bimodules with identical (possibly absent) sides."""
+    """Direct sum of bimodules over the same two algebras."""
     if not bimodules:
         raise ValidationError("empty bimodule direct sum")
     first = bimodules[0]
@@ -558,13 +511,10 @@ def bimodule_direct_sum(bimodules):
     def blocks(families):
         return [block_diag(f, mats) for mats in zip(*families)]
 
-    left = right = None
-    if first.left_alg is not None:
-        left = blocks([m.left_action for m in bimodules])
-    if first.right_alg is not None:
-        right = blocks([m.right_action for m in bimodules])
     return Bimodule(first.left_alg, first.right_alg,
-                    sum(m.dim for m in bimodules), left, right, validate=False)
+                    sum(m.dim for m in bimodules),
+                    blocks([m.left_action for m in bimodules]),
+                    blocks([m.right_action for m in bimodules]), validate=False)
 
 
 def projective_bimodule(b, u, v, right_alg=None):

@@ -382,6 +382,8 @@ def tor(m_right, n_left, i_max, resolve="first"):
     i_max + 1 so the top homology is exact. resolve picks which argument
     is resolved; the two must agree degreewise (a test-suite property).
     """
+    if i_max < 0:
+        raise ValidationError("i_max must be nonnegative")
     b = n_left.algebra
     bop = m_right.algebra
     if bop is not opposite(b):
@@ -398,6 +400,8 @@ def tor(m_right, n_left, i_max, resolve="first"):
 
 def ext(m, n, i_max):
     """Ext^i_A(M, N) dimensions for i = 0..i_max (left modules)."""
+    if i_max < 0:
+        raise ValidationError("i_max must be nonnegative")
     if m.algebra is not n.algebra:
         raise ValidationError("ext arguments over different algebras")
     res = minimal_resolution(m, i_max + 1)
@@ -420,10 +424,6 @@ class PdVerdict:
         self.witness = witness
         self.cap = cap
         self.certificate = certificate or {}
-
-    @property
-    def finite(self):
-        return self.kind == "finite"
 
     def __repr__(self):
         if self.kind == "finite":

@@ -1,6 +1,6 @@
 import pytest
 
-from quiverext.linalg import QQ, Matrix
+from quiverext.linalg import GF, QQ, Matrix
 from quiverext.quiver import QuiverPresentation, algebra_from_presentation
 from quiverext.algebra import scalar_algebra
 from quiverext.extensions import subalgebra_extension
@@ -17,14 +17,22 @@ def dual_numbers():
     return algebra_from_presentation(pres, QQ)
 
 
+GAMMA = QuiverPresentation(
+    ("1", "2"),
+    (("beta", "1", "2"), ("gamma", "1", "1")),
+    (((1, ("gamma", "gamma")),),),
+)
+
+
 @pytest.fixture(scope="session")
 def gamma():
-    pres = QuiverPresentation(
-        ("1", "2"),
-        (("beta", "1", "2"), ("gamma", "1", "1")),
-        (((1, ("gamma", "gamma")),),),
-    )
-    return algebra_from_presentation(pres, QQ)
+    return algebra_from_presentation(GAMMA, QQ)
+
+
+@pytest.fixture(scope="session", params=[QQ, GF(2)], ids=["QQ", "GF2"])
+def gamma_qq_gf2(request):
+    """Gamma over QQ and over GF(2): a test using it runs once per field."""
+    return algebra_from_presentation(GAMMA, request.param)
 
 
 @pytest.fixture(scope="session")

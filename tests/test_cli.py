@@ -135,6 +135,25 @@ def test_non_integer_option_value_exit_three(command, doc):
         os.unlink(path)
 
 
+def test_negative_hh_range_exit_three():
+    code, out, err = run_cli(["demo", "example-4-5", "--hh-range", "-1"])
+    assert code == 3
+    assert out == ""
+    assert err == "input error: i_max must be nonnegative\n"
+
+
+@pytest.mark.parametrize("option", ["hh -1", "perp -1"])
+def test_negative_invariants_range_exit_three(option):
+    path = write_temp(demo_document() + f"check invariants Gamma {option}\n")
+    try:
+        code, out, err = run_cli(["invariants", path])
+        assert code == 3
+        assert out == ""
+        assert err == "input error: i_max must be nonnegative\n"
+    finally:
+        os.unlink(path)
+
+
 def test_error_escaping_a_command_is_an_input_error():
     code, out, err = run_cli(["random-suite", "--count", "1", "--field",
                               "p:4"])

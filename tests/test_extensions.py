@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from quiverext.errors import (InternalCheckError, ValidationError,
@@ -56,6 +58,40 @@ def test_non_unital_embedding_rejected(k, gamma):
     emb = Matrix.from_cols(QQ, [[0, 0, 0, 1, 0]], nrows=5)
     with pytest.raises(WitnessError):
         subalgebra_extension(gamma, k, emb)
+
+
+def _bad_map(a, fault):
+    """An invertible endomorphism matrix of Gamma that is not unital (e1 goes
+    to e1 + beta) or unital but not multiplicative (beta and gamma swap)."""
+    f = a.field
+    cols = [list(a.basis_vector(i)) for i in range(a.dim)]
+    if fault == "not unital":
+        cols[0][a.basis_labels.index("beta")] = f.one
+    else:
+        cols[2], cols[3] = cols[3], cols[2]
+    return Matrix.from_cols(f, cols, nrows=a.dim)
+
+
+@pytest.mark.parametrize("fault", ["not unital", "not multiplicative"])
+@pytest.mark.parametrize("caller", ["embedding", "retraction",
+                                    "isomorphism witness"])
+def test_map_fault_rejected_by_every_caller(gamma_qq_gf2, fault, caller):
+    a = gamma_qq_gf2
+    assert a.basis_labels[2:4] == ("beta", "gamma")
+    bad = _bad_map(a, fault)
+    ident = Matrix.identity(a.field, a.dim)
+    message = f"{caller}( is)? {fault}"
+    if caller == "isomorphism witness":
+        with pytest.raises(ValidationError, match=message):
+            verify_algebra_isomorphism(a, a, bad)
+        return
+    emb, ret = (bad, None) if caller == "embedding" else (ident, bad)
+    with pytest.raises(WitnessError, match=message):
+        subalgebra_extension(a, a, emb, ret)
+    if caller == "retraction":
+        v = check_split(ExtensionPresentation(a, a, emb, ret, validate=False))
+        assert v.fails
+        assert re.match(message, v.certificate["violation"])
 
 
 def test_corrupted_retraction_fails_check(gamma, lam, gamma_in_lambda):

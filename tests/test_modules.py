@@ -42,11 +42,13 @@ def test_module_validation_catches_bad_action(gamma):
 
 def test_tensor_identity(gamma):
     reg = Bimodule.regular(gamma)
-    for p in projective_indecomposables(gamma):
-        t = tensor_over(reg, Bimodule.from_left_module(p))
-        assert t.dim == p.dim
-        verdict, _ = is_isomorphic(t.as_left_module(), p)
-        assert verdict == "yes"
+    for u in range(len(gamma.idempotents)):
+        for v in range(len(gamma.idempotents)):
+            p = projective_bimodule(gamma, u, v)
+            t = tensor_over(reg, p)
+            assert t.dim == p.dim
+            verdict, _ = is_isomorphic(t.as_env_module(), p.as_env_module())
+            assert verdict == "yes"
 
 
 def test_tensor_dimension_bound(gamma):
@@ -101,6 +103,25 @@ def test_bimodule_validation(gamma):
         Bimodule(gamma, gamma, gamma.dim,
                  [m.transpose() for m in reg.left_action],
                  reg.right_action, validate=True)
+
+
+def test_right_action_fault_rejected(gamma_qq_gf2):
+    # the transposed right multiplications compose in the wrong order
+    reg = Bimodule.regular(gamma_qq_gf2)
+    with pytest.raises(ValidationError, match="right action is not multiplicative"):
+        Bimodule(gamma_qq_gf2, gamma_qq_gf2, gamma_qq_gf2.dim, reg.left_action,
+                 [m.transpose() for m in reg.right_action])
+
+
+def test_non_commuting_actions_rejected(gamma_qq_gf2):
+    # the transposed left multiplications form a valid right action, but
+    # not one that commutes with the left multiplications
+    reg = Bimodule.regular(gamma_qq_gf2)
+    right = [m.transpose() for m in reg.left_action]
+    Module(opposite(gamma_qq_gf2), right)
+    with pytest.raises(ValidationError, match="actions do not commute"):
+        Bimodule(gamma_qq_gf2, gamma_qq_gf2, gamma_qq_gf2.dim, reg.left_action,
+                 right)
 
 
 def test_projective_bimodule_is_env_projective(gamma):
