@@ -13,7 +13,7 @@ so everything here is safe to share across threads for reading.
 __version__ = "0.1.0"
 
 from .linalg import (GF, QQ, EchelonSpan, Matrix, field_from_spec,
-                     kernel_basis, quotient_space, rank, rref, solve_linear)
+                     kernel_basis, quotient, rank, rref, solve_linear)
 from .algebra import (Algebra, opposite, product_algebra, scalar_algebra,
                       tensor_algebra, verify_algebra_isomorphism)
 from .quiver import QuiverPresentation, algebra_from_presentation
@@ -21,7 +21,7 @@ from .modules import (Bimodule, Module, ModuleMap, bimodule_direct_sum,
                       direct_sum, dual_module, hom_space, is_isomorphic,
                       left_regular_module, projective_bimodule,
                       projective_indecomposables, right_regular_module,
-                      simple_modules, tensor_over, tensor_power, zero_module)
+                      simple_modules, tensor_over, tensor_powers, zero_module)
 from .resolutions import (ChainComplex, PdVerdict, Resolution, ext,
                           is_projective, minimal_resolution, projective_cover,
                           projective_dimension, syzygy, tor)

@@ -54,18 +54,22 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _pick(flag, options, key, default):
+    """A bound from its command-line flag, else from the document option,
+    else the default."""
+    if flag is not None:
+        return flag
+    if key in options:
+        return int(options[key])
+    return default
+
+
 def _config_from(args, options=None):
     options = options or {}
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in options:
-            return int(options[key])
-        return default
     cfg = CheckConfig()
-    cfg.cap = pick(args.cap, "cap", cfg.cap)
-    cfg.p_max = pick(args.pmax, "pmax", cfg.p_max)
-    cfg.hh_range = pick(args.hh_range, "hh", cfg.hh_range)
+    cfg.cap = _pick(args.cap, options, "cap", cfg.cap)
+    cfg.p_max = _pick(args.pmax, options, "pmax", cfg.p_max)
+    cfg.hh_range = _pick(args.hh_range, options, "hh", cfg.hh_range)
     cfg.seed = args.seed
     if options.get("consequences") == "off":
         cfg.consequences = False
@@ -135,7 +139,7 @@ def cmd_invariants(args, text=None):
         ran = True
         target = built.env[check.name]
         algebra = getattr(target, "ambient", target)
-        cap = int(check.options.get("cap", args.cap or 12))
+        cap = _pick(args.cap, check.options, "cap", CheckConfig.cap)
         report.section(f"invariants.{check.name}")
         report.add("dim", algebra.dim)
         if "gldim" in check.options:

@@ -28,6 +28,12 @@ integers, fractions like 2/3, or residues for prime fields.
     check extension NAME [cap N] [pmax N] [hh N] [consequences on|off]
     check invariants NAME [gldim] [gorenstein] [hh N] [perp N] [cap N]
 
+A block gives each generator exactly one line of each kind it uses
+(`left`, `right`, `embed`, `retract`), and a check line takes only the
+options shown. Errors found while building the document are reported at
+the line of the directive, or of the block's header when a generator has
+no line.
+
 Paths compose right to left: in beta*gamma the arrow gamma acts first.
 Expressions are +/- combinations of terms; a term is an optional exact
 coefficient times a product of named generators, or a bare coefficient
@@ -43,6 +49,16 @@ from .quiver import QuiverPresentation, algebra_from_presentation
 from .modules import Bimodule
 from .extensions import (morita_ring_zero, subalgebra_extension,
                          triangular_matrix_algebra, trivial_extension)
+
+
+# The options of each kind of check line: None for a flag word, int for an
+# integer value, or the words a value may be.
+CHECK_OPTIONS = {
+    "extension": {"cap": int, "pmax": int, "hh": int,
+                  "consequences": ("on", "off")},
+    "invariants": {"gldim": None, "gorenstein": None, "hh": int, "perp": int,
+                   "cap": int},
+}
 
 
 class ParseError(QuiverExtError):
@@ -61,14 +77,20 @@ class QuiverBlock:
     relations: list  # list of lists of (Fraction, tuple-of-labels)
 
 
+# A generator directive (`left`, `right`, `embed` or `retract`) is kept as
+# (generator label, body, (line, col) of the directive); a block keeps the
+# (line, col) of its header in `pos`.
+
+
 @dataclass
 class BimoduleBlock:
     name: str
     left: str
     right: str
     dim: int
-    left_rows: list   # (gen, rows)
+    left_rows: list   # (gen, rows, pos)
     right_rows: list
+    pos: tuple = (1, 1)
 
 
 @dataclass
@@ -76,8 +98,9 @@ class ConstructBlock:
     kind: str
     name: str
     args: dict
-    embeds: list = dc_field(default_factory=list)
+    embeds: list = dc_field(default_factory=list)   # (gen, expr, pos)
     retracts: list = dc_field(default_factory=list)
+    pos: tuple = (1, 1)
 
 
 @dataclass
@@ -105,9 +128,9 @@ class InputDocument:
                 out.append("end")
             elif isinstance(b, BimoduleBlock):
                 out.append(f"bimodule {b.name} over {b.left} {b.right} dim {b.dim}")
-                for gen, rows in b.left_rows:
+                for gen, rows, _ in b.left_rows:
                     out.append(f"  left {gen} = " + _render_rows(rows))
-                for gen, rows in b.right_rows:
+                for gen, rows, _ in b.right_rows:
                     out.append(f"  right {gen} = " + _render_rows(rows))
                 out.append("end")
             elif isinstance(b, ConstructBlock):
@@ -123,13 +146,14 @@ class InputDocument:
                 else:
                     out.append(f"construct subalgebra {b.name} = "
                                f"sub {b.args['sub']} ambient {b.args['ambient']}")
-                    for gen, expr in b.embeds:
+                    for gen, expr, _ in b.embeds:
                         out.append(f"  embed {gen} -> " + _render_expr(expr))
-                    for gen, expr in b.retracts:
+                    for gen, expr, _ in b.retracts:
                         out.append(f"  retract {gen} -> " + _render_expr(expr))
                     out.append("end")
             elif isinstance(b, CheckBlock):
-                opts = " ".join(f"{k} {v}" for k, v in b.options.items())
+                opts = " ".join(k if CHECK_OPTIONS[b.kind][k] is None
+                                else f"{k} {v}" for k, v in b.options.items())
                 out.append(f"check {b.kind} {b.name}" + (" " + opts if opts else ""))
             out.append("")
         return "\n".join(out).rstrip("\n") + "\n"
@@ -307,7 +331,7 @@ def parse_document(text):
                 dim = int(_expect(toks, 6, line, "dimension"))
             except ValueError:
                 raise ParseError(line, toks[6][1], "dimension must be an integer")
-            bb = BimoduleBlock(name, left, right, dim, [], [])
+            bb = BimoduleBlock(name, left, right, dim, [], [], (line, hcol))
             while True:
                 line2, toks2 = lines.next_tokens()
                 if toks2 is None:
@@ -322,7 +346,8 @@ def parse_document(text):
                 if _expect(toks2, 2, line2, "'='") != "=":
                     raise ParseError(line2, toks2[2][1], "expected '='")
                 rows = _parse_rows([t for t, _ in toks2[3:]], line2, kcol, dim)
-                (bb.left_rows if kw == "left" else bb.right_rows).append((gen, rows))
+                (bb.left_rows if kw == "left" else bb.right_rows).append(
+                    (gen, rows, (line2, kcol)))
             blocks.append(bb)
         elif head == "construct":
             kind = _expect(toks, 1, line, "construction kind")
@@ -339,7 +364,7 @@ def parse_document(text):
                 kv[key] = val
                 known(val, line, rest[i + 1][1])
                 i += 2
-            cb = ConstructBlock(kind, name, kv)
+            cb = ConstructBlock(kind, name, kv, pos=(line, hcol))
             if kind == "trivial_extension":
                 _need_keys(kv, ("base", "module"), line, hcol)
             elif kind == "triangular":
@@ -363,35 +388,44 @@ def parse_document(text):
                     if _expect(toks2, 2, line2, "'->'") != "->":
                         raise ParseError(line2, toks2[2][1], "expected '->'")
                     expr = parse_expr([t for t, _ in toks2[3:]], line2, kcol)
-                    (cb.embeds if kw == "embed" else cb.retracts).append((gen, expr))
+                    (cb.embeds if kw == "embed" else cb.retracts).append(
+                        (gen, expr, (line2, kcol)))
             else:
                 raise ParseError(line, toks[1][1],
                                  f"unknown construction kind {kind!r}")
             blocks.append(cb)
         elif head == "check":
             kind = _expect(toks, 1, line, "'extension' or 'invariants'")
-            if kind not in ("extension", "invariants"):
+            if kind not in CHECK_OPTIONS:
                 raise ParseError(line, toks[1][1],
                                  "expected 'extension' or 'invariants'")
             name = _expect(toks, 2, line, "target name")
             known(name, line, toks[2][1])
+            allowed = CHECK_OPTIONS[kind]
             options = {}
             i = 3
-            flag_words = {"gldim", "gorenstein"}
             while i < len(toks):
-                key = toks[i][0]
-                if key in flag_words:
+                key, kcol = toks[i]
+                if key not in allowed:
+                    raise ParseError(line, kcol, f"unknown option {key!r} "
+                                                 f"for 'check {kind}'")
+                if allowed[key] is None:
                     options[key] = "on"
                     i += 1
                     continue
                 val = _expect(toks, i + 1, line, f"value for option {key!r}")
-                if key in ("cap", "pmax", "hh", "perp"):
+                if allowed[key] is int:
                     try:
                         int(val)
                     except ValueError:
                         raise ParseError(line, toks[i + 1][1],
                                          f"option {key!r} needs an integer, "
                                          f"got {val!r}") from None
+                elif val not in allowed[key]:
+                    raise ParseError(line, toks[i + 1][1],
+                                     f"option {key!r} takes "
+                                     f"{' or '.join(allowed[key])}, "
+                                     f"got {val!r}")
                 options[key] = val
                 i += 2
             blocks.append(CheckBlock(kind, name, options))
@@ -437,66 +471,66 @@ class BuiltDocument:
         self.checks = checks
 
 
-def _generator_element(algebra, label, line=0, col=0):
+def _generators(algebra, pos):
+    """The named generators of a quiver algebra, label -> element: e<vertex>
+    for each vertex idempotent, and the arrows."""
     meta = algebra.meta
     if meta.get("kind") != "quiver":
-        raise ParseError(line, col,
-                         f"algebra does not expose named generators")
-    if label.startswith("e") and label[1:] in meta["vertex_idempotent"]:
-        return algebra.idempotents[meta["vertex_idempotent"][label[1:]]]
-    if label in meta["arrow_basis_index"]:
-        return algebra.basis_vector(meta["arrow_basis_index"][label])
-    raise ParseError(line, col, f"unknown generator {label!r}")
+        raise ParseError(*pos, "algebra does not expose named generators")
+    out = {f"e{v}": e for v, e in zip(meta["vertices"], algebra.idempotents)}
+    for lab in meta["arrow_labels"]:
+        out[lab] = algebra.basis_vector(meta["arrow_basis_index"][lab])
+    return out
 
 
-def evaluate_expr(algebra, terms):
-    """Evaluate a parsed expression to an element of the algebra."""
+def evaluate_expr(algebra, terms, pos):
+    """Evaluate a parsed expression to an element of the algebra; an
+    unknown generator is reported at pos, the (line, col) of the
+    expression."""
     f = algebra.field
+    gens = _generators(algebra, pos)
     summands = []
     for coeff, path in terms:
-        if not path:
-            vec = algebra.unit
-        else:
-            vec = None
-            for lab in reversed(path):
-                g = _generator_element(algebra, lab)
-                vec = g if vec is None else algebra.multiply(g, vec)
+        vec = algebra.unit
+        for lab in reversed(path):
+            if lab not in gens:
+                raise ParseError(*pos, f"unknown generator {lab!r}")
+            vec = algebra.multiply(gens[lab], vec)
         summands.append((f.of(coeff), vec))
     return linear_combination(f, summands, algebra.dim)
 
 
-def _action_from_generators(algebra, gen_rows, dim, field, side, line=0, col=0):
-    """Extend generator action matrices multiplicatively over the path
-    basis. side 'left' composes covariantly, 'right' contravariantly."""
+def _extend_from_generators(algebra, kw, directives, image, compose, pos):
+    """The images of the path basis of a quiver algebra, extended
+    multiplicatively from the `kw` directives, one per generator.
+
+    image(body, pos) is the image of a directive's generator. The image of
+    the path a_1 ... a_l (a_l applied first) is compose(g_1, compose(g_2,
+    ... g_l)), and for a right action, which reverses products, the same
+    product of g_l, ..., g_1. An unknown or repeated generator is rejected
+    at its directive, a missing one at pos, the block's header."""
     meta = algebra.meta
-    if meta.get("kind") != "quiver":
-        raise ParseError(line, col, "bimodule base must be a quiver algebra")
-    gen_mats = {}
-    for gen, rows in gen_rows:
-        gen_mats[gen] = Matrix.from_rows(field, rows)
-    for v in meta["vertices"]:
-        if f"e{v}" not in gen_mats:
-            raise ParseError(line, col, f"missing action for generator e{v}")
-    for lab in meta["arrow_labels"]:
-        if lab not in gen_mats:
-            raise ParseError(line, col, f"missing action for generator {lab}")
-    action = []
-    ident = Matrix.identity(field, dim)
+    names = _generators(algebra, pos)
+    images = {}
+    for gen, body, gpos in directives:
+        if gen not in names:
+            raise ParseError(*gpos, f"unknown generator {gen!r}")
+        if gen in images:
+            raise ParseError(*gpos, f"repeated '{kw}' line for generator "
+                                    f"{gen!r}")
+        images[gen] = image(body, gpos)
+    for gen in names:
+        if gen not in images:
+            raise ParseError(*pos, f"no '{kw}' line for generator {gen}")
+    out = []
     for path in meta["paths"]:
-        if path[0] == "triv":
-            action.append(gen_mats[f"e{meta['vertices'][path[1]]}"])
-            continue
-        mat = None
-        if side == "left":
-            for lab in reversed(path):
-                g = gen_mats[lab]
-                mat = g if mat is None else g.mul(mat)
-        else:
-            for lab in path:
-                g = gen_mats[lab]
-                mat = g if mat is None else g.mul(mat)
-        action.append(mat if mat is not None else ident)
-    return action
+        labels = ([f"e{meta['vertices'][path[1]]}"] if path[0] == "triv"
+                  else list(path if kw == "right" else reversed(path)))
+        acc = images[labels[0]]
+        for lab in labels[1:]:
+            acc = compose(images[lab], acc)
+        out.append(acc)
+    return out
 
 
 def build_document(doc, field_override=None):
@@ -504,6 +538,10 @@ def build_document(doc, field_override=None):
     field = field_from_spec(field_override or doc.field_spec)
     env = {}
     checks = []
+
+    def rows(body, _):
+        return Matrix.from_rows(field, body)
+
     for b in doc.blocks:
         if isinstance(b, QuiverBlock):
             pres = QuiverPresentation(
@@ -516,8 +554,10 @@ def build_document(doc, field_override=None):
         elif isinstance(b, BimoduleBlock):
             left = env[b.left]
             right = env[b.right]
-            la = _action_from_generators(left, b.left_rows, b.dim, field, "left")
-            ra = _action_from_generators(right, b.right_rows, b.dim, field, "right")
+            la = _extend_from_generators(left, "left", b.left_rows, rows,
+                                         Matrix.mul, b.pos)
+            ra = _extend_from_generators(right, "right", b.right_rows, rows,
+                                         Matrix.mul, b.pos)
             env[b.name] = Bimodule(left, right, b.dim, la, ra, validate=True)
         elif isinstance(b, ConstructBlock):
             if b.kind == "trivial_extension":
@@ -533,10 +573,11 @@ def build_document(doc, field_override=None):
             else:
                 sub = env[b.args["sub"]]
                 amb = env[b.args["ambient"]]
-                emb = _map_from_generators(sub, amb, b.embeds, field)
+                emb = _map_from_generators(sub, amb, "embed", b.embeds, b.pos)
                 ret = None
                 if b.retracts:
-                    ret = _map_from_generators(amb, sub, b.retracts, field)
+                    ret = _map_from_generators(amb, sub, "retract", b.retracts,
+                                               b.pos)
                 ext = subalgebra_extension(amb, sub, emb, ret)
                 t = amb
             env[b.name] = ext
@@ -546,29 +587,10 @@ def build_document(doc, field_override=None):
     return BuiltDocument(field, env, checks)
 
 
-def _map_from_generators(src, dst, gen_exprs, field):
-    """Build the matrix of an algebra map src -> dst from generator images,
+def _map_from_generators(src, dst, kw, directives, pos):
+    """The matrix of an algebra map src -> dst from generator images,
     extended multiplicatively along the path basis of src."""
-    meta = src.meta
-    if meta.get("kind") != "quiver":
-        raise ParseError(0, 0, "subalgebra maps need quiver-presented algebras")
-    images = {}
-    for gen, expr in gen_exprs:
-        images[gen] = evaluate_expr(dst, expr)
-    for v in meta["vertices"]:
-        if f"e{v}" not in images:
-            raise ParseError(0, 0, f"missing image for generator e{v}")
-    for lab in meta["arrow_labels"]:
-        if lab not in images:
-            raise ParseError(0, 0, f"missing image for generator {lab}")
-    cols = []
-    for path in meta["paths"]:
-        if path[0] == "triv":
-            cols.append(images[f"e{meta['vertices'][path[1]]}"])
-            continue
-        vec = None
-        for lab in reversed(path):
-            g = images[lab]
-            vec = g if vec is None else dst.multiply(g, vec)
-        cols.append(vec)
-    return Matrix.from_cols(field, cols, nrows=dst.dim)
+    cols = _extend_from_generators(
+        src, kw, directives, lambda expr, epos: evaluate_expr(dst, expr, epos),
+        dst.multiply, pos)
+    return Matrix.from_cols(dst.field, cols, nrows=dst.dim)

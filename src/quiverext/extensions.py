@@ -27,11 +27,11 @@ from itertools import product
 
 from .errors import (FieldMismatchError, InternalCheckError, ValidationError,
                      WitnessError)
-from .linalg import (Matrix, nonzero_pairs, quotient_space, rank,
-                     sparse_combination, unit_vector)
+from .linalg import (Matrix, column_map, quotient, rank, sparse_combination,
+                     unit_vector)
 from .algebra import Algebra, map_violation, product_algebra
 from .modules import (Bimodule, ModuleMap, bimodule_direct_sum,
-                      projective_bimodule, tensor_over)
+                      projective_bimodule, tensor_over, tensor_powers)
 from .resolutions import (ChainComplex, is_projective, minimal_resolution,
                           projective_dimension, tor)
 from . import verdicts
@@ -197,45 +197,45 @@ def subalgebra_extension(a, b, embedding, retraction=None):
 # -- quotient bimodule and hypothesis checks ----------------------------
 
 
-def quotient_maps(ext):
-    """Projection/section for A / embedded B (cached)."""
-    if "qmaps" not in ext._cache:
-        ext._cache["qmaps"] = quotient_space(ext.ambient.dim, ext.embedding)
-    return ext._cache["qmaps"]
+def _b_actions(ext):
+    """The left and the right action of B on A through the embedding, one
+    matrix per basis element of B (cached)."""
+    if "b_actions" not in ext._cache:
+        a, b = ext.ambient, ext.sub
+        images = [ext.embed(b.basis_vector(i)) for i in range(b.dim)]
+        ext._cache["b_actions"] = ([a.left_mult_matrix(v) for v in images],
+                                   [a.right_mult_matrix(v) for v in images])
+    return ext._cache["b_actions"]
 
 
-def quotient_bimodule(ext):
-    """A/B as a (B, B)-bimodule, actions induced through the embedding.
+def quotient_bimodule(ext, return_maps=False):
+    """A/B as a (B, B)-bimodule: A, with B acting on both sides through the
+    embedding, modulo the image of the embedding (cached). The two-sided
+    action identities are verified exactly on construction.
 
-    The complement is the canonical one chosen by quotient_space; the
-    two-sided action identities are verified exactly on construction."""
-    if "quotient" in ext._cache:
-        return ext._cache["quotient"]
-    a, b = ext.ambient, ext.sub
-    proj, sect = quotient_maps(ext)
-    left = []
-    right = []
-    for i in range(b.dim):
-        img = ext.embed(b.basis_vector(i))
-        left.append(proj.mul(a.left_mult_matrix(img)).mul(sect))
-        right.append(proj.mul(a.right_mult_matrix(img)).mul(sect))
-    q = Bimodule(b, b, proj.nrows, left, right, validate=True)
-    ext._cache["quotient"] = q
-    return q
+    With return_maps the class of each basis element of A in the quotient
+    (a dict of its nonzero coordinates) and the free basis elements are
+    returned as well, as by linalg.quotient: basis vector c of A/B is the
+    class of the basis element free[c] of A."""
+    if "quotient" not in ext._cache:
+        left, right = _b_actions(ext)
+        classes, free, (qleft, qright) = quotient(
+            ext.ambient.field, ext.ambient.dim, ext.embedding.transpose().rows,
+            ([column_map(m) for m in left], [column_map(m) for m in right]))
+        q = Bimodule(ext.sub, ext.sub, len(free), qleft, qright, validate=True)
+        ext._cache["quotient"] = (q, classes, free)
+    q, classes, free = ext._cache["quotient"]
+    return (q, classes, free) if return_maps else q
 
 
 def check_nilpotency(ext, p_max):
     """Smallest p with (A/B)^{(x)_B p} = 0, or undetermined at p_max."""
-    q = quotient_bimodule(ext)
-    dims = []
-    power = q
-    for p in range(1, p_max + 1):
-        dims.append(power.dim)
-        if power.dim == 0:
-            return verdicts.holds(value=p, bound=p_max,
-                                  certificate={"power_dims": dims})
-        if p < p_max:
-            power = tensor_over(power, q)
+    if p_max < 0:
+        raise ValidationError("p_max must be nonnegative")
+    dims = [pw.dim for pw in tensor_powers(quotient_bimodule(ext), p_max)]
+    if dims and not dims[-1]:
+        return verdicts.holds(value=len(dims), bound=p_max,
+                              certificate={"power_dims": dims})
     return verdicts.undetermined(bound=p_max, certificate={"power_dims": dims})
 
 
@@ -266,16 +266,11 @@ def check_tor_vanishing(ext, p, d):
     if d is None or p is None:
         raise ValidationError("tor range needs a finite pd and a nilpotency index")
     q = quotient_bimodule(ext)
-    powers = {}
-    pw = q
-    for j in range(1, max(p, 2)):
-        powers[j] = pw
-        if j + 1 < max(p, 2):
-            pw = tensor_over(pw, q)
+    powers = tensor_powers(q, p - 1)
     table_qp = {}
     table_pq = {}
     for j in range(1, p):
-        pj = powers[j]
+        pj = powers[min(j, len(powers)) - 1]
         dims1 = tor(q.as_right_module(), pj.as_left_module(), d)
         dims2 = tor(pj.as_right_module(), q.as_left_module(), d)
         for i in range(1, d + 1):
@@ -302,8 +297,7 @@ def _ext_side_bimodules(ext):
     if "side_bimods" in ext._cache:
         return ext._cache["side_bimods"]
     reg = Bimodule.regular(a)
-    lb = [a.left_mult_matrix(ext.embed(b.basis_vector(i))) for i in range(b.dim)]
-    rb = [a.right_mult_matrix(ext.embed(b.basis_vector(i))) for i in range(b.dim)]
+    lb, rb = _b_actions(ext)
     a_ab = Bimodule(a, b, a.dim, reg.left_action, rb, validate=False)
     a_ba = Bimodule(b, a, a.dim, lb, reg.right_action, validate=False)
     ext._cache["side_bimods"] = (a_ab, a_ba)
@@ -321,10 +315,10 @@ def relative_bar_complex(ext, p):
     basis vector of X_j is the class of one raw tensor, and the class of
     any raw tensor is folded factor by factor through the pair classes of
     the tensor_over calls that build X_j. Face m multiplies factors m and
-    m + 1 in A, a Q factor entering as its section; an inner product goes
-    back to Q by the quotient projection. Column c of d_j is the
-    alternating face sum of basis tensor c, in the classes of X_{j-1}; the
-    augmentation is j = 0.
+    m + 1 in A, basis vector t of Q entering as the basis element free[t]
+    of A behind it; an inner product goes back to Q through the classes of
+    A/B. Column c of d_j is the alternating face sum of basis tensor c, in
+    the classes of X_{j-1}; the augmentation is j = 0.
 
     Verified at construction: the face sum of every raw tensor equals d_j
     applied to its class, so the faces descend to the tensor quotient;
@@ -334,12 +328,9 @@ def relative_bar_complex(ext, p):
     a = ext.ambient
     f = a.field
     one, minus = f.one, f.neg(f.one)
-    q = quotient_bimodule(ext)
-    proj_q, sect_q = quotient_maps(ext)
+    q, to_q, free = quotient_bimodule(ext, return_maps=True)
     n, mq = a.dim, q.dim
     a_ab, a_ba = _ext_side_bimodules(ext)
-    lift = [nonzero_pairs(f, sect_q.col(t)) for t in range(mq)]
-    to_q = [nonzero_pairs(f, proj_q.col(k)) for k in range(n)]
 
     def append(term, y):
         """Tensor a term with y over B: its bimodule, the raw tensors of its
@@ -362,12 +353,12 @@ def relative_bar_complex(ext, p):
         last = len(raw) - 1
         parts = []
         for m in range(last):
-            x = lift[raw[m]] if m else ((raw[m], one),)
-            y = lift[raw[m + 1]] if m + 1 < last else ((raw[m + 1], one),)
-            prod = a.sparse_multiply(x, y)
+            x = free[raw[m]] if m else raw[m]
+            y = free[raw[m + 1]] if m + 1 < last else raw[m + 1]
+            prod = a.sparse_multiply(((x, one),), ((y, one),))
             if 0 < m < last - 1:
                 prod = sparse_combination(
-                    f, [(c, to_q[k]) for k, c in prod]).items()
+                    f, [(c, to_q[k].items()) for k, c in prod]).items()
             sign = one if m % 2 == 0 else minus
             parts.extend((f.mul(sign, c),
                           prev(raw[:m] + (k,) + raw[m + 2:]).items())
@@ -429,8 +420,9 @@ def check_derived_tor_families(ext, p, cap):
         report["family1"][i] = dims[i]
         if dims[i]:
             report["nonzero"].append(("family1", i, None, dims[i]))
-    power = q
+    powers = tensor_powers(q, p - 1)
     for j in range(1, p):
+        power = powers[min(j, len(powers)) - 1]
         if power.dim:
             d2 = tor(power.as_right_module(), a_left, cap)
             mixed = tensor_over(power, a_ba)
@@ -445,8 +437,6 @@ def check_derived_tor_families(ext, p, cap):
                 report["nonzero"].append(("family2", i, j, d2[i]))
             if d3[i]:
                 report["nonzero"].append(("family3", i, j, d3[i]))
-        if j + 1 < p:
-            power = tensor_over(power, q)
     report["all_vanish"] = not report["nonzero"]
     return report
 

@@ -10,19 +10,23 @@ eliminates are mostly zeros. Over the rationals it is fraction-free:
 rows are scaled to primitive integer rows, and a row is reduced by
 cross-multiplication with a pivot row followed by a gcd division, which
 keeps entries small without ever rounding. `rank`, `sparse_rank`, `rref`,
-`kernel_basis`, `solve_linear` and `quotient_space` all feed their rows to
-an EchelonSpan. A ReducedBasis reads its result and keeps its rows sparse.
+`kernel_basis`, `solve_linear` and `quotient` all feed their rows to an
+EchelonSpan. A ReducedBasis reads its result and keeps its rows sparse.
 Its `complement` (the projection onto the free columns along the span,
-as sparse rows) is the one reader of the free columns: it gives kernels,
-the quotient projection, and, in the layers above, the kernels of
-resolution differentials, the quiver normal forms and `tensor_over`.
+as sparse rows) is the one reader of the free columns. Kernels, those of
+resolution differentials included, read its rows; `quotient` reads its
+columns, the class of each coordinate, and the maps a family of image
+functions induces on the free coordinates. Every quotient the engine
+takes calls `quotient`: `tensor_over`, A/B, the quiver normal forms and
+the random suite's quotient modules.
 
 This module is also the one home of dense assembly. A Matrix is immutable
 and its shape is fixed at construction (`ncols` keeps the width of a
 matrix without rows). The shared helpers are `unit_vector`,
 `dense_vector`, `linear_combination`, `sparse_combination` and
 `matrix_combination` (sums c * x, testing zero by truthiness, exact on
-canonical elements), `block_diag` and `kron`.
+canonical elements), `block_diag` and `kron`; `column_map` reads a
+matrix's columns as the sparse image function `quotient` takes.
 """
 
 from fractions import Fraction
@@ -542,13 +546,6 @@ class ReducedBasis:
         return dense_vector(self.field, self.width, sparse_combination(
             self.field, zip(coords, self.sparse_rows)).items())
 
-    def row_matrix(self):
-        return Matrix(self.field, self.rows, self.width)
-
-    def col_matrix(self):
-        """Basis vectors as columns (width x dim)."""
-        return self.row_matrix().transpose()
-
     def complement(self):
         """The projection of k^width onto the free (non-pivot) coordinates
         along this span, as sparse rows (dicts col -> value), and the free
@@ -569,6 +566,43 @@ class ReducedBasis:
                 if j != p:
                     slot[j][p] = f.neg(b)
         return proj, free
+
+
+def column_map(m):
+    """The image function of m: k -> column k of m, as a dict of its
+    nonzero entries."""
+    return [{i: x for i, x in enumerate(col) if x}
+            for col in m.transpose().rows].__getitem__
+
+
+def quotient(field, dim, relations, maps=()):
+    """The quotient of k^dim by the span of `relations` (each a sequence, or
+    a dict col -> value), with the free columns of the span as its basis.
+
+    Returns (classes, free, induced). classes[k] is the class of the k-th
+    unit vector, as a dict of its nonzero quotient coordinates: column k of
+    the span's `complement`. Basis vector c of the quotient is the class of
+    the unit vector at free[c], and that class is the unit vector at c.
+    induced holds, for each family of maps in `maps`, the matrices of its
+    maps on the quotient. A map is an image function k -> the image of the
+    k-th unit vector, as a dict; it must preserve the span."""
+    span = EchelonSpan(field, dim)
+    span.extend(relations)
+    rows, free = span.reduced_basis().complement()
+    classes = [{} for _ in range(dim)]
+    for t, row in enumerate(rows):
+        for k, c in row.items():
+            classes[k][t] = c
+
+    def induce(image):
+        """A free coordinate goes to the sum of its image's classes."""
+        cols = [sparse_combination(field, [(c, classes[k].items())
+                                           for k, c in image(j).items()])
+                for j in free]
+        return Matrix.from_sparse(field, cols, len(free)).transpose()
+
+    return classes, free, [[induce(image) for image in family]
+                           for family in maps]
 
 
 class RREF:
@@ -639,25 +673,6 @@ def solve_linear(a, b):
     for row, p in zip(r.rows, r.pivots):
         sol[p] = row[n:]
     return Matrix(f, sol, b.ncols)
-
-
-def quotient_space(ambient_dim, subspace):
-    """Projection/section pair for k^ambient_dim modulo the column span.
-
-    Returns (projection, section) with projection . section = identity on
-    the quotient and kernel(projection) = column span of `subspace`.
-    The complement is the span of the coordinates that are not pivots of
-    the subspace, which makes the construction canonical.
-    """
-    f = subspace.field
-    if subspace.nrows not in (0, ambient_dim) and subspace.ncols > 0:
-        raise LinAlgError("subspace columns do not live in the ambient space")
-    span = EchelonSpan(f, ambient_dim)
-    span.extend(subspace.col(j) for j in range(subspace.ncols))
-    proj, free = span.reduced_basis().complement()
-    sect = [unit_vector(f, ambient_dim, j) for j in free]
-    return (Matrix.from_sparse(f, proj, ambient_dim),
-            Matrix(f, sect, ambient_dim).transpose())
 
 
 def sparse_rank(rows, width, field):

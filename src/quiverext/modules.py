@@ -11,13 +11,19 @@ a module's, and each side of a bimodule's.
 Tensor products over an algebra are computed as explicit coequalizers:
 (M (x)_k N) / span{ m.b (x) n - m (x) b.n }, with b running over an
 algebra generating set (idempotents plus radical generators), which spans
-the same relation subspace as all of B.
+the same relation subspace as all of B. `linalg.quotient` takes the
+quotient and induces both actions on it, reading each action matrix by
+its sparse columns. `tensor_powers` is the one loop over the tensor
+powers of a bimodule.
 """
 
+from functools import partial
+
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, Matrix, block_diag, kernel_basis, kron,
-                     linear_combination, matrix_combination, nonzero_pairs,
-                     rank, solve_linear, sparse_combination, unit_vector)
+from .linalg import (EchelonSpan, Matrix, block_diag, column_map,
+                     kernel_basis, kron, linear_combination,
+                     matrix_combination, nonzero_pairs, quotient, rank,
+                     solve_linear, unit_vector)
 from .algebra import opposite, tensor_algebra
 
 
@@ -433,69 +439,44 @@ def tensor_over(x, y, return_maps=False):
     mx, my = x.dim, y.dim
     amb = mx * my
 
-    def columns(m):
-        """The nonzero (row, coeff) entries of each column of m, read once."""
-        return [[(s, c) for s, c in enumerate(col) if c]
-                for col in m.transpose().rows]
-
-    def left_image(cols, k):
-        """(m (x) 1)(x_i (x) y_j) = sum_s m[s, i] x_s (x) y_j, as a dict."""
+    def left_image(col, k):
+        """(m (x) 1)(x_i (x) y_j) = sum_s m[s, i] x_s (x) y_j, for the
+        column map col of m."""
         i, j = divmod(k, my)
-        return {s * my + j: c for s, c in cols[i]}
+        return {s * my + j: c for s, c in col(i).items()}
 
-    def right_image(cols, k):
-        """(1 (x) m)(x_i (x) y_j) = sum_s m[s, j] x_i (x) y_s, as a dict."""
+    def right_image(col, k):
+        """(1 (x) m)(x_i (x) y_j) = sum_s m[s, j] x_i (x) y_s."""
         i, j = divmod(k, my)
-        return {i * my + s: c for s, c in cols[j]}
+        return {i * my + s: c for s, c in col(j).items()}
 
-    span = EchelonSpan(f, amb)
-    for g in b.generators():
-        # the relations (x.g) (x) y - x (x) (g.y)
-        rg = columns(matrix_combination(f, g, x.right_action, mx, mx))
-        lg = columns(matrix_combination(f, g, y.left_action, my, my))
-        for k in range(amb):
-            rel = left_image(rg, k)
-            for t, c in right_image(lg, k).items():
-                rel[t] = f.sub(rel.get(t, f.zero), c)
-            span.insert(rel)
-    rows, free = span.reduced_basis().complement()
-    q = len(free)
-    classes = [{} for _ in range(amb)]
-    for t, row in enumerate(rows):
-        for k, c in row.items():
-            classes[k][t] = c
+    def relations():
+        for g in b.generators():
+            # the relations (x.g) (x) y - x (x) (g.y)
+            rg = column_map(matrix_combination(f, g, x.right_action, mx, mx))
+            lg = column_map(matrix_combination(f, g, y.left_action, my, my))
+            for k in range(amb):
+                rel = left_image(rg, k)
+                for t, c in right_image(lg, k).items():
+                    rel[t] = f.sub(rel.get(t, f.zero), c)
+                yield rel
 
-    def induced(mats, image):
-        """The maps on the quotient induced by the pair-space maps
-        image(m, .): a free pair goes to the sum of its image's classes."""
-        out = []
-        for m in mats:
-            cols = columns(m)
-            images = [sparse_combination(f, [(c, classes[t].items()) for t, c
-                                             in image(cols, k).items()])
-                      for k in free]
-            out.append(Matrix.from_sparse(f, images, q).transpose())
-        return out
-
-    out = Bimodule(x.left_alg, y.right_alg, q,
-                   induced(x.left_action, left_image),
-                   induced(y.right_action, right_image), validate=False)
-    if return_maps:
-        return out, classes, free
-    return out
+    classes, free, (left, right) = quotient(f, amb, relations(), (
+        [partial(left_image, column_map(m)) for m in x.left_action],
+        [partial(right_image, column_map(m)) for m in y.right_action]))
+    out = Bimodule(x.left_alg, y.right_alg, len(free), left, right,
+                   validate=False)
+    return (out, classes, free) if return_maps else out
 
 
-def tensor_power(m, j):
-    """j-th tensor power over the base of a (B, B)-bimodule; short-circuits
-    to the zero power once any intermediate power vanishes."""
-    if j < 1:
-        raise ValidationError("tensor powers start at j = 1")
-    out = m
-    for _ in range(j - 1):
-        if out.dim == 0:
-            return out
-        out = tensor_over(out, m)
-    return out
+def tensor_powers(m, n):
+    """The tensor powers m, m (x)_B m, ... of a (B, B)-bimodule over its
+    base, up to the n-th, stopping after the first zero power (every later
+    power is zero too)."""
+    powers = [m] if n > 0 else []
+    while 0 < len(powers) < n and powers[-1].dim:
+        powers.append(tensor_over(powers[-1], m))
+    return powers
 
 
 def bimodule_direct_sum(bimodules):

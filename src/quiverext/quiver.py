@@ -10,14 +10,16 @@ a common length >= 2. The basis of kQ/I is computed degree by degree:
 degree-l candidates are arrow extensions a*s of the surviving degree-(l-1)
 paths, and the ideal component in candidate coordinates is spanned by the
 rewrites of r*s for each relation r and each survivor s of matching
-degree. Everything is exact linear algebra per degree.
+degree. `linalg.quotient` takes the quotient by that component: the free
+candidates survive, and the normal form of a candidate is its class.
+Everything is exact linear algebra per degree.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AdmissibilityError, PresentationError
-from .linalg import EchelonSpan
+from .linalg import quotient
 from .algebra import Algebra
 
 # hard guard against runaway path enumeration on inadmissible input
@@ -168,7 +170,7 @@ def algebra_from_presentation(pres, field):
         if len(cands) > _PATH_GUARD:
             raise PresentationError("path enumeration exploded; ideal is far from admissible")
         cand_pos = {c: i for i, c in enumerate(cands)}
-        span = EchelonSpan(field, len(cands))
+        rels = []
         for terms in relations:
             d = len(terms[0][1])
             if d > degree:
@@ -177,28 +179,23 @@ def algebra_from_presentation(pres, field):
                 if tgt_of(s) != src_of(terms[0][1]):
                     continue
                 tail = s if not isinstance(s, _Trivial) else ()
-                vec = [field.zero] * len(cands)
-                nonzero = False
+                vec = {}
                 for coeff, rpath in terms:
                     comp = rpath + tail
                     a, rest = comp[0], comp[1:]
                     for t, c in normal_form(rest, degree - 1).items():
                         ext = (a,) + (t if not isinstance(t, _Trivial) else ())
                         pos = cand_pos[ext]
-                        vec[pos] = field.add(vec[pos], field.mul(coeff, c))
-                        nonzero = True
-                if nonzero:
-                    span.insert(vec)
-        # the normal form of a candidate is its column of the projection
-        # onto the survivors along the relations
-        proj, free = span.reduced_basis().complement()
+                        vec[pos] = field.add(vec.get(pos, field.zero),
+                                             field.mul(coeff, c))
+                rels.append(vec)
+        # the normal form of a candidate is its class modulo the relations,
+        # over the free candidates, which survive
+        classes, free, _ = quotient(field, len(cands), rels)
         surv = [cands[i] for i in free]
-        nf = {c: {} for c in cands}
-        for s, row in zip(surv, proj):
-            for j, x in row.items():
-                nf[cands[j]][s] = x
         survivors.append(surv)
-        cand_nf.append(nf)
+        cand_nf.append({c: {surv[t]: x for t, x in cls.items()}
+                        for c, cls in zip(cands, classes)})
 
     basis = [p for level in survivors for p in level]
     pos = {p: i for i, p in enumerate(basis)}
@@ -249,7 +246,6 @@ def algebra_from_presentation(pres, field):
     meta = {
         "kind": "quiver",
         "vertices": tuple(pres.vertices),
-        "vertex_idempotent": {v: i for i, v in enumerate(pres.vertices)},
         "arrow_basis_index": {pres.arrows[i][0]: pos[(i,)]
                               for i in range(len(pres.arrows)) if (i,) in pos},
         "path_lengths": tuple(0 if isinstance(p, _Trivial) else len(p) for p in basis),

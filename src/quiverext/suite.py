@@ -14,11 +14,12 @@ zero, pd 0) or as cokernels of injective maps between projective bimodules
 self-injective factors like the dual numbers.
 """
 
-from .linalg import EchelonSpan, Matrix, matrix_combination
+from .linalg import (EchelonSpan, Matrix, column_map, matrix_combination,
+                     quotient)
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .errors import AdmissibilityError, PresentationError
 from .modules import (Bimodule, Module, bimodule_direct_sum, projective_data,
-                      projective_bimodule, zero_module)
+                      projective_bimodule)
 from .algebra import opposite
 
 
@@ -84,12 +85,8 @@ def random_module(rng, algebra, max_dim=5):
                 continue
             for g in algebra.generators():
                 stack.append(proj.act(g, v))
-    sub = span.reduced_basis().col_matrix()
-    from .linalg import quotient_space
-    proj_map, sect = quotient_space(proj.dim, sub)
-    if proj_map.nrows == 0:
-        return zero_module(algebra)
-    action = [proj_map.mul(m).mul(sect) for m in proj.action]
+    _, _, (action,) = quotient(f, proj.dim, span.reduced_basis().rows,
+                               ([column_map(m) for m in proj.action],))
     mod = Module(algebra, action, validate=False)
     if mod.dim > max_dim:
         return random_module(rng, algebra, max_dim)
@@ -125,7 +122,7 @@ def corner_projective_bimodule(rng, b):
 def cokernel_pd1_bimodule(rng, bleft, bright=None, tries=12):
     """Cokernel of an injective map between projective (L, R)-bimodules: a
     bimodule of projective dimension <= 1 over L (x) R^op by construction."""
-    from .linalg import quotient_space, rank
+    from .linalg import rank
     from .modules import hom_space
     bright = bright if bright is not None else bleft
     f = bleft.field
@@ -154,10 +151,11 @@ def cokernel_pd1_bimodule(rng, bleft, bright=None, tries=12):
                                      tgt.dim, src.dim)
             if rank(mat) != src.dim:
                 continue
-            proj_map, sect = quotient_space(tgt.dim, mat)
-            left = [proj_map.mul(m).mul(sect) for m in tgt.left_action]
-            right = [proj_map.mul(m).mul(sect) for m in tgt.right_action]
-            return Bimodule(bleft, bright, proj_map.nrows, left, right,
+            _, free, (left, right) = quotient(
+                f, tgt.dim, mat.transpose().rows,
+                ([column_map(m) for m in tgt.left_action],
+                 [column_map(m) for m in tgt.right_action]))
+            return Bimodule(bleft, bright, len(free), left, right,
                             validate=False)
     return None
 

@@ -135,6 +135,32 @@ def test_non_integer_option_value_exit_three(command, doc):
         os.unlink(path)
 
 
+@pytest.mark.parametrize("command, doc, where", [
+    ("check-extension", demo_document().replace("cap 12", "capp 5"),
+     "line 35, col 31: unknown option 'capp'"),
+    ("check-extension", demo_document().replace("cap 12", "gldim"),
+     "line 35, col 31: unknown option 'gldim'"),
+    ("check-extension",
+     demo_document().replace("cap 12", "consequences maybe"),
+     "line 35, col 44: option 'consequences' takes on or off"),
+    ("invariants", demo_document() + "check invariants Gamma pmax 3\n",
+     "line 36, col 24: unknown option 'pmax'"),
+    ("invariants",
+     demo_document() + "check invariants Gamma consequences off\n",
+     "line 36, col 24: unknown option 'consequences'"),
+], ids=["misspelt", "gldim-on-extension", "consequences-word",
+        "pmax-on-invariants", "consequences-on-invariants"])
+def test_invalid_check_option_exit_three(command, doc, where):
+    path = write_temp(doc)
+    try:
+        code, out, err = run_cli([command, path])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"input error: {where}")
+    finally:
+        os.unlink(path)
+
+
 def test_negative_hh_range_exit_three():
     code, out, err = run_cli(["demo", "example-4-5", "--hh-range", "-1"])
     assert code == 3
@@ -150,6 +176,46 @@ def test_negative_invariants_range_exit_three(option):
         assert code == 3
         assert out == ""
         assert err == "input error: i_max must be nonnegative\n"
+    finally:
+        os.unlink(path)
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["--pmax", "-1"], demo_document(), "p_max must be nonnegative"),
+    ([], demo_document().replace("pmax 8", "pmax -1"),
+     "p_max must be nonnegative"),
+    (["--cap", "-1"], demo_document(), "cap must be nonnegative"),
+], ids=["pmax-flag", "pmax-option", "cap-flag"])
+def test_negative_bound_exit_three(argv, doc, message):
+    path = write_temp(doc)
+    try:
+        code, out, err = run_cli(["check-extension", path] + argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"input error: {message}\n"
+    finally:
+        os.unlink(path)
+
+
+def test_pmax_zero_is_undetermined(demo_path):
+    code, out, _ = run_cli(["check-extension", demo_path, "--pmax", "0",
+                            "--machine"])
+    assert code == 2
+    assert "extension.GammaInLambda.nilpotency = undetermined" in out
+    assert "extension.GammaInLambda.nilpotency.power_dims = []" in out
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["--cap", "0"], 0), (["--cap", "3"], 3), ([], 8),
+], ids=["flag-zero", "flag-beats-document", "document"])
+def test_invariants_cap_flag_then_document(argv, bound):
+    path = write_temp(demo_document()
+                      + "check invariants Gamma gldim cap 8\n")
+    try:
+        code, out, _ = run_cli(["invariants", path, "--machine"] + argv)
+        assert code == 0
+        assert (f"invariants.Gamma.global-dimension-finite.bound = {bound}"
+                in out)
     finally:
         os.unlink(path)
 

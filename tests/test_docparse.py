@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverext.cli import demo_document
 from quiverext.docparse import (ParseError, build_document, parse_document,
                                 parse_expr)
 from quiverext.extensions import ExtensionPresentation
@@ -125,7 +126,6 @@ def test_round_trip_equivalence():
 
 
 def test_demo_document_round_trip():
-    from quiverext.cli import demo_document
     text = demo_document()
     doc = parse_document(text)
     built = build_document(doc)
@@ -141,3 +141,62 @@ def test_demo_document_round_trip():
 def test_field_override():
     built = build_document(parse_document(MINIMAL), field_override="p:3")
     assert built.env["K"].field.characteristic == 3
+
+
+def test_check_line_flags_round_trip():
+    doc = parse_document(MINIMAL + "check invariants K gldim gorenstein hh 3\n")
+    rendered = doc.render()
+    assert "check invariants K gldim gorenstein hh 3\n" in rendered
+    assert parse_document(rendered).blocks[-1].options == \
+        {"gldim": "on", "gorenstein": "on", "hh": "3"}
+
+
+BIMODULE_DOC = """field q
+
+quiver K
+  vertices 1
+end
+
+bimodule M over K K dim 1
+  left e1 = 1
+  right e1 = 1
+end
+"""
+
+EMBED = "  embed gamma -> gamma\n"
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    (demo_document().replace(EMBED, EMBED + "  embed zeta -> alpha\n"),
+     28, 3, "unknown generator 'zeta'"),
+    (demo_document().replace(EMBED, "  embed gamma -> delta\n"),
+     27, 3, "unknown generator 'delta'"),
+    (demo_document().replace(EMBED, ""),
+     23, 1, "no 'embed' line for generator gamma"),
+    (demo_document().replace("retract alpha", "retract zeta"),
+     32, 3, "unknown generator 'zeta'"),
+    (BIMODULE_DOC.replace("left e1", "left e2"),
+     8, 3, "unknown generator 'e2'"),
+    (BIMODULE_DOC.replace("  right e1 = 1\n", ""),
+     7, 1, "no 'right' line for generator e1"),
+], ids=["unknown-embed-label", "unknown-generator-in-image", "missing-embed",
+        "unknown-retract-label", "unknown-left-label", "missing-right"])
+def test_generator_lines_checked_at_their_position(text, line, col, message):
+    doc = parse_document(text)
+    with pytest.raises(ParseError) as e:
+        build_document(doc)
+    assert (e.value.line, e.value.col, e.value.message) == \
+        (line, col, message)
+
+
+@pytest.mark.parametrize("text, line", [
+    (BIMODULE_DOC.replace("  left e1 = 1\n", "  left e1 = 1\n  left e1 = 2\n"),
+     9),
+    (demo_document().replace(EMBED, EMBED + "  embed gamma -> 0\n"), 28),
+], ids=["left", "embed"])
+def test_repeated_generator_line_rejected(text, line):
+    doc = parse_document(text)
+    with pytest.raises(ParseError) as e:
+        build_document(doc)
+    assert (e.value.line, e.value.col) == (line, 3)
+    assert e.value.message.startswith("repeated")

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverext.errors import LinAlgError
-from quiverext.linalg import (GF, QQ, EchelonSpan, Matrix, field_from_spec,
-                              kernel_basis, matrix_combination,
-                              quotient_space, rank, rref, solve_linear,
-                              sparse_rank)
+from quiverext.linalg import (GF, QQ, EchelonSpan, Matrix, column_map,
+                              field_from_spec, kernel_basis,
+                              matrix_combination, quotient, rank, rref,
+                              solve_linear, sparse_combination, sparse_rank)
 
 
 def rank_by_minor_enumeration(m):
@@ -101,24 +101,40 @@ def test_solve_dimension_mismatch():
         solve_linear(Matrix.identity(QQ, 2), Matrix.from_rows(QQ, [[1]]))
 
 
+def class_of(field, classes, vec):
+    """The class of a vector in a quotient, from the classes of the unit
+    vectors."""
+    return sparse_combination(field, [(c, classes[k].items())
+                                      for k, c in enumerate(vec)])
+
+
 def test_quotient_zero_subspace():
-    proj, sect = quotient_space(3, Matrix.zeros(QQ, 3, 0))
-    assert proj == Matrix.identity(QQ, 3)
-    assert sect == Matrix.identity(QQ, 3)
+    classes, free, _ = quotient(QQ, 3, Matrix.zeros(QQ, 3, 0).transpose().rows)
+    assert free == [0, 1, 2]
+    assert classes == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_quotient_full_subspace():
-    proj, sect = quotient_space(2, Matrix.identity(QQ, 2))
-    assert proj.nrows == 0
+    classes, free, _ = quotient(QQ, 2, Matrix.identity(QQ, 2).transpose().rows)
+    assert free == []
+    assert classes == [{}, {}]
 
 
 def test_quotient_line_in_three_space():
     sub = Matrix.from_cols(QQ, [[1, 2, 3]], nrows=3)
-    proj, sect = quotient_space(3, sub)
-    assert proj.nrows == 2
-    assert proj.mul(sect) == Matrix.identity(QQ, 2)
-    assert proj.mul(sub).is_zero()
-    assert rank(proj) == 2
+    # m fixes the line: m (1, 2, 3) = (1, 2, 3)
+    m = Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [2, -1, 1]])
+    classes, free, [[induced]] = quotient(QQ, 3, sub.transpose().rows,
+                                          [[column_map(m)]])
+    assert free == [1, 2]
+    assert class_of(QQ, classes, sub.col(0)) == {}
+    assert classes[0] == {0: -2, 1: -3}
+    # the induced map sends the class of each e_k to the class of m e_k
+    assert induced == Matrix.from_rows(QQ, [[1, 0], [-1, 1]])
+    for k in range(3):
+        image = class_of(QQ, classes, m.col(k))
+        vec = tuple(classes[k].get(t, 0) for t in range(2))
+        assert induced.apply(vec) == tuple(image.get(t, 0) for t in range(2))
 
 
 def test_stacked_action_matrix_rank_with_minor_oracle(gamma_in_lambda):
@@ -181,15 +197,17 @@ def test_solve_residual_exact(m, b):
         assert m.mul(x) == b
 
 
-@given(m=matrices(QQ))
-@settings(max_examples=40, deadline=None)
+@given(m=st.one_of(matrices(QQ), matrices(GF(2)), matrices(GF(3))))
+@settings(max_examples=60, deadline=None)
 def test_quotient_projection_full_row_rank(m):
-    proj, sect = quotient_space(m.nrows, m)
-    assert proj.nrows == m.nrows - rank(m)
-    assert rank(proj) == proj.nrows
-    if proj.nrows:
-        assert proj.mul(m).is_zero()
-        assert proj.mul(sect) == Matrix.identity(QQ, proj.nrows)
+    """The quotient of k^nrows by the column span of m."""
+    f = m.field
+    classes, free, _ = quotient(f, m.nrows, m.transpose().rows)
+    assert len(free) == m.nrows - rank(m)
+    for j in range(m.ncols):
+        assert class_of(f, classes, m.col(j)) == {}
+    for c, k in enumerate(free):
+        assert classes[k] == {c: f.one}
 
 
 @given(m=st.one_of(matrices(QQ), matrices(GF(2)), matrices(GF(3))))

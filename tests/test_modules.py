@@ -8,7 +8,7 @@ from quiverext.modules import (Bimodule, Module, bimodule_direct_sum,
                                is_isomorphic, left_regular_module,
                                projective_bimodule, projective_data,
                                projective_indecomposables, simple_modules,
-                               tensor_over, tensor_power, zero_module)
+                               tensor_over, tensor_powers, zero_module)
 
 
 def test_free_module_hom_dimension(gamma):
@@ -68,9 +68,10 @@ def test_tensor_scalar_equality(k):
 def test_tensor_power_short_circuit(gamma_in_lambda):
     from quiverext.extensions import quotient_bimodule
     q = quotient_bimodule(gamma_in_lambda)
-    assert tensor_power(q, 1).dim == 4
-    assert tensor_power(q, 2).dim == 0
-    assert tensor_power(q, 5).dim == 0
+    assert [pw.dim for pw in tensor_powers(q, 1)] == [4]
+    assert [pw.dim for pw in tensor_powers(q, 2)] == [4, 0]
+    assert [pw.dim for pw in tensor_powers(q, 5)] == [4, 0]
+    assert tensor_powers(q, 0) == []
 
 
 def test_double_dual_exact(gamma):
