@@ -22,7 +22,7 @@ every basis product. Its callers add only their own extra condition.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, Matrix, dense_vector, nonzero_pairs, rank,
+from .linalg import (EchelonSpan, dense_vector, nonzero_pairs, rank,
                      sparse_combination, unit_vector)
 
 
@@ -81,18 +81,16 @@ class Algebra:
         return unit_vector(self.field, self.dim, i)
 
     def left_mult_matrix(self, vec):
-        """Matrix of x -> vec * x."""
+        """The column-sparse map x -> vec * x."""
         v, one = nonzero_pairs(self.field, vec), self.field.one
-        return Matrix.from_cols(
-            self.field, [self.dense(self.sparse_multiply(v, ((j, one),)))
-                         for j in range(self.dim)], nrows=self.dim)
+        return tuple(tuple(sorted(self.sparse_multiply(v, ((j, one),))))
+                     for j in range(self.dim))
 
     def right_mult_matrix(self, vec):
-        """Matrix of x -> x * vec."""
+        """The column-sparse map x -> x * vec."""
         v, one = nonzero_pairs(self.field, vec), self.field.one
-        return Matrix.from_cols(
-            self.field, [self.dense(self.sparse_multiply(((i, one),), v))
-                         for i in range(self.dim)], nrows=self.dim)
+        return tuple(tuple(sorted(self.sparse_multiply(((i, one),), v)))
+                     for i in range(self.dim))
 
     @property
     def radical_dim(self):
@@ -386,7 +384,7 @@ def map_violation(a, b, matrix, what):
     if matrix.apply(a.unit) != b.unit:
         return f"{what} is not unital"
     f = b.field
-    images = [nonzero_pairs(f, col) for col in matrix.transpose().rows]
+    images = matrix.sparse_columns()
     for i, row in enumerate(a.table):
         for j, cell in enumerate(row):
             image = sparse_combination(f, [(c, images[k]) for k, c in cell])

@@ -1,8 +1,10 @@
 """The line-oriented input format.
 
 A document is a sequence of blocks; every name must be defined before it
-is referenced. Comments run from '#' to end of line. Scalars are exact:
-integers, fractions like 2/3, or residues for prime fields.
+is referenced, and name the kind of object (algebra, bimodule or
+extension) its reference expects. Comments run from '#' to end of line.
+Scalars are exact: integers, fractions like 2/3, or residues for prime
+fields.
 
     field q                      # rationals; or: field p:5
 
@@ -59,6 +61,15 @@ CHECK_OPTIONS = {
     "invariants": {"gldim": None, "gorenstein": None, "hh": int, "perp": int,
                    "cap": int},
 }
+
+# The kinds a referenced name may have: a quiver block names an algebra, a
+# bimodule block a bimodule and a construction an extension. A
+# construction's arguments are keyed as in its line, a check's target by
+# the kind of check.
+ALGEBRA, BIMODULE, EXTENSION = "an algebra", "a bimodule", "an extension"
+ARG_KINDS = {**dict.fromkeys(("base", "b", "c", "sub", "ambient"), (ALGEBRA,)),
+             **dict.fromkeys(("module", "m", "n"), (BIMODULE,))}
+CHECK_KINDS = {"extension": (EXTENSION,), "invariants": (ALGEBRA, EXTENSION)}
 
 
 class ParseError(QuiverExtError):
@@ -262,16 +273,21 @@ def parse_document(text):
     lines = _Lines(text)
     field_spec = None
     blocks = []
-    names = set()
+    names = {}  # name -> the kind of what it names
 
-    def fresh_name(name, line, col):
+    def fresh_name(name, line, col, kind):
         if name in names:
             raise ParseError(line, col, f"name {name!r} already defined")
-        names.add(name)
+        names[name] = kind
 
-    def known(name, line, col):
+    def known(name, line, col, kinds=None):
+        """Reject a reference to an undefined name, or to one whose kind
+        is not among kinds, at its position."""
         if name not in names:
             raise ParseError(line, col, f"undefined reference {name!r}")
+        if kinds and names[name] not in kinds:
+            raise ParseError(line, col, f"{name!r} is {names[name]}, "
+                                        f"expected {' or '.join(kinds)}")
 
     while True:
         line, toks = lines.next_tokens()
@@ -291,7 +307,7 @@ def parse_document(text):
             if field_spec is None:
                 raise ParseError(line, hcol, "no field block before first definition")
             name = _expect(toks, 1, line, "quiver name")
-            fresh_name(name, line, hcol)
+            fresh_name(name, line, hcol, ALGEBRA)
             qb = QuiverBlock(name, [], [], [])
             while True:
                 line2, toks2 = lines.next_tokens()
@@ -318,13 +334,13 @@ def parse_document(text):
             blocks.append(qb)
         elif head == "bimodule":
             name = _expect(toks, 1, line, "bimodule name")
-            fresh_name(name, line, hcol)
+            fresh_name(name, line, hcol, BIMODULE)
             if _expect(toks, 2, line, "'over'") != "over":
                 raise ParseError(line, toks[2][1], "expected 'over'")
             left = _expect(toks, 3, line, "left algebra name")
             right = _expect(toks, 4, line, "right algebra name")
-            known(left, line, toks[3][1])
-            known(right, line, toks[4][1])
+            known(left, line, toks[3][1], (ALGEBRA,))
+            known(right, line, toks[4][1], (ALGEBRA,))
             if _expect(toks, 5, line, "'dim'") != "dim":
                 raise ParseError(line, toks[5][1], "expected 'dim'")
             try:
@@ -352,7 +368,7 @@ def parse_document(text):
         elif head == "construct":
             kind = _expect(toks, 1, line, "construction kind")
             name = _expect(toks, 2, line, "construction name")
-            fresh_name(name, line, hcol)
+            fresh_name(name, line, hcol, EXTENSION)
             if _expect(toks, 3, line, "'='") != "=":
                 raise ParseError(line, toks[3][1], "expected '='")
             rest = toks[4:]
@@ -362,7 +378,7 @@ def parse_document(text):
                 key = rest[i][0]
                 val = _expect(rest, i + 1, line, f"value for {key!r}")
                 kv[key] = val
-                known(val, line, rest[i + 1][1])
+                known(val, line, rest[i + 1][1], ARG_KINDS.get(key))
                 i += 2
             cb = ConstructBlock(kind, name, kv, pos=(line, hcol))
             if kind == "trivial_extension":
@@ -400,7 +416,7 @@ def parse_document(text):
                 raise ParseError(line, toks[1][1],
                                  "expected 'extension' or 'invariants'")
             name = _expect(toks, 2, line, "target name")
-            known(name, line, toks[2][1])
+            known(name, line, toks[2][1], CHECK_KINDS[kind])
             allowed = CHECK_OPTIONS[kind]
             options = {}
             i = 3
@@ -558,7 +574,10 @@ def build_document(doc, field_override=None):
                                          Matrix.mul, b.pos)
             ra = _extend_from_generators(right, "right", b.right_rows, rows,
                                          Matrix.mul, b.pos)
-            env[b.name] = Bimodule(left, right, b.dim, la, ra, validate=True)
+            env[b.name] = Bimodule(left, right, b.dim,
+                                   [m.sparse_columns() for m in la],
+                                   [m.sparse_columns() for m in ra],
+                                   validate=True)
         elif isinstance(b, ConstructBlock):
             if b.kind == "trivial_extension":
                 t, ext = trivial_extension(env[b.args["base"]],

@@ -27,7 +27,7 @@ from itertools import product
 
 from .errors import (FieldMismatchError, InternalCheckError, ValidationError,
                      WitnessError)
-from .linalg import (Matrix, column_map, quotient, rank, sparse_combination,
+from .linalg import (EchelonSpan, Matrix, quotient, rank, sparse_combination,
                      unit_vector)
 from .algebra import Algebra, map_violation, product_algebra
 from .modules import (Bimodule, ModuleMap, bimodule_direct_sum,
@@ -105,22 +105,18 @@ def trivial_extension(r, m):
     n = nr + nm
     labels = tuple(r.basis_labels) + tuple(f"m{i}" for i in range(nm))
     table = []
+
+    def shifted(col):
+        return tuple((nr + t, c) for t, c in col)
+
+    # r_i m_j is column j of the left action of r_i, m_i r_j column i of
+    # the right action of r_j
     for i in range(nr):
-        row = []
-        for j in range(nr):
-            row.append(tuple(r.table[i][j]))
-        for j in range(nm):
-            col = m.left_action[i].col(j)
-            row.append(tuple((nr + t, c) for t, c in enumerate(col) if c))
-        table.append(tuple(row))
+        table.append(tuple(r.table[i]) +
+                     tuple(shifted(col) for col in m.left_action[i]))
     for i in range(nm):
-        row = []
-        for j in range(nr):
-            col = m.right_action[j].col(i)
-            row.append(tuple((nr + t, c) for t, c in enumerate(col) if c))
-        for j in range(nm):
-            row.append(tuple())
-        table.append(tuple(row))
+        table.append(tuple(shifted(m.right_action[j][i]) for j in range(nr)) +
+                     ((),) * nm)
     pad = (f.zero,) * nm
     unit = tuple(r.unit) + pad
     radical_rows = [tuple(rr) + pad for rr in r.radical_rows]
@@ -138,24 +134,17 @@ def _inflate_to_product(m, pa, left_part, right_part):
     """Inflate a bimodule to a (B x C)-bimodule: the off-corner actions are
     zero. left_part/right_part say which factor acts on which side:
     0 = the first factor of the product, 1 = the second."""
-    f = pa.field
     nb = pa.meta["left_dim"]
-    nc = pa.meta["right_dim"]
-    zero = Matrix.zeros(f, m.dim, m.dim)
-    left = []
-    right = []
-    for i in range(nb + nc):
-        in_first = i < nb
-        idx = i if in_first else i - nb
-        if (0 if in_first else 1) == left_part:
-            left.append(m.left_action[idx])
-        else:
-            left.append(zero)
-        if (0 if in_first else 1) == right_part:
-            right.append(m.right_action[idx])
-        else:
-            right.append(zero)
-    return Bimodule(pa, pa, m.dim, left, right, validate=True)
+    zero = ((),) * m.dim
+
+    def inflate(action, part):
+        """Basis element i of the product acts through its own factor when
+        that factor is `part`, by zero otherwise."""
+        return [action[i - nb * part] if (i >= nb) == part else zero
+                for i in range(pa.dim)]
+
+    return Bimodule(pa, pa, m.dim, inflate(m.left_action, left_part),
+                    inflate(m.right_action, right_part), validate=True)
 
 
 def triangular_matrix_algebra(b, c, m):
@@ -199,7 +188,7 @@ def subalgebra_extension(a, b, embedding, retraction=None):
 
 def _b_actions(ext):
     """The left and the right action of B on A through the embedding, one
-    matrix per basis element of B (cached)."""
+    column-sparse map per basis element of B (cached)."""
     if "b_actions" not in ext._cache:
         a, b = ext.ambient, ext.sub
         images = [ext.embed(b.basis_vector(i)) for i in range(b.dim)]
@@ -218,10 +207,11 @@ def quotient_bimodule(ext, return_maps=False):
     returned as well, as by linalg.quotient: basis vector c of A/B is the
     class of the basis element free[c] of A."""
     if "quotient" not in ext._cache:
+        a = ext.ambient
         left, right = _b_actions(ext)
         classes, free, (qleft, qright) = quotient(
-            ext.ambient.field, ext.ambient.dim, ext.embedding.transpose().rows,
-            ([column_map(m) for m in left], [column_map(m) for m in right]))
+            EchelonSpan(a.field, a.dim, ext.embedding.transpose().rows),
+            ([m.__getitem__ for m in left], [m.__getitem__ for m in right]))
         q = Bimodule(ext.sub, ext.sub, len(free), qleft, qright, validate=True)
         ext._cache["quotient"] = (q, classes, free)
     q, classes, free = ext._cache["quotient"]
@@ -387,7 +377,8 @@ def relative_bar_complex(ext, p):
             if faces(raw, prev) != via_class:
                 raise InternalCheckError(
                     "bar differential does not descend to the tensor quotient")
-        d = Matrix.from_sparse(f, cols, modules[j - 1].dim).transpose()
+        d = Matrix.from_sparse_columns(f, [c.items() for c in cols],
+                                       modules[j - 1].dim)
         diffs[j] = ModuleMap(modules[j], modules[j - 1], d, validate=False)
 
     cc = ChainComplex(modules, diffs, validate=True)

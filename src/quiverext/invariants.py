@@ -13,7 +13,7 @@ independent oracles in the test suite.
 """
 
 from .errors import InternalCheckError
-from .linalg import EchelonSpan
+from .linalg import EchelonSpan, transpose
 from .modules import (Bimodule, dual_module, left_regular_module,
                       right_regular_module, simple_modules)
 from .resolutions import ext as ext_dims
@@ -126,8 +126,9 @@ def hochschild_homology(a, i_max):
     The degree-zero value is cross-checked against dim A - dim [A, A]
     computed independently; a mismatch raises (engine bug)."""
     reg = Bimodule.regular(a)
-    dual = Bimodule(a, a, a.dim, [m.transpose() for m in reg.right_action],
-                    [m.transpose() for m in reg.left_action], validate=False)
+    dual = Bimodule(a, a, a.dim, [transpose(m, a.dim) for m in reg.right_action],
+                    [transpose(m, a.dim) for m in reg.left_action],
+                    validate=False)
     dims = ext_dims(reg.as_env_module(), dual.as_env_module(), i_max)
     hh0 = a.dim - commutator_rank(a)
     if dims[0] != hh0:

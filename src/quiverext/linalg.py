@@ -5,31 +5,30 @@ fractions.Fraction (always in lowest terms with positive denominator),
 prime-field arithmetic uses canonical residues in [0, p).
 
 There is one elimination loop, EchelonSpan's. It keeps each pivot row
-sparse, as a dict of its nonzero entries, since the rows the engine
-eliminates are mostly zeros. Over the rationals it is fraction-free:
-rows are scaled to primitive integer rows, and a row is reduced by
-cross-multiplication with a pivot row followed by a gcd division, which
-keeps entries small without ever rounding. `rank`, `sparse_rank`, `rref`,
-`kernel_basis`, `solve_linear` and `quotient` all feed their rows to an
-EchelonSpan. A ReducedBasis reads its result and keeps its rows sparse.
-Its `complement` (the projection onto the free columns along the span,
-as sparse rows) is the one reader of the free columns. Kernels, those of
-resolution differentials included, read its rows; `quotient` reads its
-columns, the class of each coordinate, and the maps a family of image
-functions induces on the free coordinates. Every quotient the engine
-takes calls `quotient`: `tensor_over`, A/B, the quiver normal forms and
-the random suite's quotient modules.
+sparse, as a dict of its nonzero entries. Over the rationals it is
+fraction-free: rows are scaled to primitive integer rows, and a row is
+reduced by cross-multiplication with a pivot row followed by a gcd
+division, which keeps entries small without ever rounding. `rank`,
+`sparse_rank`, `rref`, `solve_linear` and `quotient` all read an
+EchelonSpan through a ReducedBasis, whose rows stay sparse. Its
+`complement` (the projection onto the free columns along the span, as
+sparse rows) is the one reader of the free columns: its rows span the
+null space (the kernels of resolution differentials and of hom systems),
+and `quotient`, which takes every quotient in the engine, reads its
+columns.
 
-This module is also the one home of dense assembly. A Matrix is immutable
-and its shape is fixed at construction (`ncols` keeps the width of a
-matrix without rows). The shared helpers are `unit_vector`,
-`dense_vector`, `linear_combination`, `sparse_combination` and
-`matrix_combination` (sums c * x, testing zero by truthiness, exact on
-canonical elements), `block_diag` and `kron`; `column_map` reads a
-matrix's columns as the sparse image function `quotient` takes.
+The linear maps the engine applies, every module and bimodule action
+among them, are column-sparse: a tuple indexed by column, each entry the
+(row, coeff) pairs of that column's nonzero canonical entries in row
+order. `identity_map`, `map_combination`, `compose`, `transpose`,
+`block_sum` and `kron` build them. An immutable dense Matrix of fixed
+shape stays only where a witness, a report or a test reads one: algebra
+maps, module-map matrices and resolution differentials;
+`Matrix.sparse_columns` and `Matrix.from_sparse_columns` convert.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import FieldMismatchError, LinAlgError
@@ -68,12 +67,6 @@ class RationalField:
         if a == 0:
             raise LinAlgError("division by zero")
         return 1 / a
-
-    def is_zero(self, a):
-        return a == 0
-
-    def to_str(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -124,12 +117,6 @@ class PrimeField:
         if a % self.p == 0:
             raise LinAlgError("division by zero")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def to_str(self, a):
-        return str(a % self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -209,23 +196,32 @@ class Matrix:
 
     @classmethod
     def from_sparse(cls, field, rows, ncols):
-        """The matrix whose rows have the given nonzero entries, each row a
-        dict col -> canonical value."""
-        return cls(field, [dense_vector(field, ncols, r.items()) for r in rows],
-                   ncols)
+        """The matrix whose rows have the given nonzero entries, each row
+        its (col, canonical value) pairs."""
+        return cls(field, [dense_vector(field, ncols, r) for r in rows], ncols)
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
+        """The matrix with the given dense columns, canonicalised."""
         height = len(cols[0]) if cols else nrows or 0
         return cls(field, [[field.of(col[i]) for col in cols]
                            for i in range(height)], len(cols))
 
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
+    @classmethod
+    def from_sparse_columns(cls, field, cols, nrows):
+        """The dense matrix of a column-sparse map with nrows rows."""
+        return cls.from_sparse(field, transpose(cols, nrows), len(cols))
+
+    def sparse_columns(self):
+        """This matrix as a column-sparse map, its entries canonicalised."""
+        of = self.field.of
+        return tuple(tuple((i, y) for i, r in enumerate(self.rows)
+                           if (y := of(r[j])))
+                     for j in range(self.ncols))
 
     def transpose(self):
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)],
-                      self.nrows)
+        return Matrix(self.field, [[r[j] for r in self.rows]
+                                   for j in range(self.ncols)], self.nrows)
 
     def mul(self, other):
         if self.field != other.field:
@@ -281,8 +277,7 @@ class Matrix:
         return self.rows[i][j]
 
     def __repr__(self):
-        f = self.field
-        body = "; ".join(" ".join(f.to_str(a) for a in r) for r in self.rows)
+        body = "; ".join(" ".join(map(str, r)) for r in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
@@ -338,30 +333,58 @@ def matrix_combination(field, coeffs, mats, nrows, ncols):
     return Matrix(field, rows, ncols)
 
 
-def block_diag(field, mats):
-    """The block-diagonal matrix with the given blocks."""
-    total = sum(m.ncols for m in mats)
-    rows = []
-    off = 0
-    for m in mats:
-        left, right = [field.zero] * off, [field.zero] * (total - off - m.ncols)
-        rows.extend(left + list(r) + right for r in m.rows)
-        off += m.ncols
-    return Matrix(field, rows, total)
+def _column(entries):
+    """A dict of nonzero entries as a column: its pairs in index order."""
+    return tuple(sorted(entries.items()))
 
 
-def kron(a, b):
-    """Kronecker product: the block matrix with blocks a[i, j] * b."""
-    f = a.field
-    zero, mul = f.zero, f.mul
-    rows = []
-    for r1 in a.rows:
-        for r2 in b.rows:
-            row = []
-            for x in r1:
-                row.extend([mul(x, y) for y in r2] if x else [zero] * len(r2))
-            rows.append(row)
-    return Matrix(f, rows, a.ncols * b.ncols)
+def identity_map(field, n):
+    """The identity of k^n as a column-sparse map."""
+    return tuple(((j, field.one),) for j in range(n))
+
+
+def map_combination(field, coeffs, maps, ncols):
+    """The column-sparse sum of c * m over coeffs and the column-sparse
+    maps, each with ncols columns."""
+    terms = [(c, m) for c, m in zip(coeffs, maps) if c]
+    return tuple(_column(sparse_combination(field, [(c, m[j])
+                                                    for c, m in terms]))
+                 for j in range(ncols))
+
+
+def compose(field, a, b):
+    """The column-sparse map a b: column j is the combination of the
+    columns of a that column j of b gives."""
+    return tuple(_column(sparse_combination(field, [(c, a[k])
+                                                    for k, c in col]))
+                 for col in b)
+
+
+def transpose(m, nrows):
+    """The transpose of a column-sparse map with nrows rows."""
+    out = [[] for _ in range(nrows)]
+    for j, col in enumerate(m):
+        for i, x in col:
+            out[i].append((j, x))
+    return tuple(map(tuple, out))
+
+
+def block_sum(maps, heights):
+    """The block-diagonal sum of column-sparse maps with the given numbers
+    of rows."""
+    return tuple(tuple((off + i, x) for i, x in col)
+                 for m, off in zip(maps, accumulate(heights, initial=0))
+                 for col in m)
+
+
+def kron(field, a, b, b_rows):
+    """The Kronecker product of column-sparse maps, b with b_rows rows:
+    column j * len(b) + l is the product of column j of a and column l of
+    b, entry (i, s) of the pair at row i * b_rows + s."""
+    mul = field.mul
+    return tuple(tuple((i * b_rows + s, mul(x, y))
+                       for i, x in acol for s, y in bcol)
+                 for acol in a for bcol in b)
 
 
 def _primitive(row):
@@ -389,11 +412,12 @@ class EchelonSpan:
 
     __slots__ = ("field", "width", "pivot_to_row", "_p")
 
-    def __init__(self, field, width):
+    def __init__(self, field, width, vecs=()):
         self.field = field
         self.width = width
         self.pivot_to_row = {}
         self._p = field.characteristic
+        self.extend(vecs)
 
     @property
     def rank(self):
@@ -568,61 +592,48 @@ class ReducedBasis:
         return proj, free
 
 
-def column_map(m):
-    """The image function of m: k -> column k of m, as a dict of its
-    nonzero entries."""
-    return [{i: x for i, x in enumerate(col) if x}
-            for col in m.transpose().rows].__getitem__
-
-
-def quotient(field, dim, relations, maps=()):
-    """The quotient of k^dim by the span of `relations` (each a sequence, or
-    a dict col -> value), with the free columns of the span as its basis.
+def quotient(span, maps=()):
+    """The quotient of k^width by an EchelonSpan, with the free columns of
+    the span as its basis.
 
     Returns (classes, free, induced). classes[k] is the class of the k-th
     unit vector, as a dict of its nonzero quotient coordinates: column k of
     the span's `complement`. Basis vector c of the quotient is the class of
     the unit vector at free[c], and that class is the unit vector at c.
-    induced holds, for each family of maps in `maps`, the matrices of its
-    maps on the quotient. A map is an image function k -> the image of the
-    k-th unit vector, as a dict; it must preserve the span."""
-    span = EchelonSpan(field, dim)
-    span.extend(relations)
+    induced holds, for each family of maps in `maps`, the column-sparse
+    maps it induces on the quotient. A map is an image function k -> the
+    nonzero (index, coeff) entries of the image of the k-th unit vector,
+    such as the `__getitem__` of a column-sparse map; it must preserve the
+    span."""
+    field = span.field
     rows, free = span.reduced_basis().complement()
-    classes = [{} for _ in range(dim)]
+    classes = [{} for _ in range(span.width)]
     for t, row in enumerate(rows):
         for k, c in row.items():
             classes[k][t] = c
 
     def induce(image):
         """A free coordinate goes to the sum of its image's classes."""
-        cols = [sparse_combination(field, [(c, classes[k].items())
-                                           for k, c in image(j).items()])
-                for j in free]
-        return Matrix.from_sparse(field, cols, len(free)).transpose()
+        return tuple(_column(sparse_combination(
+            field, [(c, classes[k].items()) for k, c in image(j)]))
+            for j in free)
 
     return classes, free, [[induce(image) for image in family]
                            for family in maps]
 
 
 class RREF:
-    """A reduced row echelon form: the ReducedBasis of the row space, and
-    the padded `reduced` matrix (the input's shape, nonzero rows first)
-    built on demand."""
+    """A reduced row echelon form: the ReducedBasis of the row space, its
+    pivots and rank, and the padded `reduced` matrix (the input's shape,
+    nonzero rows first) built on demand."""
 
-    __slots__ = ("basis", "nrows")
+    __slots__ = ("basis", "nrows", "pivots", "rank")
 
     def __init__(self, basis, nrows):
         self.basis = basis
         self.nrows = nrows
-
-    @property
-    def pivots(self):
-        return self.basis.pivots
-
-    @property
-    def rank(self):
-        return self.basis.dim
+        self.pivots = basis.pivots
+        self.rank = basis.dim
 
     @property
     def reduced(self):
@@ -631,26 +642,14 @@ class RREF:
         return Matrix(b.field, b.rows + [zrow] * (self.nrows - b.dim), b.width)
 
 
-def _row_span(m):
-    span = EchelonSpan(m.field, m.ncols)
-    span.extend(m.rows)
-    return span
-
-
 def rref(m):
     """Reduced row echelon form of m, as an RREF."""
-    return RREF(_row_span(m).reduced_basis(), m.nrows)
+    return RREF(EchelonSpan(m.field, m.ncols, m.rows).reduced_basis(),
+                m.nrows)
 
 
 def rank(m):
-    return _row_span(m).rank
-
-
-def kernel_basis(m):
-    """A matrix whose columns span the null space of m (ncols x nullity),
-    one per free column of its echelon form."""
-    proj, _ = rref(m).basis.complement()
-    return Matrix.from_sparse(m.field, proj, m.ncols).transpose()
+    return EchelonSpan(m.field, m.ncols, m.rows).rank
 
 
 def solve_linear(a, b):
@@ -678,6 +677,4 @@ def solve_linear(a, b):
 def sparse_rank(rows, width, field):
     """Rank of a matrix given as an iterable of sparse rows (dict col->val),
     for the big, very sparse differentials of bar-type complexes."""
-    span = EchelonSpan(field, width)
-    span.extend(rows)
-    return span.rank
+    return EchelonSpan(field, width, rows).rank

@@ -1,59 +1,61 @@
-"""Modules and bimodules as exact matrix representations.
+"""Modules and bimodules as exact representations.
 
-A Module is a finitely generated left module: one action matrix per
-algebra basis element. Right modules are left modules over the opposite
-algebra. A Bimodule always has both sides: it stores one action family per
-side and exposes the equivalent left module over the tensor algebra
-L (x) R^op on demand; storing the sides separately keeps validation and
-tensor products cheap. One routine, `_check_action`, checks every action:
-a module's, and each side of a bimodule's.
+A Module is a finitely generated left module: for each algebra basis
+element, the column-sparse map (see linalg) by which it acts. Right
+modules are left modules over the opposite algebra. A Bimodule always has
+both sides: it stores one action family per side and exposes the
+equivalent left module over the tensor algebra L (x) R^op on demand;
+storing the sides separately keeps validation and tensor products cheap.
+The constructors reject an action not in column-sparse form, and one
+routine, `_check_action`, checks every action: a module's, and each side
+of a bimodule's.
 
 Tensor products over an algebra are computed as explicit coequalizers:
 (M (x)_k N) / span{ m.b (x) n - m (x) b.n }, with b running over an
 algebra generating set (idempotents plus radical generators), which spans
 the same relation subspace as all of B. `linalg.quotient` takes the
-quotient and induces both actions on it, reading each action matrix by
-its sparse columns. `tensor_powers` is the one loop over the tensor
-powers of a bimodule.
+quotient and induces both actions on it, reading each action by its
+columns. `tensor_powers` is the one loop over the tensor powers of a
+bimodule.
 """
 
 from functools import partial
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, Matrix, block_diag, column_map,
-                     kernel_basis, kron, linear_combination,
-                     matrix_combination, nonzero_pairs, quotient, rank,
-                     solve_linear, unit_vector)
+from .linalg import (EchelonSpan, Matrix, block_sum, compose, identity_map,
+                     kron, map_combination, matrix_combination, nonzero_pairs,
+                     quotient, rank, solve_linear, sparse_combination,
+                     transpose, unit_vector)
 from .algebra import opposite, tensor_algebra
 
 
 class Module:
-    """Left module over a fixed algebra, given by dense action matrices."""
+    """Left module over a fixed algebra, given by one column-sparse action
+    map per algebra basis element."""
 
     __slots__ = ("algebra", "dim", "action", "_cache")
 
     def __init__(self, algebra, action, validate=True):
         self.algebra = algebra
         self.action = tuple(action)
-        if len(self.action) != algebra.dim:
-            raise ValidationError("need one action matrix per basis element")
-        self.dim = self.action[0].nrows if self.action else 0
-        for m in self.action:
-            if m.nrows != self.dim or m.ncols != self.dim:
-                raise ValidationError("action matrices must be square of module dim")
+        self.dim = _check_format(algebra, self.action, None, "module")
         self._cache = {}
         if validate and algebra.dim:
             self.validate()
 
-    def act(self, vec, x):
-        """Action of the algebra element with coordinates `vec`."""
-        return linear_combination(
-            self.algebra.field,
-            [(c, a.apply(x)) for c, a in zip(vec, self.action) if c], self.dim)
+    def act(self, elem, vec):
+        """The action on the sparse vector vec (a dict) of the algebra
+        element with nonzero (index, coeff) entries elem, as a dict of the
+        nonzero entries of the image."""
+        f = self.algebra.field
+        return sparse_combination(f, [(f.mul(a, x), self.action[u][k])
+                                      for u, a in elem
+                                      for k, x in vec.items()])
 
-    def act_matrix(self, vec):
-        return matrix_combination(self.algebra.field, vec, self.action,
-                                  self.dim, self.dim)
+    def action_map(self, vec):
+        """The column-sparse map by which the element with coordinates vec
+        acts."""
+        return map_combination(self.algebra.field, vec, self.action, self.dim)
 
     def validate(self, full=False):
         """Check the action on every basis pair (full) or on every pair of
@@ -67,25 +69,52 @@ class Module:
         return f"Module(dim={self.dim} over {self.algebra!r})"
 
 
+def _check_format(alg, action, dim, side):
+    """Raise unless `action` holds one column-sparse map of k^dim per basis
+    element of alg: a tuple of dim columns, each column's rows increasing
+    and in range, each coefficient nonzero and canonical. A dim of None is
+    read off the first map; the dim is returned."""
+    if len(action) != alg.dim or any(type(m) is not tuple for m in action):
+        raise ValidationError(
+            f"{side} action: need a tuple of columns per basis element")
+    if dim is None:
+        dim = len(action[0]) if action else 0
+    of = alg.field.of
+    for m in action:
+        if len(m) != dim:
+            raise ValidationError(f"{side} action: each map needs {dim} columns")
+        for col in m:
+            prev = -1
+            for i, x in col:
+                if not prev < i < dim:
+                    raise ValidationError(
+                        f"{side} action: row {i} out of range or order")
+                if not x or of(x) != x:
+                    raise ValidationError(
+                        f"{side} action: stored zero or non-canonical entry")
+                prev = i
+    return dim
+
+
 def _check_action(alg, action, dim, elems, product, side):
-    """Raise unless `action` (one dim x dim matrix per basis element of alg)
-    is unital and x.(y.m) = product(x, y).m for all x, y in elems. The
-    matrix of each element of elems is built once, and they are returned.
-    A right action is checked with the reversed product y x, as a left
-    action of the opposite algebra, without building that algebra."""
+    """Raise unless `action` (one column-sparse map of k^dim per basis
+    element of alg) is unital and x.(y.m) = product(x, y).m for all x, y in
+    elems. The map of each element of elems is built once, and they are
+    returned. A right action is checked with the reversed product y x, as a
+    left action of the opposite algebra, without building that algebra."""
     if not dim:
         return []
     f = alg.field
 
     def mat(vec):
-        return matrix_combination(f, vec, action, dim, dim)
+        return map_combination(f, vec, action, dim)
 
-    if mat(alg.unit) != Matrix.identity(f, dim):
+    if mat(alg.unit) != identity_map(f, dim):
         raise ValidationError(f"{side} action: unit does not act as the identity")
     mats = [mat(x) for x in elems]
     for x, mx in zip(elems, mats):
         for y, my in zip(elems, mats):
-            if mx.mul(my) != mat(product(x, y)):
+            if compose(f, mx, my) != mat(product(x, y)):
                 raise ValidationError(f"{side} action is not multiplicative")
     return mats
 
@@ -108,10 +137,11 @@ class ModuleMap:
             self.validate()
 
     def validate(self):
+        f = self.source.algebra.field
+        cols = self.matrix.sparse_columns()
         for g in self.source.algebra.generators():
-            lhs = self.matrix.mul(self.source.act_matrix(g))
-            rhs = self.target.act_matrix(g).mul(self.matrix)
-            if lhs != rhs:
+            if compose(f, cols, self.source.action_map(g)) != \
+                    compose(f, self.target.action_map(g), cols):
                 raise ValidationError("matrix does not intertwine the actions")
 
     def __repr__(self):
@@ -119,8 +149,7 @@ class ModuleMap:
 
 
 def zero_module(algebra):
-    return Module(algebra, [Matrix.zeros(algebra.field, 0, 0)] * algebra.dim,
-                  validate=False)
+    return Module(algebra, [()] * algebra.dim, validate=False)
 
 
 def left_regular_module(algebra):
@@ -139,41 +168,23 @@ def direct_sum(modules):
     for m in modules:
         if m.algebra is not a:
             raise ValidationError("direct sum over mixed algebras")
-    action = [block_diag(a.field, [m.action[i] for m in modules])
-              for i in range(a.dim)]
+    dims = [m.dim for m in modules]
+    action = [block_sum([m.action[u] for m in modules], dims)
+              for u in range(a.dim)]
     return Module(a, action, validate=False)
 
 
 class _ProjectiveData:
     """Cached data for the projective A e_s: a reduced basis of its
-    underlying subspace of A, and the action of each basis element b_u of
-    A in that basis, kept by column: sparse_action[u] maps each column c
-    with b_u . basis[c] != 0 to the nonzero (row, coeff) entries of that
-    column. Resolutions apply it to sparse vectors, touching only their
-    nonzero columns. The dense action matrices (`module`) are built on
-    first read."""
+    underlying subspace of A, and the module, whose action is read in that
+    basis. Resolutions apply the action to sparse vectors, touching only
+    their nonzero columns."""
 
-    __slots__ = ("algebra", "basis", "sparse_action", "_module")
+    __slots__ = ("basis", "module")
 
-    def __init__(self, algebra, basis, sparse_action):
-        self.algebra = algebra
+    def __init__(self, basis, module):
         self.basis = basis
-        self.sparse_action = sparse_action
-        self._module = None
-
-    @property
-    def module(self):
-        if self._module is None:
-            d = self.basis.dim
-            action = []
-            for cols in self.sparse_action:
-                rows = [{} for _ in range(d)]
-                for c, col in cols.items():
-                    for r, v in col:
-                        rows[r][c] = v
-                action.append(Matrix.from_sparse(self.algebra.field, rows, d))
-            self._module = Module(self.algebra, action, validate=False)
-        return self._module
+        self.module = module
 
 
 def projective_data(algebra, s):
@@ -181,28 +192,26 @@ def projective_data(algebra, s):
     if key in algebra._cache:
         return algebra._cache[key]
     f = algebra.field
-    e = algebra.idempotents[s]
-    one, es = f.one, nonzero_pairs(f, e)
+    one, es = f.one, nonzero_pairs(f, algebra.idempotents[s])
     span = EchelonSpan(f, algebra.dim)
     for j in range(algebra.dim):
         prod = algebra.sparse_multiply(((j, one),), es)
         if prod:
             span.insert(dict(prod))
     rb = span.reduced_basis()
-    sparse = []
+    action = []
     for i in range(algebra.dim):
         bi = ((i, one),)
-        cols = {}
-        for c, row in enumerate(rb.sparse_rows):
+        cols = []
+        for row in rb.sparse_rows:
             coords = rb.sparse_coords(algebra.sparse_multiply(bi, row))
             if coords is None:
                 raise ValidationError("projective module not closed under action")
-            if coords:
-                cols[c] = tuple(sorted(coords.items()))
-        sparse.append(cols)
-    if rb.coords(e) is None:
+            cols.append(tuple(sorted(coords.items())))
+        action.append(tuple(cols))
+    if rb.sparse_coords(es) is None:
         raise ValidationError("idempotent not inside its own projective")
-    data = _ProjectiveData(algebra, rb, tuple(sparse))
+    data = _ProjectiveData(rb, Module(algebra, action, validate=False))
     algebra._cache[key] = data
     return data
 
@@ -236,9 +245,9 @@ def simple_top_coefficients(algebra):
 def simple_module(algebra, s):
     key = ("simple", s)
     if key not in algebra._cache:
-        f = algebra.field
         coeffs = simple_top_coefficients(algebra)
-        action = [Matrix(f, [[coeffs[s, j]]]) for j in range(algebra.dim)]
+        action = [(((0, c),) if (c := coeffs[s, j]) else (),)
+                  for j in range(algebra.dim)]
         algebra._cache[key] = Module(algebra, action, validate=False)
     return algebra._cache[key]
 
@@ -249,16 +258,19 @@ def simple_modules(algebra):
 
 def dual_module(m):
     """k-linear dual: a left module over the opposite algebra, with the
-    transposed action matrices in the dual basis."""
-    opp = opposite(m.algebra)
-    return Module(opp, [a.transpose() for a in m.action], validate=False)
+    transposed action maps in the dual basis."""
+    return Module(opposite(m.algebra), [transpose(a, m.dim) for a in m.action],
+                  validate=False)
 
 
 def hom_space(m, n):
     """A basis of Hom_A(m, n) as a list of ModuleMaps.
 
-    Solves the intertwining equations against an algebra generating set,
-    which pins down the same space as the full basis would.
+    Solves the intertwining equations N_g X = X M_g against an algebra
+    generating set, which pins down the same space as the full basis
+    would. Unknown X[i][j] is coordinate i * dim(m) + j; the equations go
+    into one EchelonSpan as sparse rows, and the basis is read off the
+    rows of its complement, which span the null space.
     """
     if m.algebra is not n.algebra:
         raise ValidationError("hom between modules over different algebras")
@@ -266,33 +278,27 @@ def hom_space(m, n):
     md, nd = m.dim, n.dim
     if md == 0 or nd == 0:
         return []
-    unknowns = nd * md  # X[i][j] -> i * md + j
-    rows = []
+    span = EchelonSpan(f, nd * md)
     for g in m.algebra.generators():
-        mg = m.act_matrix(g)
-        ng = n.act_matrix(g)
-        for i in range(nd):
-            for j in range(md):
-                row = [f.zero] * unknowns
-                # (N_g X)[i,j] = sum_k N_g[i,k] X[k,j]
-                for k in range(nd):
-                    c = ng[i, k]
-                    if c:
-                        row[k * md + j] = f.add(row[k * md + j], c)
-                # (X M_g)[i,j] = sum_k X[i,k] M_g[k,j]
-                for k in range(md):
-                    c = mg[k, j]
-                    if c:
-                        row[i * md + k] = f.sub(row[i * md + k], c)
-                rows.append(row)
-    kb = kernel_basis(Matrix(f, rows, unknowns))
-    maps = []
-    for c in range(kb.ncols):
-        col = kb.col(c)
-        mat = Matrix(f, [[col[i * md + j] for j in range(md)] for i in range(nd)],
-                     md)
-        maps.append(ModuleMap(m, n, mat, validate=False))
-    return maps
+        rows = [{} for _ in range(nd * md)]  # equation (i, j) is row i * md + j
+        # (N_g X)[i, j] = sum_k N_g[i, k] X[k, j]
+        for k, col in enumerate(n.action_map(g)):
+            for i, c in col:
+                for j in range(md):
+                    rows[i * md + j][k * md + j] = c
+        # (X M_g)[i, j] = sum_k X[i, k] M_g[k, j]
+        for j, col in enumerate(m.action_map(g)):
+            for k, c in col:
+                for i in range(nd):
+                    row = rows[i * md + j]
+                    row[i * md + k] = f.sub(row.get(i * md + k, f.zero), c)
+        span.extend(row for row in rows if row)
+    kernel, _ = span.reduced_basis().complement()
+    return [ModuleMap(m, n, Matrix(f, [[x.get(i * md + j, f.zero)
+                                        for j in range(md)]
+                                       for i in range(nd)], md),
+                      validate=False)
+            for x in kernel]
 
 
 def is_isomorphic(m, n, seed=0):
@@ -355,6 +361,8 @@ class Bimodule:
         self.dim = dim
         self.left_action = tuple(left_action)
         self.right_action = tuple(right_action)
+        _check_format(left_alg, self.left_action, dim, "left")
+        _check_format(right_alg, self.right_action, dim, "right")
         self._cache = {}
         if validate:
             self.validate()
@@ -378,9 +386,10 @@ class Bimodule:
                               l.multiply, "left")
         rmats = _check_action(r, self.right_action, self.dim, r.generators(),
                               lambda x, y: r.multiply(y, x), "right")
+        f = self.field
         for lx in lmats:
             for ry in rmats:
-                if lx.mul(ry) != ry.mul(lx):
+                if compose(f, lx, ry) != compose(f, ry, lx):
                     raise ValidationError("left and right actions do not commute")
 
     def as_left_module(self):
@@ -403,14 +412,10 @@ class Bimodule:
         """Left module over L (x) R^op: (x (x) y^op) . m = x m y."""
         if "as_env" in self._cache:
             return self._cache["as_env"]
-        env = self.env_algebra()
-        nb = self.right_alg.dim
-        action = []
-        for i in range(self.left_alg.dim):
-            li = self.left_action[i]
-            for j in range(nb):
-                action.append(li.mul(self.right_action[j]))
-        mod = Module(env, action, validate=False)
+        f = self.field
+        action = [compose(f, li, rj) for li in self.left_action
+                  for rj in self.right_action]
+        mod = Module(self.env_algebra(), action, validate=False)
         self._cache["as_env"] = mod
         return mod
 
@@ -439,31 +444,31 @@ def tensor_over(x, y, return_maps=False):
     mx, my = x.dim, y.dim
     amb = mx * my
 
-    def left_image(col, k):
-        """(m (x) 1)(x_i (x) y_j) = sum_s m[s, i] x_s (x) y_j, for the
-        column map col of m."""
+    def left_image(m, k):
+        """(m (x) 1)(x_i (x) y_j) = sum_s m[s, i] x_s (x) y_j."""
         i, j = divmod(k, my)
-        return {s * my + j: c for s, c in col(i).items()}
+        return [(s * my + j, c) for s, c in m[i]]
 
-    def right_image(col, k):
+    def right_image(m, k):
         """(1 (x) m)(x_i (x) y_j) = sum_s m[s, j] x_i (x) y_s."""
         i, j = divmod(k, my)
-        return {i * my + s: c for s, c in col(j).items()}
+        return [(i * my + s, c) for s, c in m[j]]
 
     def relations():
         for g in b.generators():
             # the relations (x.g) (x) y - x (x) (g.y)
-            rg = column_map(matrix_combination(f, g, x.right_action, mx, mx))
-            lg = column_map(matrix_combination(f, g, y.left_action, my, my))
+            rg = map_combination(f, g, x.right_action, mx)
+            lg = map_combination(f, g, y.left_action, my)
             for k in range(amb):
-                rel = left_image(rg, k)
-                for t, c in right_image(lg, k).items():
+                rel = dict(left_image(rg, k))
+                for t, c in right_image(lg, k):
                     rel[t] = f.sub(rel.get(t, f.zero), c)
                 yield rel
 
-    classes, free, (left, right) = quotient(f, amb, relations(), (
-        [partial(left_image, column_map(m)) for m in x.left_action],
-        [partial(right_image, column_map(m)) for m in y.right_action]))
+    classes, free, (left, right) = quotient(
+        EchelonSpan(f, amb, relations()),
+        ([partial(left_image, m) for m in x.left_action],
+         [partial(right_image, m) for m in y.right_action]))
     out = Bimodule(x.left_alg, y.right_alg, len(free), left, right,
                    validate=False)
     return (out, classes, free) if return_maps else out
@@ -484,13 +489,13 @@ def bimodule_direct_sum(bimodules):
     if not bimodules:
         raise ValidationError("empty bimodule direct sum")
     first = bimodules[0]
-    f = first.field
     for m in bimodules:
         if m.left_alg is not first.left_alg or m.right_alg is not first.right_alg:
             raise ValidationError("direct sum of bimodules with different sides")
+    dims = [m.dim for m in bimodules]
 
     def blocks(families):
-        return [block_diag(f, mats) for mats in zip(*families)]
+        return [block_sum(maps, dims) for maps in zip(*families)]
 
     return Bimodule(first.left_alg, first.right_alg,
                     sum(m.dim for m in bimodules),
@@ -502,10 +507,9 @@ def projective_bimodule(b, u, v, right_alg=None):
     """The projective (B, R)-bimodule B e_u (x)_k e_v R (R defaults to B)."""
     r = right_alg if right_alg is not None else b
     f = b.field
-    left_data = projective_data(b, u)
-    right_data = projective_data(opposite(r), v)
-    id_u = Matrix.identity(f, left_data.basis.dim)
-    id_v = Matrix.identity(f, right_data.basis.dim)
-    left = [kron(lm, id_v) for lm in left_data.module.action]
-    right = [kron(id_u, rm) for rm in right_data.module.action]
-    return Bimodule(b, r, id_u.nrows * id_v.nrows, left, right, validate=False)
+    lmod = projective_data(b, u).module
+    rmod = projective_data(opposite(r), v).module
+    du, dv = lmod.dim, rmod.dim
+    left = [kron(f, lm, identity_map(f, dv), dv) for lm in lmod.action]
+    right = [kron(f, identity_map(f, du), rm, dv) for rm in rmod.action]
+    return Bimodule(b, r, du * dv, left, right, validate=False)

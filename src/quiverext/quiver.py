@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AdmissibilityError, PresentationError
-from .linalg import quotient
+from .linalg import EchelonSpan, quotient
 from .algebra import Algebra
 
 # hard guard against runaway path enumeration on inadmissible input
@@ -191,7 +191,7 @@ def algebra_from_presentation(pres, field):
                 rels.append(vec)
         # the normal form of a candidate is its class modulo the relations,
         # over the free candidates, which survive
-        classes, free, _ = quotient(field, len(cands), rels)
+        classes, free, _ = quotient(EchelonSpan(field, len(cands), rels))
         surv = [cands[i] for i in free]
         survivors.append(surv)
         cand_nf.append({c: {surv[t]: x for t, x in cls.items()}

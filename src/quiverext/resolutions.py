@@ -8,10 +8,10 @@ Every vector on this path is sparse, a dict index -> value of its nonzero
 canonical entries: the vectors spanning a cover target, the chosen
 generators, the rows of each differential and the kernel vectors. Acting
 on a vector touches only its nonzero coordinates, through the columns of
-the sparse action of each summand. The kernel of a differential is one
-EchelonSpan over its sparse rows, read through ReducedBasis.complement.
-Dense matrices (the differentials in `Resolution.diffs`, the action of a
-syzygy) are built only when something reads them.
+the column-sparse action of each summand, read as the module stores it.
+The kernel of a differential is one EchelonSpan over its sparse rows,
+read through ReducedBasis.complement. Dense matrices (the differentials
+in `Resolution.diffs`) are built only when something reads them.
 
 Each differential is also stored in "algebra form": the map
 + A e_{s(c)} -> + A e_{s(r)} is right multiplication by elements
@@ -38,9 +38,8 @@ class _Ambient:
     """A module acting on sparse vectors: the resolved module itself (the
     degree-minus-one ambient) or a direct sum of projectives A e_s.
 
-    It is a direct sum of blocks, each given by its dimension and its
-    action by column, cols[u] = {c: ((r, coeff), ...)}, the nonzero entries
-    of each nonzero column c of the action of b_u on the block."""
+    It is a direct sum of blocks, each given by its column-sparse action
+    (cols[u] the map by which b_u acts on the block) and its dimension."""
 
     __slots__ = ("field", "dim", "_place")
 
@@ -62,7 +61,7 @@ class _Ambient:
         for i, x in vec.items():
             cols, off, c = self._place[i]
             for u, a in elem:
-                col = cols[u].get(c)
+                col = cols[u][c]
                 if col:
                     ax = mul(a, x)
                     for r, v in col:
@@ -71,22 +70,9 @@ class _Ambient:
         return {k: y for k, y in out.items() if y}
 
 
-def _module_ambient(m, support):
-    """The module itself, the action matrices of the basis elements in
-    support read by column; only those elements may act on it."""
-    cols = [{} for _ in m.action]
-    for u in support:
-        by_col = cols[u]
-        for r, row in enumerate(m.action[u].rows):
-            for c, v in enumerate(row):
-                if v:
-                    by_col.setdefault(c, []).append((r, v))
-    return _Ambient(m.algebra.field, [(cols, m.dim)])
-
-
 def _projective_ambient(algebra, summands):
     data = [projective_data(algebra, s) for s in summands]
-    return _Ambient(algebra.field, [(d.sparse_action, d.basis.dim)
+    return _Ambient(algebra.field, [(d.module.action, d.basis.dim)
                                     for d in data])
 
 
@@ -129,7 +115,7 @@ class Resolution:
     def diffs(self):
         """The differentials as dense matrices, built on each read."""
         f = self.module.algebra.field
-        return [Matrix.from_sparse(f, rows, ncols)
+        return [Matrix.from_sparse(f, [r.items() for r in rows], ncols)
                 for rows, ncols in self.sparse_diffs]
 
     def term_dim(self, i):
@@ -157,16 +143,16 @@ class Resolution:
         amb = _projective_ambient(a, self.gens[t - 1])
         action = []
         for u in range(a.dim):
-            acts = []
+            cols = []
             for vec in vecs:
                 img = amb.apply(((u, f.one),), vec)
-                coords = [img.get(j, f.zero) for j in free]
-                acts.append(coords)
+                col = tuple((t, img[j]) for t, j in enumerate(free) if j in img)
                 # exactness of the coordinate extraction is a consistency check
-                if sparse_combination(f, [(c, v.items()) for c, v
-                                          in zip(coords, vecs)]) != img:
+                if sparse_combination(f, [(c, vecs[t].items())
+                                          for t, c in col]) != img:
                     raise InternalCheckError("syzygy not closed under the action")
-            action.append(Matrix(f, zip(*acts), len(vecs)))
+                cols.append(col)
+            action.append(tuple(cols))
         return Module(a, action, validate=False)
 
     def check_minimal(self):
@@ -221,7 +207,7 @@ def _build_differential(algebra, ambient, gens):
 def _module_cover(m):
     """The degree-0 cover of a module: its generators and differential."""
     a = m.algebra
-    ambient = _module_ambient(m, range(a.dim))
+    ambient = _Ambient(a.field, [(m.action, m.dim)])
     gens = _cover_step(a, ambient, [{i: a.field.one} for i in range(m.dim)])
     return gens, _build_differential(a, ambient, gens)
 
@@ -283,7 +269,8 @@ def projective_cover(m):
     """Projective cover as (projective module, epimorphism)."""
     gens, (rows, ncols) = _module_cover(m)
     p = _projective_sum(m.algebra, [s for s, _ in gens])
-    diff = Matrix.from_sparse(m.algebra.field, rows, ncols)
+    diff = Matrix.from_sparse(m.algebra.field, [r.items() for r in rows],
+                              ncols)
     return p, ModuleMap(p, m, diff, validate=False)
 
 
@@ -342,10 +329,7 @@ def _derived_dims(res, n, base_algebra, i_max, contravariant):
     f = n.algebra.field
     top = min(i_max + 1, len(res.gens) - 1)
     degrees = res.w_blocks[1:top + 1]
-    support = {u for e in base_algebra.idempotents for u, c in enumerate(e) if c}
-    support.update(u for blocks in degrees for col in blocks for w in col
-                   for u, _ in w)
-    ambient = _module_ambient(n, support)
+    ambient = _Ambient(f, [(n.action, n.dim)])
     terms = [[_slice(n, ambient, base_algebra, s) for s in gens]
              for gens in res.gens[:top + 1]]
     ranks = {}

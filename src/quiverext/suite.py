@@ -14,8 +14,7 @@ zero, pd 0) or as cokernels of injective maps between projective bimodules
 self-injective factors like the dual numbers.
 """
 
-from .linalg import (EchelonSpan, Matrix, column_map, matrix_combination,
-                     quotient)
+from .linalg import EchelonSpan, matrix_combination, nonzero_pairs, quotient
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .errors import AdmissibilityError, PresentationError
 from .modules import (Bimodule, Module, bimodule_direct_sum, projective_data,
@@ -73,20 +72,21 @@ def random_module(rng, algebra, max_dim=5):
     proj = direct_sum([projective_data(algebra, s).module for s in summands])
     if proj.dim == 0:
         return proj
-    # generate a submodule from a couple of random vectors
+    # generate a submodule from a couple of random vectors, and take the
+    # quotient by the span it closes
     span = EchelonSpan(f, proj.dim)
+    gens = [nonzero_pairs(f, g) for g in algebra.generators()]
     seeds = rng.randint(0, 2)
     for _ in range(seeds):
         vec = [f.of(rng.randint(-1, 1)) for _ in range(proj.dim)]
-        stack = [tuple(vec)]
+        stack = [dict(nonzero_pairs(f, vec))]
         while stack:
             v = stack.pop()
             if not span.insert(v):
                 continue
-            for g in algebra.generators():
+            for g in gens:
                 stack.append(proj.act(g, v))
-    _, _, (action,) = quotient(f, proj.dim, span.reduced_basis().rows,
-                               ([column_map(m) for m in proj.action],))
+    _, _, (action,) = quotient(span, ([m.__getitem__ for m in proj.action],))
     mod = Module(algebra, action, validate=False)
     if mod.dim > max_dim:
         return random_module(rng, algebra, max_dim)
@@ -122,7 +122,6 @@ def corner_projective_bimodule(rng, b):
 def cokernel_pd1_bimodule(rng, bleft, bright=None, tries=12):
     """Cokernel of an injective map between projective (L, R)-bimodules: a
     bimodule of projective dimension <= 1 over L (x) R^op by construction."""
-    from .linalg import rank
     from .modules import hom_space
     bright = bright if bright is not None else bleft
     f = bleft.field
@@ -149,12 +148,12 @@ def cokernel_pd1_bimodule(rng, bleft, bright=None, tries=12):
                 coeffs = [f.of(rng.randint(-2, 2)) for _ in basis]
             mat = matrix_combination(f, coeffs, [bm.matrix for bm in basis],
                                      tgt.dim, src.dim)
-            if rank(mat) != src.dim:
+            image = EchelonSpan(f, tgt.dim, mat.transpose().rows)
+            if image.rank != src.dim:
                 continue
             _, free, (left, right) = quotient(
-                f, tgt.dim, mat.transpose().rows,
-                ([column_map(m) for m in tgt.left_action],
-                 [column_map(m) for m in tgt.right_action]))
+                image, ([m.__getitem__ for m in tgt.left_action],
+                        [m.__getitem__ for m in tgt.right_action]))
             return Bimodule(bleft, bright, len(free), left, right,
                             validate=False)
     return None
@@ -166,8 +165,7 @@ def inflated_simple_bimodule(b, i, j):
     action through the j-th; over non-semisimple B this typically has
     infinite projective dimension over B^e."""
     from .modules import simple_top_coefficients
-    f = b.field
     c = simple_top_coefficients(b)
-    left = [Matrix(f, [[c[i, t]]]) for t in range(b.dim)]
-    right = [Matrix(f, [[c[j, t]]]) for t in range(b.dim)]
+    left = [(((0, x),) if (x := c[i, t]) else (),) for t in range(b.dim)]
+    right = [(((0, x),) if (x := c[j, t]) else (),) for t in range(b.dim)]
     return Bimodule(b, b, 1, left, right, validate=False)

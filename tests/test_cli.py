@@ -100,6 +100,26 @@ def test_parse_error_exit_three():
         os.unlink(path)
 
 
+@pytest.mark.parametrize("command, check", [
+    ("check-extension", "check extension Lambda"),
+    ("invariants", "check extension Lambda"),
+    ("check-extension", "check invariants GammaInLambda\ncheck extension Gamma"),
+], ids=["check-extension", "invariants", "after-a-valid-check"])
+def test_check_extension_on_an_algebra_exit_three(command, check):
+    """A check naming an algebra where an extension is expected is an input
+    error at the name, not a crash."""
+    doc = demo_document() + check + "\n"
+    path = write_temp(doc)
+    try:
+        code, out, err = run_cli([command, path])
+        assert code == 3
+        assert out == ""
+        assert f"line {doc.count(chr(10))}, col 17" in err
+        assert "is an algebra, expected an extension" in err
+    finally:
+        os.unlink(path)
+
+
 def test_non_integer_prime_spec_exit_three():
     code, _, err = run_cli(["demo", "example-4-5", "--field", "p:x"])
     assert code == 3

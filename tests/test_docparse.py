@@ -55,6 +55,52 @@ def test_undefined_reference():
     assert "undefined reference" in str(e.value)
 
 
+def _kind_error(doc):
+    with pytest.raises(ParseError) as e:
+        parse_document(doc)
+    return e.value
+
+
+def test_check_extension_on_an_algebra_rejected_at_the_name():
+    doc = demo_document() + "check extension Lambda\n"
+    err = _kind_error(doc)
+    assert (err.line, err.col) == (doc.count("\n"), 17)
+    assert "'Lambda' is an algebra, expected an extension" in str(err)
+
+
+def test_subalgebra_ambient_naming_an_extension_rejected():
+    doc = demo_document() + ("construct subalgebra S = sub Gamma "
+                             "ambient GammaInLambda\nend\n")
+    err = _kind_error(doc)
+    assert (err.line, err.col) == (doc.count("\n") - 1, 44)
+    assert "is an extension, expected an algebra" in str(err)
+
+
+def test_check_invariants_on_a_bimodule_rejected():
+    doc = TRIANGULAR_DOC + "check invariants M\n"
+    err = _kind_error(doc)
+    assert (err.line, err.col) == (doc.count("\n"), 18)
+    assert "'M' is a bimodule, expected an algebra or an extension" in str(err)
+
+
+@pytest.mark.parametrize("line, col, message", [
+    ("construct triangular T2 = b M c C module M", 29,
+     "'M' is a bimodule, expected an algebra"),
+    ("construct trivial_extension T2 = base T module M", 39,
+     "'T' is an extension, expected an algebra"),
+    ("bimodule N over T B dim 1\nend", 17,
+     "'T' is an extension, expected an algebra"),
+    ("construct triangular T2 = b B c C module B", 42,
+     "'B' is an algebra, expected a bimodule"),
+], ids=["bimodule-as-algebra", "extension-as-base", "extension-as-side",
+        "algebra-as-module"])
+def test_construct_argument_of_wrong_kind_rejected(line, col, message):
+    doc = TRIANGULAR_DOC + line + "\n"
+    err = _kind_error(doc)
+    assert (err.line, err.col) == (TRIANGULAR_DOC.count("\n") + 1, col)
+    assert message in str(err)
+
+
 def test_duplicate_name():
     doc = "field q\nquiver A\n vertices 1\nend\nquiver A\n vertices 1\nend\n"
     with pytest.raises(ParseError):

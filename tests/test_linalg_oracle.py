@@ -1,16 +1,14 @@
 """The elimination kernel against sympy's exact matrices, over QQ.
 
-sympy is an optional test oracle: without it these tests are skipped.
+sympy is a test oracle, installed with the package's `test` extra.
 """
 
 from fractions import Fraction
 
-import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from quiverext.linalg import QQ, Matrix, kernel_basis, rank, rref
-
-sympy = pytest.importorskip("sympy")
+from quiverext.linalg import QQ, EchelonSpan, Matrix, rank, rref
 
 # mostly zeros, as the engine's rows are, with small integers and fractions
 entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
@@ -38,17 +36,26 @@ def from_sympy(s):
 @given(m=rational_matrices())
 @settings(max_examples=80, deadline=None)
 def test_rank_kernel_and_rref_agree_with_sympy(m):
+    """EchelonSpan's rank, its reduced basis and the null space spanned by
+    the rows of its complement, against sympy."""
     s = to_sympy(m)
-    assert rank(m) == s.rank()
-    kernel = kernel_basis(m)
+    span = EchelonSpan(QQ, m.ncols, m.rows)
+    assert span.rank == rank(m) == s.rank()
+    basis = span.reduced_basis()
+    kernel, _ = basis.complement()
     oracle = s.nullspace()
-    assert kernel.ncols == len(oracle)
+    assert len(kernel) == len(oracle)
     if oracle:
         # both bases lie in the kernel and span the same space
-        assert m.mul(kernel).is_zero()
-        stacked = sympy.Matrix.hstack(to_sympy(kernel), *oracle)
-        assert stacked.rank() == kernel.ncols
+        kmat = Matrix.from_sparse(QQ, [v.items() for v in kernel],
+                                  m.ncols).transpose()
+        assert m.mul(kmat).is_zero()
+        stacked = sympy.Matrix.hstack(to_sympy(kmat), *oracle)
+        assert stacked.rank() == len(kernel)
     reduced, pivots = s.rref()
+    reduced = from_sympy(reduced)
+    assert tuple(basis.rows) == reduced.rows[:basis.dim]
+    assert basis.pivots == tuple(pivots)
     r = rref(m)
-    assert r.reduced == from_sympy(reduced)
+    assert r.reduced == reduced
     assert r.pivots == tuple(pivots)

@@ -1,7 +1,7 @@
 import pytest
 
 from quiverext.errors import ValidationError
-from quiverext.linalg import QQ, Matrix
+from quiverext.linalg import QQ, Matrix, identity_map, transpose
 from quiverext.algebra import opposite, tensor_algebra
 from quiverext.modules import (Bimodule, Module, bimodule_direct_sum,
                                direct_sum, dual_module, hom_space,
@@ -35,9 +35,57 @@ def test_projective_dims(gamma, k):
 
 
 def test_module_validation_catches_bad_action(gamma):
-    bad = [Matrix.identity(QQ, 2)] * gamma.dim
+    bad = [identity_map(QQ, 2)] * gamma.dim
     with pytest.raises(ValidationError):
         Module(gamma, bad)
+
+
+def test_module_rejects_action_with_wrong_number_of_columns(gamma):
+    p1 = projective_data(gamma, 0).module
+    action = [_malformed(p1.action, p1.dim, "columns")] + list(p1.action[1:])
+    with pytest.raises(ValidationError, match="columns"):
+        Module(gamma, action, validate=False)
+
+
+def test_module_rejects_action_row_out_of_range(gamma):
+    p1 = projective_data(gamma, 0).module
+    action = [_malformed(p1.action, p1.dim, "out of range")] + list(p1.action[1:])
+    with pytest.raises(ValidationError, match="out of range"):
+        Module(gamma, action, validate=False)
+
+
+def test_module_rejects_action_with_stored_zero(gamma):
+    p1 = projective_data(gamma, 0).module
+    action = [_malformed(p1.action, p1.dim, "stored zero")] + list(p1.action[1:])
+    with pytest.raises(ValidationError, match="stored zero"):
+        Module(gamma, action, validate=False)
+
+
+def test_module_rejects_dense_action(gamma):
+    p1 = projective_data(gamma, 0).module
+    dense = [Matrix.from_sparse_columns(QQ, m, p1.dim) for m in p1.action]
+    with pytest.raises(ValidationError, match="columns"):
+        Module(gamma, dense, validate=False)
+
+
+def _malformed(action, n, case):
+    """The map action[0] with too few columns, a row index n out of range
+    in its first column, or a stored zero there."""
+    first = action[0]
+    return {"columns": first[:-1],
+            "out of range": (((n, QQ.one),),) + first[1:],
+            "stored zero": (((0, QQ.zero),),) + first[1:]}[case]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("case", ["columns", "out of range", "stored zero"])
+def test_bimodule_rejects_malformed_action(gamma, side, case):
+    reg = Bimodule.regular(gamma)
+    left, right = list(reg.left_action), list(reg.right_action)
+    family = left if side == "left" else right
+    family[0] = _malformed(family, gamma.dim, case)
+    with pytest.raises(ValidationError, match=f"{side} action: .*{case}"):
+        Bimodule(gamma, gamma, gamma.dim, left, right, validate=False)
 
 
 def test_tensor_identity(gamma):
@@ -79,6 +127,10 @@ def test_double_dual_exact(gamma):
         dd = dual_module(dual_module(m))
         assert dd.algebra is m.algebra
         assert dd.action == m.action
+        assert dual_module(m).action == tuple(
+            Matrix.from_sparse_columns(QQ, a, m.dim).transpose()
+            .sparse_columns()
+            for a in m.action)
 
 
 def test_is_isomorphic_self_and_mismatch(gamma):
@@ -102,7 +154,7 @@ def test_bimodule_validation(gamma):
         # left action not multiplicative: transpose breaks composition order
         reg = Bimodule.regular(gamma)
         Bimodule(gamma, gamma, gamma.dim,
-                 [m.transpose() for m in reg.left_action],
+                 [transpose(m, gamma.dim) for m in reg.left_action],
                  reg.right_action, validate=True)
 
 
@@ -111,14 +163,14 @@ def test_right_action_fault_rejected(gamma_qq_gf2):
     reg = Bimodule.regular(gamma_qq_gf2)
     with pytest.raises(ValidationError, match="right action is not multiplicative"):
         Bimodule(gamma_qq_gf2, gamma_qq_gf2, gamma_qq_gf2.dim, reg.left_action,
-                 [m.transpose() for m in reg.right_action])
+                 [transpose(m, gamma_qq_gf2.dim) for m in reg.right_action])
 
 
 def test_non_commuting_actions_rejected(gamma_qq_gf2):
     # the transposed left multiplications form a valid right action, but
     # not one that commutes with the left multiplications
     reg = Bimodule.regular(gamma_qq_gf2)
-    right = [m.transpose() for m in reg.left_action]
+    right = [transpose(m, gamma_qq_gf2.dim) for m in reg.left_action]
     Module(opposite(gamma_qq_gf2), right)
     with pytest.raises(ValidationError, match="actions do not commute"):
         Bimodule(gamma_qq_gf2, gamma_qq_gf2, gamma_qq_gf2.dim, reg.left_action,
@@ -155,7 +207,7 @@ def test_zero_module(gamma):
 def test_hom_space_generators_equal_full_basis(gamma, dual_numbers):
     """Intertwining against the generating set pins down the same space as
     the full basis: brute-force comparison on small modules."""
-    from quiverext.linalg import Matrix, kernel_basis
+    from quiverext.linalg import EchelonSpan
     for a in (gamma, dual_numbers):
         mods = projective_indecomposables(a) + simple_modules(a)
         for m in mods:
@@ -165,24 +217,26 @@ def test_hom_space_generators_equal_full_basis(gamma, dual_numbers):
                 md, nd = m.dim, n.dim
                 if md == 0 or nd == 0:
                     continue
-                rows = []
+                # equation (i, j) of N_g X = X M_g for every basis element g,
+                # as a sparse row over the unknowns X[k][l] at k * md + l
+                system = EchelonSpan(f, nd * md)
                 for i_b in range(a.dim):
                     g = a.basis_vector(i_b)
-                    mg, ng = m.act_matrix(g), n.act_matrix(g)
+                    ng = transpose(n.action_map(g), nd)  # rows of N_g
+                    mg = m.action_map(g)                 # columns of M_g
                     for i in range(nd):
                         for j in range(md):
-                            row = [f.zero] * (nd * md)
-                            for t in range(nd):
-                                if not f.is_zero(ng[i, t]):
-                                    row[t * md + j] = f.add(row[t * md + j],
-                                                            ng[i, t])
-                            for t in range(md):
-                                if not f.is_zero(mg[t, j]):
-                                    row[i * md + t] = f.sub(row[i * md + t],
-                                                            mg[t, j])
-                            rows.append(row)
-                system = Matrix(f, rows, nd * md)
-                assert kernel_basis(system).ncols == len(via_gens)
+                            row = {}
+                            for t, c in ng[i]:
+                                row[t * md + j] = f.add(
+                                    row.get(t * md + j, f.zero), c)
+                            for t, c in mg[j]:
+                                row[i * md + t] = f.sub(
+                                    row.get(i * md + t, f.zero), c)
+                            system.insert(row)
+                assert nd * md - system.rank == len(via_gens)
+                for x in via_gens:
+                    x.validate()
 
 
 def test_module_validation_full_flag(gamma):

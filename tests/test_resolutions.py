@@ -352,19 +352,19 @@ def _assert_w_blocks_match(a, lo_gens, hi_gens, blocks, d):
     """Column t of summand c of the source goes to b_t . w[c][r] in
     summand r of the target, read through the projective action of A e_r;
     each block w is given by its sparse (index, coeff) entries."""
-    f = a.field
     lo_data = [projective_data(a, s) for s in lo_gens]
+    columns = d.sparse_columns()
     col = 0
     for s, col_blocks in zip(hi_gens, blocks):
-        for brow in projective_data(a, s).basis.rows:
+        for brow in projective_data(a, s).basis.sparse_rows:
             row = 0
+            image = {}
             for data, w in zip(lo_data, col_blocks):
-                dim = data.basis.dim
                 cs = data.basis.sparse_coords(w)
-                img = data.module.act(brow, [cs.get(t, f.zero)
-                                             for t in range(dim)])
-                assert d.col(col)[row:row + dim] == img
-                row += dim
+                image.update((row + t, x)
+                             for t, x in data.module.act(brow, cs).items())
+                row += data.basis.dim
             assert row == d.nrows
+            assert dict(columns[col]) == image
             col += 1
     assert col == d.ncols
