@@ -12,8 +12,8 @@ so everything here is safe to share across threads for reading.
 
 __version__ = "0.1.0"
 
-from .linalg import (GF, QQ, EchelonSpan, Matrix, field_from_spec, quotient,
-                     rank, rref, solve_linear)
+from .linalg import (GF, QQ, EchelonSpan, field_from_spec, quotient,
+                     sparse_rank)
 from .algebra import (Algebra, opposite, product_algebra, scalar_algebra,
                       tensor_algebra, verify_algebra_isomorphism)
 from .quiver import QuiverPresentation, algebra_from_presentation

@@ -17,13 +17,14 @@ is tested by truthiness, exact on canonical elements: `__init__`
 canonicalises the stored data, `linalg.nonzero_pairs` outside vectors.
 
 A claimed algebra map (an embedding, a retraction, an isomorphism
-witness) is checked by one routine, `map_violation`: shape, unit and
-every basis product. Its callers add only their own extra condition.
+witness) is column-sparse, like every linear map in the engine, and is
+checked by one routine, `map_violation`: format, unit and every basis
+product. Its callers add only their own extra condition.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, dense_vector, nonzero_pairs, rank,
-                     sparse_combination, unit_vector)
+from .linalg import (EchelonSpan, dense_vector, map_problem, nonzero_pairs,
+                     sparse_combination, sparse_rank, unit_vector)
 
 
 class Algebra:
@@ -373,33 +374,35 @@ def product_algebra(a, b):
                    meta={"kind": "product", "left_dim": na, "right_dim": nb})
 
 
-def map_violation(a, b, matrix, what):
-    """The first identity of a unital algebra map A -> B that `matrix`
-    (dim B x dim A) violates, as a message naming the map `what`, or None
-    when it is one: the shape, the unit, and the product of every basis
-    pair, from the image of each basis element computed once."""
-    if matrix.nrows != b.dim or matrix.ncols != a.dim:
-        return (f"{what} matrix has shape {matrix.nrows}x{matrix.ncols}, "
-                f"expected {b.dim}x{a.dim}")
-    if matrix.apply(a.unit) != b.unit:
-        return f"{what} is not unital"
+def map_violation(a, b, m, what):
+    """The first identity of a unital algebra map A -> B that the
+    column-sparse map m (dim A columns, dim B rows) violates, as a message
+    naming the map `what`, or None when it is one: the format, the unit,
+    and the product of every basis pair, from the image of each basis
+    element, its column."""
+    problem = map_problem(b.field, m, b.dim, a.dim)
+    if problem:
+        return f"{what}: {problem}"
     f = b.field
-    images = matrix.sparse_columns()
+    unit = sparse_combination(f, [(c, m[k]) for k, c in enumerate(a.unit)])
+    if unit != dict(nonzero_pairs(f, b.unit)):
+        return f"{what} is not unital"
     for i, row in enumerate(a.table):
         for j, cell in enumerate(row):
-            image = sparse_combination(f, [(c, images[k]) for k, c in cell])
-            if image != dict(b.sparse_multiply(images[i], images[j])):
+            image = sparse_combination(f, [(c, m[k]) for k, c in cell])
+            if image != dict(b.sparse_multiply(m[i], m[j])):
                 return f"{what} not multiplicative at basis pair ({i}, {j})"
     return None
 
 
-def verify_algebra_isomorphism(a, b, matrix):
-    """Check that `matrix` (dim b x dim a) is a unital algebra isomorphism
+def verify_algebra_isomorphism(a, b, m):
+    """Check that the column-sparse map m is a unital algebra isomorphism
     A -> B. Raises ValidationError when it is not; no search is performed."""
     if a.field != b.field:
         raise FieldMismatchError("fields differ")
-    problem = map_violation(a, b, matrix, "isomorphism witness")
-    if not problem and (a.dim != b.dim or rank(matrix) != a.dim):
+    problem = map_violation(a, b, m, "isomorphism witness")
+    if not problem and (a.dim != b.dim or
+                        sparse_rank(map(dict, m), b.dim, b.field) != a.dim):
         problem = "isomorphism witness is not bijective"
     if problem:
         raise ValidationError(problem)

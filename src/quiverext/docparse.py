@@ -44,9 +44,10 @@ coefficient times a product of named generators, or a bare coefficient
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 
 from .errors import QuiverExtError
-from .linalg import Matrix, field_from_spec, linear_combination
+from .linalg import compose, field_from_spec, linear_combination, nonzero_pairs
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .modules import Bimodule
 from .extensions import (morita_ring_zero, subalgebra_extension,
@@ -63,13 +64,23 @@ CHECK_OPTIONS = {
 }
 
 # The kinds a referenced name may have: a quiver block names an algebra, a
-# bimodule block a bimodule and a construction an extension. A
-# construction's arguments are keyed as in its line, a check's target by
-# the kind of check.
+# bimodule block a bimodule and a construction an extension. A check's
+# target is keyed by the kind of check.
 ALGEBRA, BIMODULE, EXTENSION = "an algebra", "a bimodule", "an extension"
-ARG_KINDS = {**dict.fromkeys(("base", "b", "c", "sub", "ambient"), (ALGEBRA,)),
-             **dict.fromkeys(("module", "m", "n"), (BIMODULE,))}
 CHECK_KINDS = {"extension": (EXTENSION,), "invariants": (ALGEBRA, EXTENSION)}
+
+# Each kind of construction: its keys in line order, each with the kind of
+# name it takes, and its constructor over the named objects, which returns
+# (algebra, extension). A subalgebra is built from its embed/retract block.
+CONSTRUCTIONS = {
+    "trivial_extension": ({"base": ALGEBRA, "module": BIMODULE},
+                          trivial_extension),
+    "triangular": ({"b": ALGEBRA, "c": ALGEBRA, "module": BIMODULE},
+                   triangular_matrix_algebra),
+    "morita_zero": ({"b": ALGEBRA, "c": ALGEBRA, "m": BIMODULE,
+                     "n": BIMODULE}, morita_ring_zero),
+    "subalgebra": ({"sub": ALGEBRA, "ambient": ALGEBRA}, None),
+}
 
 
 class ParseError(QuiverExtError):
@@ -145,18 +156,9 @@ class InputDocument:
                     out.append(f"  right {gen} = " + _render_rows(rows))
                 out.append("end")
             elif isinstance(b, ConstructBlock):
-                if b.kind == "trivial_extension":
-                    out.append(f"construct trivial_extension {b.name} = "
-                               f"base {b.args['base']} module {b.args['module']}")
-                elif b.kind == "triangular":
-                    out.append(f"construct triangular {b.name} = b {b.args['b']} "
-                               f"c {b.args['c']} module {b.args['module']}")
-                elif b.kind == "morita_zero":
-                    out.append(f"construct morita_zero {b.name} = b {b.args['b']} "
-                               f"c {b.args['c']} m {b.args['m']} n {b.args['n']}")
-                else:
-                    out.append(f"construct subalgebra {b.name} = "
-                               f"sub {b.args['sub']} ambient {b.args['ambient']}")
+                out.append(f"construct {b.kind} {b.name} = " + " ".join(
+                    f"{k} {b.args[k]}" for k in CONSTRUCTIONS[b.kind][0]))
+                if b.kind == "subalgebra":
                     for gen, expr, _ in b.embeds:
                         out.append(f"  embed {gen} -> " + _render_expr(expr))
                     for gen, expr, _ in b.retracts:
@@ -367,48 +369,45 @@ def parse_document(text):
             blocks.append(bb)
         elif head == "construct":
             kind = _expect(toks, 1, line, "construction kind")
+            if kind not in CONSTRUCTIONS:
+                raise ParseError(line, toks[1][1],
+                                 f"unknown construction kind {kind!r}")
             name = _expect(toks, 2, line, "construction name")
             fresh_name(name, line, hcol, EXTENSION)
             if _expect(toks, 3, line, "'='") != "=":
                 raise ParseError(line, toks[3][1], "expected '='")
-            rest = toks[4:]
+            keys = CONSTRUCTIONS[kind][0]
             kv = {}
-            i = 0
-            while i < len(rest):
-                key = rest[i][0]
-                val = _expect(rest, i + 1, line, f"value for {key!r}")
-                kv[key] = val
-                known(val, line, rest[i + 1][1], ARG_KINDS.get(key))
-                i += 2
+            for i in range(4, len(toks), 2):
+                key, kcol = toks[i]
+                if key not in keys:
+                    raise ParseError(line, kcol, f"unknown key {key!r} for "
+                                                 f"'construct {kind}'")
+                if key in kv:
+                    raise ParseError(line, kcol, f"repeated key {key!r}")
+                kv[key] = _expect(toks, i + 1, line, f"value for {key!r}")
+                known(kv[key], line, toks[i + 1][1], (keys[key],))
+            for key in keys:
+                if key not in kv:
+                    raise ParseError(line, hcol, f"construction missing {key!r}")
             cb = ConstructBlock(kind, name, kv, pos=(line, hcol))
-            if kind == "trivial_extension":
-                _need_keys(kv, ("base", "module"), line, hcol)
-            elif kind == "triangular":
-                _need_keys(kv, ("b", "c", "module"), line, hcol)
-            elif kind == "morita_zero":
-                _need_keys(kv, ("b", "c", "m", "n"), line, hcol)
-            elif kind == "subalgebra":
-                _need_keys(kv, ("sub", "ambient"), line, hcol)
-                while True:
-                    line2, toks2 = lines.next_tokens()
-                    if toks2 is None:
-                        raise ParseError(line, hcol,
-                                         f"subalgebra {name!r} missing 'end'")
-                    kw, kcol = toks2[0]
-                    if kw == "end":
-                        break
-                    if kw not in ("embed", "retract"):
-                        raise ParseError(line2, kcol,
-                                         f"unknown subalgebra directive {kw!r}")
-                    gen = _expect(toks2, 1, line2, "generator label")
-                    if _expect(toks2, 2, line2, "'->'") != "->":
-                        raise ParseError(line2, toks2[2][1], "expected '->'")
-                    expr = parse_expr([t for t, _ in toks2[3:]], line2, kcol)
-                    (cb.embeds if kw == "embed" else cb.retracts).append(
-                        (gen, expr, (line2, kcol)))
-            else:
-                raise ParseError(line, toks[1][1],
-                                 f"unknown construction kind {kind!r}")
+            while kind == "subalgebra":  # its lines, up to 'end'
+                line2, toks2 = lines.next_tokens()
+                if toks2 is None:
+                    raise ParseError(line, hcol,
+                                     f"subalgebra {name!r} missing 'end'")
+                kw, kcol = toks2[0]
+                if kw == "end":
+                    break
+                if kw not in ("embed", "retract"):
+                    raise ParseError(line2, kcol,
+                                     f"unknown subalgebra directive {kw!r}")
+                gen = _expect(toks2, 1, line2, "generator label")
+                if _expect(toks2, 2, line2, "'->'") != "->":
+                    raise ParseError(line2, toks2[2][1], "expected '->'")
+                expr = parse_expr([t for t, _ in toks2[3:]], line2, kcol)
+                (cb.embeds if kw == "embed" else cb.retracts).append(
+                    (gen, expr, (line2, kcol)))
             blocks.append(cb)
         elif head == "check":
             kind = _expect(toks, 1, line, "'extension' or 'invariants'")
@@ -450,12 +449,6 @@ def parse_document(text):
     if field_spec is None:
         raise ParseError(1, 1, "no field block")
     return InputDocument(field_spec, blocks)
-
-
-def _need_keys(kv, keys, line, col):
-    for k in keys:
-        if k not in kv:
-            raise ParseError(line, col, f"construction missing {k!r}")
 
 
 def _parse_rows(tokens, line, col, dim):
@@ -516,12 +509,12 @@ def evaluate_expr(algebra, terms, pos):
     return linear_combination(f, summands, algebra.dim)
 
 
-def _extend_from_generators(algebra, kw, directives, image, compose, pos):
+def _extend_from_generators(algebra, kw, directives, image, product, pos):
     """The images of the path basis of a quiver algebra, extended
     multiplicatively from the `kw` directives, one per generator.
 
     image(body, pos) is the image of a directive's generator. The image of
-    the path a_1 ... a_l (a_l applied first) is compose(g_1, compose(g_2,
+    the path a_1 ... a_l (a_l applied first) is product(g_1, product(g_2,
     ... g_l)), and for a right action, which reverses products, the same
     product of g_l, ..., g_1. An unknown or repeated generator is rejected
     at its directive, a missing one at pos, the block's header."""
@@ -544,7 +537,7 @@ def _extend_from_generators(algebra, kw, directives, image, compose, pos):
                   else list(path if kw == "right" else reversed(path)))
         acc = images[labels[0]]
         for lab in labels[1:]:
-            acc = compose(images[lab], acc)
+            acc = product(images[lab], acc)
         out.append(acc)
     return out
 
@@ -555,8 +548,11 @@ def build_document(doc, field_override=None):
     env = {}
     checks = []
 
-    def rows(body, _):
-        return Matrix.from_rows(field, body)
+    def columns(body, _):
+        """The parsed rows of an action as a column-sparse map."""
+        return tuple(tuple((i, x) for i, row in enumerate(body)
+                           if (x := field.of(row[j])))
+                     for j in range(len(body)))
 
     for b in doc.blocks:
         if isinstance(b, QuiverBlock):
@@ -570,35 +566,17 @@ def build_document(doc, field_override=None):
         elif isinstance(b, BimoduleBlock):
             left = env[b.left]
             right = env[b.right]
-            la = _extend_from_generators(left, "left", b.left_rows, rows,
-                                         Matrix.mul, b.pos)
-            ra = _extend_from_generators(right, "right", b.right_rows, rows,
-                                         Matrix.mul, b.pos)
-            env[b.name] = Bimodule(left, right, b.dim,
-                                   [m.sparse_columns() for m in la],
-                                   [m.sparse_columns() for m in ra],
-                                   validate=True)
+            env[b.name] = Bimodule(
+                left, right, b.dim,
+                _extend_from_generators(left, "left", b.left_rows, columns,
+                                        partial(compose, field), b.pos),
+                _extend_from_generators(right, "right", b.right_rows, columns,
+                                        partial(compose, field), b.pos),
+                validate=True)
         elif isinstance(b, ConstructBlock):
-            if b.kind == "trivial_extension":
-                t, ext = trivial_extension(env[b.args["base"]],
-                                           env[b.args["module"]])
-            elif b.kind == "triangular":
-                t, ext = triangular_matrix_algebra(env[b.args["b"]],
-                                                   env[b.args["c"]],
-                                                   env[b.args["module"]])
-            elif b.kind == "morita_zero":
-                t, ext = morita_ring_zero(env[b.args["b"]], env[b.args["c"]],
-                                          env[b.args["m"]], env[b.args["n"]])
-            else:
-                sub = env[b.args["sub"]]
-                amb = env[b.args["ambient"]]
-                emb = _map_from_generators(sub, amb, "embed", b.embeds, b.pos)
-                ret = None
-                if b.retracts:
-                    ret = _map_from_generators(amb, sub, "retract", b.retracts,
-                                               b.pos)
-                ext = subalgebra_extension(amb, sub, emb, ret)
-                t = amb
+            keys, construct = CONSTRUCTIONS[b.kind]
+            args = [env[b.args[k]] for k in keys]
+            t, ext = construct(*args) if construct else _subalgebra(b, *args)
             env[b.name] = ext
             env[b.name + ".algebra"] = t
         elif isinstance(b, CheckBlock):
@@ -606,10 +584,21 @@ def build_document(doc, field_override=None):
     return BuiltDocument(field, env, checks)
 
 
+def _subalgebra(block, sub, amb):
+    """The ambient algebra and the extension of a subalgebra block."""
+    emb = _map_from_generators(sub, amb, "embed", block.embeds, block.pos)
+    ret = None
+    if block.retracts:
+        ret = _map_from_generators(amb, sub, "retract", block.retracts,
+                                   block.pos)
+    return amb, subalgebra_extension(amb, sub, emb, ret)
+
+
 def _map_from_generators(src, dst, kw, directives, pos):
-    """The matrix of an algebra map src -> dst from generator images,
-    extended multiplicatively along the path basis of src."""
-    cols = _extend_from_generators(
-        src, kw, directives, lambda expr, epos: evaluate_expr(dst, expr, epos),
-        dst.multiply, pos)
-    return Matrix.from_cols(dst.field, cols, nrows=dst.dim)
+    """The column-sparse map of an algebra map src -> dst from generator
+    images, extended multiplicatively along the path basis of src."""
+    return tuple(_extend_from_generators(
+        src, kw, directives,
+        lambda expr, epos: tuple(nonzero_pairs(
+            dst.field, evaluate_expr(dst, expr, epos))),
+        lambda g, acc: tuple(sorted(dst.sparse_multiply(g, acc))), pos))

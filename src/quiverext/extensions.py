@@ -27,8 +27,8 @@ from itertools import product
 
 from .errors import (FieldMismatchError, InternalCheckError, ValidationError,
                      WitnessError)
-from .linalg import (EchelonSpan, Matrix, quotient, rank, sparse_combination,
-                     unit_vector)
+from .linalg import (EchelonSpan, compose, identity_map, quotient,
+                     sparse_combination, sparse_rank, to_column, unit_vector)
 from .algebra import Algebra, map_violation, product_algebra
 from .modules import (Bimodule, ModuleMap, bimodule_direct_sum,
                       projective_bimodule, tensor_over, tensor_powers)
@@ -39,7 +39,9 @@ from .verdicts import Verdict
 
 
 class ExtensionPresentation:
-    """A pair B <= A with verified embedding and optional split witness."""
+    """A pair B <= A with verified embedding and optional split witness,
+    both column-sparse maps: the embedding has dim B columns and dim A
+    rows, the retraction the other way round."""
 
     __slots__ = ("ambient", "sub", "embedding", "retraction", "provenance",
                  "_cache")
@@ -60,15 +62,13 @@ class ExtensionPresentation:
         if a.field != b.field:
             raise FieldMismatchError("extension members over different fields")
         problem = map_violation(b, a, self.embedding, "embedding")
-        if not problem and rank(self.embedding) != b.dim:
+        if not problem and sparse_rank(map(dict, self.embedding), a.dim,
+                                       a.field) != b.dim:
             problem = "embedding is not injective"
         if not problem and self.retraction is not None:
             problem = retraction_violation(self)
         if problem:
             raise WitnessError(problem)
-
-    def embed(self, bvec):
-        return self.embedding.apply(bvec)
 
     def __repr__(self):
         return (f"ExtensionPresentation({self.sub.dim} <= {self.ambient.dim}, "
@@ -82,9 +82,8 @@ def retraction_violation(ext):
     problem = map_violation(ext.ambient, b, ret, "retraction")
     if problem:
         return problem
-    for i in range(b.dim):
-        if ret.apply(ext.embed(b.basis_vector(i))) != b.basis_vector(i):
-            return f"retraction does not split the embedding at basis element {i}"
+    if compose(b.field, ret, ext.embedding) != identity_map(b.field, b.dim):
+        return "retraction does not split the embedding"
     return None
 
 
@@ -124,8 +123,8 @@ def trivial_extension(r, m):
     idempotents = [tuple(e) + pad for e in r.idempotents]
     t = Algebra(f, labels, table, unit, radical_rows, idempotents,
                 meta={"kind": "trivial-extension", "base_dim": nr})
-    ret = Matrix(f, [unit_vector(f, n, j) for j in range(nr)], n)
-    emb = ret.transpose()
+    emb = identity_map(f, nr)  # r_j -> (r_j, 0)
+    ret = emb + ((),) * nm  # (r_j, 0) -> r_j, (0, m_i) -> 0
     ext = ExtensionPresentation(t, r, emb, ret, provenance="trivial-extension")
     return t, ext
 
@@ -190,8 +189,8 @@ def _b_actions(ext):
     """The left and the right action of B on A through the embedding, one
     column-sparse map per basis element of B (cached)."""
     if "b_actions" not in ext._cache:
-        a, b = ext.ambient, ext.sub
-        images = [ext.embed(b.basis_vector(i)) for i in range(b.dim)]
+        a = ext.ambient
+        images = [a.dense(col) for col in ext.embedding]
         ext._cache["b_actions"] = ([a.left_mult_matrix(v) for v in images],
                                    [a.right_mult_matrix(v) for v in images])
     return ext._cache["b_actions"]
@@ -210,7 +209,7 @@ def quotient_bimodule(ext, return_maps=False):
         a = ext.ambient
         left, right = _b_actions(ext)
         classes, free, (qleft, qright) = quotient(
-            EchelonSpan(a.field, a.dim, ext.embedding.transpose().rows),
+            EchelonSpan(a.field, a.dim, map(dict, ext.embedding)),
             ([m.__getitem__ for m in left], [m.__getitem__ for m in right]))
         q = Bimodule(ext.sub, ext.sub, len(free), qleft, qright, validate=True)
         ext._cache["quotient"] = (q, classes, free)
@@ -377,16 +376,15 @@ def relative_bar_complex(ext, p):
             if faces(raw, prev) != via_class:
                 raise InternalCheckError(
                     "bar differential does not descend to the tensor quotient")
-        d = Matrix.from_sparse_columns(f, [c.items() for c in cols],
-                                       modules[j - 1].dim)
-        diffs[j] = ModuleMap(modules[j], modules[j - 1], d, validate=False)
+        diffs[j] = ModuleMap(modules[j], modules[j - 1],
+                             tuple(map(to_column, cols)), validate=False)
 
     cc = ChainComplex(modules, diffs, validate=True)
     # A (x) 1 and 1 (x) A^op generate A^e, so a map that commutes with the
     # left actions (checked above) and the right ones is a bimodule map
     for j, d in diffs.items():
         ModuleMap(terms[j][0].as_right_module(),
-                  terms[j - 1][0].as_right_module(), d.matrix)
+                  terms[j - 1][0].as_right_module(), d.cols)
     return cc
 
 

@@ -8,30 +8,29 @@ There is one elimination loop, EchelonSpan's. It keeps each pivot row
 sparse, as a dict of its nonzero entries. Over the rationals it is
 fraction-free: rows are scaled to primitive integer rows, and a row is
 reduced by cross-multiplication with a pivot row followed by a gcd
-division, which keeps entries small without ever rounding. `rank`,
-`sparse_rank`, `rref`, `solve_linear` and `quotient` all read an
-EchelonSpan through a ReducedBasis, whose rows stay sparse. Its
-`complement` (the projection onto the free columns along the span, as
-sparse rows) is the one reader of the free columns: its rows span the
-null space (the kernels of resolution differentials and of hom systems),
-and `quotient`, which takes every quotient in the engine, reads its
-columns.
+division, which keeps entries small without ever rounding. `sparse_rank`
+(the one rank entry point) and `quotient` read an EchelonSpan, the latter
+through a ReducedBasis, whose rows stay sparse. Its `complement` (the
+projection onto the free columns along the span, as sparse rows) is the
+one reader of the free columns: its rows span the null space (the kernels
+of resolution differentials and of hom systems), and `quotient`, which
+takes every quotient in the engine, reads its columns.
 
-The linear maps the engine applies, every module and bimodule action
-among them, are column-sparse: a tuple indexed by column, each entry the
-(row, coeff) pairs of that column's nonzero canonical entries in row
-order. `identity_map`, `map_combination`, `compose`, `transpose`,
-`block_sum` and `kron` build them. An immutable dense Matrix of fixed
-shape stays only where a witness, a report or a test reads one: algebra
-maps, module-map matrices and resolution differentials;
-`Matrix.sparse_columns` and `Matrix.from_sparse_columns` convert.
+Every linear map the engine builds or checks is column-sparse: a tuple
+indexed by column, each entry the (row, coeff) pairs of that column's
+nonzero canonical entries in row order. That covers module and bimodule
+actions, module maps (hom bases, isomorphism witnesses, differentials)
+and algebra maps (embeddings, retractions). `identity_map`,
+`map_combination`, `compose`, `transpose`, `block_sum` and `kron` build
+them, and `map_problem` is the one check of the format. Dense vectors
+stay only for algebra elements.
 """
 
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-from .errors import FieldMismatchError, LinAlgError
+from .errors import LinAlgError
 
 
 class RationalField:
@@ -151,136 +150,6 @@ def field_from_spec(spec):
     raise LinAlgError(f"unknown field spec {spec!r}")
 
 
-class Matrix:
-    """Immutable dense matrix over a fixed field.
-
-    The shape is fixed at construction. `ncols` gives the width of a
-    matrix with no rows; when rows are given it must match them. Setting
-    an attribute after construction raises AttributeError.
-    """
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field, rows, ncols=None):
-        rows = tuple(tuple(r) for r in rows)
-        width = len(rows[0]) if rows else ncols or 0
-        if ncols is not None and ncols != width:
-            raise LinAlgError(f"rows of width {width}, expected {ncols}")
-        for r in rows:
-            if len(r) != width:
-                raise LinAlgError("ragged rows")
-        init = object.__setattr__
-        init(self, "field", field)
-        init(self, "rows", rows)
-        init(self, "nrows", len(rows))
-        init(self, "ncols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Matrix is immutable; cannot delete {name!r}")
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        return cls(field, [[field.of(x) for x in r] for r in rows])
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, [unit_vector(field, n, i) for i in range(n)], n)
-
-    @classmethod
-    def from_sparse(cls, field, rows, ncols):
-        """The matrix whose rows have the given nonzero entries, each row
-        its (col, canonical value) pairs."""
-        return cls(field, [dense_vector(field, ncols, r) for r in rows], ncols)
-
-    @classmethod
-    def from_cols(cls, field, cols, nrows=None):
-        """The matrix with the given dense columns, canonicalised."""
-        height = len(cols[0]) if cols else nrows or 0
-        return cls(field, [[field.of(col[i]) for col in cols]
-                           for i in range(height)], len(cols))
-
-    @classmethod
-    def from_sparse_columns(cls, field, cols, nrows):
-        """The dense matrix of a column-sparse map with nrows rows."""
-        return cls.from_sparse(field, transpose(cols, nrows), len(cols))
-
-    def sparse_columns(self):
-        """This matrix as a column-sparse map, its entries canonicalised."""
-        of = self.field.of
-        return tuple(tuple((i, y) for i, r in enumerate(self.rows)
-                           if (y := of(r[j])))
-                     for j in range(self.ncols))
-
-    def transpose(self):
-        return Matrix(self.field, [[r[j] for r in self.rows]
-                                   for j in range(self.ncols)], self.nrows)
-
-    def mul(self, other):
-        if self.field != other.field:
-            raise FieldMismatchError("matrix fields differ")
-        if self.ncols != other.nrows:
-            raise LinAlgError(f"shape mismatch {self.ncols} vs {other.nrows}")
-        f = self.field
-        ocols = other.ncols
-        out = []
-        # canonical elements are falsy exactly at zero, for both backends
-        for row in self.rows:
-            acc = [f.zero] * ocols
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                orow = other.rows[k]
-                for j in range(ocols):
-                    b = orow[j]
-                    if b:
-                        acc[j] = f.add(acc[j], f.mul(a, b))
-            out.append(acc)
-        return Matrix(f, out, ocols)
-
-    def apply(self, vec):
-        """Matrix times column vector, returned as a tuple."""
-        if len(vec) != self.ncols:
-            raise LinAlgError("vector length mismatch")
-        f = self.field
-        nonzero = [(j, x) for j, x in enumerate(vec) if x]
-        out = []
-        for row in self.rows:
-            s = f.zero
-            for j, x in nonzero:
-                a = row[j]
-                if a:
-                    s = f.add(s, f.mul(a, x))
-            out.append(s)
-        return tuple(out)
-
-    def is_zero(self):
-        return not any(map(any, self.rows))
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.ncols))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __repr__(self):
-        body = "; ".join(" ".join(map(str, r)) for r in self.rows)
-        return f"Matrix({self.nrows}x{self.ncols}: {body})"
-
-
 def unit_vector(field, n, i):
     """The i-th standard basis vector of k^n."""
     v = [field.zero] * n
@@ -300,8 +169,8 @@ def dense_vector(field, n, entries):
 def linear_combination(field, terms, n):
     """The sum of c * v over (c, v) pairs, each v of length n.
 
-    Zero is tested by truthiness, exact on canonical elements, as in
-    Matrix.mul; a falsy value is always zero, so no term is ever lost."""
+    Zero is tested by truthiness, exact on canonical elements; a falsy
+    value is always zero, so no term is ever lost."""
     add, mul = field.add, field.mul
     out = [field.zero] * n
     for c, v in terms:
@@ -324,18 +193,33 @@ def sparse_combination(field, terms):
     return {i: x for i, x in out.items() if x}
 
 
-def matrix_combination(field, coeffs, mats, nrows, ncols):
-    """The nrows x ncols matrix sum of c * M over coeffs and mats."""
-    terms = [(c, m.rows) for c, m in zip(coeffs, mats) if c]
-    rows = [linear_combination(field, [(c, mrows[r]) for c, mrows in terms],
-                               ncols)
-            for r in range(nrows)]
-    return Matrix(field, rows, ncols)
-
-
-def _column(entries):
+def to_column(entries):
     """A dict of nonzero entries as a column: its pairs in index order."""
     return tuple(sorted(entries.items()))
+
+
+def map_problem(field, m, nrows, ncols):
+    """What keeps m from being a column-sparse map k^ncols -> k^nrows, or
+    None when it is one: a tuple of ncols tuples of (row, coeff) pairs,
+    each column's rows increasing and in range, each coefficient nonzero
+    and canonical."""
+    if type(m) is not tuple or len(m) != ncols:
+        return f"need a tuple of {ncols} columns"
+    of, kind = field.of, type(field.one)
+    for col in m:
+        if type(col) is not tuple:
+            return "a column is not a tuple"
+        prev = -1
+        for e in col:
+            if type(e) is not tuple or len(e) != 2:
+                return "a column entry is not a (row, coeff) pair"
+            i, x = e
+            if type(i) is not int or not prev < i < nrows:
+                return f"row {i!r} out of range or order"
+            if type(x) is not kind or not x or of(x) != x:
+                return "stored zero or non-canonical entry"
+            prev = i
+    return None
 
 
 def identity_map(field, n):
@@ -347,16 +231,16 @@ def map_combination(field, coeffs, maps, ncols):
     """The column-sparse sum of c * m over coeffs and the column-sparse
     maps, each with ncols columns."""
     terms = [(c, m) for c, m in zip(coeffs, maps) if c]
-    return tuple(_column(sparse_combination(field, [(c, m[j])
-                                                    for c, m in terms]))
+    return tuple(to_column(sparse_combination(field, [(c, m[j])
+                                                      for c, m in terms]))
                  for j in range(ncols))
 
 
 def compose(field, a, b):
     """The column-sparse map a b: column j is the combination of the
     columns of a that column j of b gives."""
-    return tuple(_column(sparse_combination(field, [(c, a[k])
-                                                    for k, c in col]))
+    return tuple(to_column(sparse_combination(field, [(c, a[k])
+                                                      for k, c in col]))
                  for col in b)
 
 
@@ -565,11 +449,6 @@ class ReducedBasis:
         return None if cs is None else tuple(
             cs.get(t, self.field.zero) for t in range(self.dim))
 
-    def combine(self, coords):
-        """The vector with the given coordinates."""
-        return dense_vector(self.field, self.width, sparse_combination(
-            self.field, zip(coords, self.sparse_rows)).items())
-
     def complement(self):
         """The projection of k^width onto the free (non-pivot) coordinates
         along this span, as sparse rows (dicts col -> value), and the free
@@ -614,7 +493,7 @@ def quotient(span, maps=()):
 
     def induce(image):
         """A free coordinate goes to the sum of its image's classes."""
-        return tuple(_column(sparse_combination(
+        return tuple(to_column(sparse_combination(
             field, [(c, classes[k].items()) for k, c in image(j)]))
             for j in free)
 
@@ -622,59 +501,8 @@ def quotient(span, maps=()):
                            for family in maps]
 
 
-class RREF:
-    """A reduced row echelon form: the ReducedBasis of the row space, its
-    pivots and rank, and the padded `reduced` matrix (the input's shape,
-    nonzero rows first) built on demand."""
-
-    __slots__ = ("basis", "nrows", "pivots", "rank")
-
-    def __init__(self, basis, nrows):
-        self.basis = basis
-        self.nrows = nrows
-        self.pivots = basis.pivots
-        self.rank = basis.dim
-
-    @property
-    def reduced(self):
-        b = self.basis
-        zrow = (b.field.zero,) * b.width
-        return Matrix(b.field, b.rows + [zrow] * (self.nrows - b.dim), b.width)
-
-
-def rref(m):
-    """Reduced row echelon form of m, as an RREF."""
-    return RREF(EchelonSpan(m.field, m.ncols, m.rows).reduced_basis(),
-                m.nrows)
-
-
-def rank(m):
-    return EchelonSpan(m.field, m.ncols, m.rows).rank
-
-
-def solve_linear(a, b):
-    """Solve a x = b exactly; returns x (ncols_a x ncols_b) or None.
-
-    b must have the same number of rows as a. Inconsistent systems return
-    None; underdetermined systems get the free variables set to zero.
-    """
-    if a.field != b.field:
-        raise FieldMismatchError("fields differ")
-    if a.nrows != b.nrows:
-        raise LinAlgError("row counts differ")
-    f = a.field
-    n = a.ncols
-    aug_rows = [ra + rb for ra, rb in zip(a.rows, b.rows)]
-    r = rref(Matrix(f, aug_rows, n + b.ncols)).basis
-    if r.pivots and r.pivots[-1] >= n:
-        return None
-    sol = [(f.zero,) * b.ncols] * n
-    for row, p in zip(r.rows, r.pivots):
-        sol[p] = row[n:]
-    return Matrix(f, sol, b.ncols)
-
-
 def sparse_rank(rows, width, field):
     """Rank of a matrix given as an iterable of sparse rows (dict col->val),
-    for the big, very sparse differentials of bar-type complexes."""
+    or of a column-sparse map with width rows given as map(dict, columns):
+    a map and its transpose have the same rank."""
     return EchelonSpan(field, width, rows).rank

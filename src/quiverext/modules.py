@@ -8,7 +8,9 @@ equivalent left module over the tensor algebra L (x) R^op on demand;
 storing the sides separately keeps validation and tensor products cheap.
 The constructors reject an action not in column-sparse form, and one
 routine, `_check_action`, checks every action: a module's, and each side
-of a bimodule's.
+of a bimodule's. A ModuleMap is column-sparse too, with dim(source)
+columns and dim(target) rows, so hom bases and isomorphism witnesses are
+in the format every other map in the engine uses.
 
 Tensor products over an algebra are computed as explicit coequalizers:
 (M (x)_k N) / span{ m.b (x) n - m (x) b.n }, with b running over an
@@ -22,10 +24,9 @@ bimodule.
 from functools import partial
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, Matrix, block_sum, compose, identity_map,
-                     kron, map_combination, matrix_combination, nonzero_pairs,
-                     quotient, rank, solve_linear, sparse_combination,
-                     transpose, unit_vector)
+from .linalg import (EchelonSpan, block_sum, compose, identity_map, kron,
+                     map_combination, map_problem, nonzero_pairs, quotient,
+                     sparse_combination, sparse_rank, transpose, unit_vector)
 from .algebra import opposite, tensor_algebra
 
 
@@ -71,28 +72,16 @@ class Module:
 
 def _check_format(alg, action, dim, side):
     """Raise unless `action` holds one column-sparse map of k^dim per basis
-    element of alg: a tuple of dim columns, each column's rows increasing
-    and in range, each coefficient nonzero and canonical. A dim of None is
-    read off the first map; the dim is returned."""
-    if len(action) != alg.dim or any(type(m) is not tuple for m in action):
-        raise ValidationError(
-            f"{side} action: need a tuple of columns per basis element")
+    element of alg (see linalg.map_problem). A dim of None is read off the
+    first map; the dim is returned."""
+    if type(action) is not tuple or len(action) != alg.dim:
+        raise ValidationError(f"{side} action: need one map per basis element")
     if dim is None:
         dim = len(action[0]) if action else 0
-    of = alg.field.of
     for m in action:
-        if len(m) != dim:
-            raise ValidationError(f"{side} action: each map needs {dim} columns")
-        for col in m:
-            prev = -1
-            for i, x in col:
-                if not prev < i < dim:
-                    raise ValidationError(
-                        f"{side} action: row {i} out of range or order")
-                if not x or of(x) != x:
-                    raise ValidationError(
-                        f"{side} action: stored zero or non-canonical entry")
-                prev = i
+        problem = map_problem(alg.field, m, dim, dim)
+        if problem:
+            raise ValidationError(f"{side} action: {problem}")
     return dim
 
 
@@ -120,29 +109,31 @@ def _check_action(alg, action, dim, elems, product, side):
 
 
 class ModuleMap:
-    """A homomorphism of left modules, stored as a dim(target) x dim(source)
-    matrix; intertwining is verified on an algebra generating set."""
+    """A homomorphism of left modules, stored as a column-sparse map with
+    dim(source) columns and dim(target) rows; intertwining is verified on
+    an algebra generating set."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "cols")
 
-    def __init__(self, source, target, matrix, validate=True):
+    def __init__(self, source, target, cols, validate=True):
         if source.algebra is not target.algebra:
             raise ValidationError("module map between modules over different algebras")
-        if matrix.nrows != target.dim or matrix.ncols != source.dim:
-            raise ValidationError("module map matrix has wrong shape")
+        problem = map_problem(source.algebra.field, cols, target.dim,
+                              source.dim)
+        if problem:
+            raise ValidationError(f"module map: {problem}")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.cols = cols
         if validate:
             self.validate()
 
     def validate(self):
         f = self.source.algebra.field
-        cols = self.matrix.sparse_columns()
         for g in self.source.algebra.generators():
-            if compose(f, cols, self.source.action_map(g)) != \
-                    compose(f, self.target.action_map(g), cols):
-                raise ValidationError("matrix does not intertwine the actions")
+            if compose(f, self.cols, self.source.action_map(g)) != \
+                    compose(f, self.target.action_map(g), self.cols):
+                raise ValidationError("map does not intertwine the actions")
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
@@ -223,21 +214,39 @@ def projective_indecomposables(algebra):
 
 
 def simple_top_coefficients(algebra):
-    """Matrix C with C[s][j] = the e_s-component of b_j modulo the radical;
-    column j gives the action of b_j on each simple module."""
+    """For each primitive idempotent e_t, the functional c_t: A -> k with
+    b - sum_t c_t(b) e_t in the radical, as a column-sparse map with one
+    row; column j of c_t is the action of b_j on the t-th simple module.
+
+    The idempotents are orthogonal, complete and independent modulo the
+    radical, so e_t b_j = c_t(b_j) e_t modulo the radical; c_t(b_j) is
+    read off the classes of the two in A/rad."""
     if "simple_coeffs" in algebra._cache:
         return algebra._cache["simple_coeffs"]
     f = algebra.field
-    r = len(algebra.idempotents)
-    # express each b_j mod rad over the idempotent classes, b_j - sum c_s e_s
-    # in rad, by one solve against the identity; the idempotents and the
-    # radical basis are independent, so the solution is unique
-    gens = list(algebra.idempotents) + list(algebra.radical_basis().rows)
-    amat = Matrix.from_cols(f, gens, nrows=algebra.dim)
-    sol = solve_linear(amat, Matrix.identity(f, algebra.dim))
-    if sol is None:
-        raise ValidationError("basis element not in idempotents + radical span")
-    out = Matrix(f, sol.rows[:r], algebra.dim)
+    classes, _, _ = quotient(EchelonSpan(
+        f, algebra.dim, map(dict, algebra.radical_basis().sparse_rows)))
+
+    def cls(pairs):
+        return sparse_combination(f, [(c, classes[k].items())
+                                      for k, c in pairs])
+
+    out = []
+    for e in algebra.idempotents:
+        es = nonzero_pairs(f, e)
+        ce = cls(es)
+        lead = min(ce)
+        inv = f.inv(ce[lead])
+        cols = []
+        for j in range(algebra.dim):
+            cb = cls(algebra.sparse_multiply(es, ((j, f.one),)))
+            x = f.mul(cb.get(lead, f.zero), inv)
+            if cb != sparse_combination(f, [(x, ce.items())]):
+                raise ValidationError(f"e_t b_{j} is not a multiple of e_t "
+                                      "modulo the radical")
+            cols.append(((0, x),) if x else ())
+        out.append(tuple(cols))
+    out = tuple(out)
     algebra._cache["simple_coeffs"] = out
     return out
 
@@ -245,9 +254,7 @@ def simple_top_coefficients(algebra):
 def simple_module(algebra, s):
     key = ("simple", s)
     if key not in algebra._cache:
-        coeffs = simple_top_coefficients(algebra)
-        action = [(((0, c),) if (c := coeffs[s, j]) else (),)
-                  for j in range(algebra.dim)]
+        action = [(col,) for col in simple_top_coefficients(algebra)[s]]
         algebra._cache[key] = Module(algebra, action, validate=False)
     return algebra._cache[key]
 
@@ -294,11 +301,13 @@ def hom_space(m, n):
                     row[i * md + k] = f.sub(row.get(i * md + k, f.zero), c)
         span.extend(row for row in rows if row)
     kernel, _ = span.reduced_basis().complement()
-    return [ModuleMap(m, n, Matrix(f, [[x.get(i * md + j, f.zero)
-                                        for j in range(md)]
-                                       for i in range(nd)], md),
-                      validate=False)
-            for x in kernel]
+    basis = []
+    for x in kernel:
+        cols = [[] for _ in range(md)]
+        for k in sorted(x):  # row-major, so each column's rows increase
+            cols[k % md].append((k // md, x[k]))
+        basis.append(ModuleMap(m, n, tuple(map(tuple, cols)), validate=False))
+    return basis
 
 
 def is_isomorphic(m, n, seed=0):
@@ -316,7 +325,7 @@ def is_isomorphic(m, n, seed=0):
     if m.dim != n.dim:
         return "no", None
     if m.dim == 0:
-        return "yes", Matrix.zeros(m.algebra.field, 0, 0)
+        return "yes", ()
     basis = hom_space(m, n)
     if not basis:
         return "no", None
@@ -330,12 +339,12 @@ def is_isomorphic(m, n, seed=0):
             candidates.append([f.of(rng.randrange(p)) for _ in basis])
         else:
             candidates.append([f.of(rng.randint(-3, 3)) for _ in basis])
-    mats = [bm.matrix for bm in basis]
+    maps = [bm.cols for bm in basis]
     for coeffs in candidates:
-        mat = matrix_combination(f, coeffs, mats, n.dim, m.dim)
-        if rank(mat) == m.dim:
-            ModuleMap(m, n, mat, validate=True)
-            return "yes", mat
+        cols = map_combination(f, coeffs, maps, m.dim)
+        if sparse_rank(map(dict, cols), n.dim, f) == m.dim:
+            ModuleMap(m, n, cols, validate=True)
+            return "yes", cols
     return "unresolved", None
 
 

@@ -78,8 +78,5 @@ def verdict_fields(report, prefix, verdict):
     if verdict.bound is not None:
         report.add(f"{prefix}.bound", verdict.bound)
     for k in sorted(verdict.certificate, key=str):
-        v = verdict.certificate[k]
-        if k == "witness" and not isinstance(v, (str, int, list, tuple, dict, bool)):
-            continue
-        report.add(f"{prefix}.{k}", v)
+        report.add(f"{prefix}.{k}", verdict.certificate[k])
     return report

@@ -10,8 +10,12 @@ generators, the rows of each differential and the kernel vectors. Acting
 on a vector touches only its nonzero coordinates, through the columns of
 the column-sparse action of each summand, read as the module stores it.
 The kernel of a differential is one EchelonSpan over its sparse rows,
-read through ReducedBasis.complement. Dense matrices (the differentials
-in `Resolution.diffs`) are built only when something reads them.
+read through ReducedBasis.complement; the differentials stay in that
+row-sparse form, since the kernel needs rows. Maps handed out as
+ModuleMaps (the cover's epimorphism, the differentials of a ChainComplex,
+isomorphism witnesses) are column-sparse, like every other linear map in
+the engine; ChainComplex checks d o d = 0 by composing them and ranks
+them through linalg.sparse_rank.
 
 Each differential is also stored in "algebra form": the map
 + A e_{s(c)} -> + A e_{s(r)} is right multiplication by elements
@@ -27,8 +31,8 @@ ranked from its sparse images.
 from itertools import accumulate
 
 from .errors import InternalCheckError, ValidationError
-from .linalg import (EchelonSpan, Matrix, nonzero_pairs, sparse_combination,
-                     sparse_rank)
+from .linalg import (EchelonSpan, compose, nonzero_pairs, sparse_combination,
+                     sparse_rank, transpose)
 from .modules import (Module, ModuleMap, direct_sum, is_isomorphic,
                       projective_data, simple_modules, zero_module)
 from .algebra import opposite
@@ -110,13 +114,6 @@ class Resolution:
     @property
     def length(self):
         return len(self.gens) - 1
-
-    @property
-    def diffs(self):
-        """The differentials as dense matrices, built on each read."""
-        f = self.module.algebra.field
-        return [Matrix.from_sparse(f, [r.items() for r in rows], ncols)
-                for rows, ncols in self.sparse_diffs]
 
     def term_dim(self, i):
         a = self.module.algebra
@@ -269,9 +266,8 @@ def projective_cover(m):
     """Projective cover as (projective module, epimorphism)."""
     gens, (rows, ncols) = _module_cover(m)
     p = _projective_sum(m.algebra, [s for s, _ in gens])
-    diff = Matrix.from_sparse(m.algebra.field, [r.items() for r in rows],
-                              ncols)
-    return p, ModuleMap(p, m, diff, validate=False)
+    epi = transpose(tuple(tuple(sorted(r.items())) for r in rows), ncols)
+    return p, ModuleMap(p, m, epi, validate=False)
 
 
 def syzygy(m, t, cap=None):
@@ -396,7 +392,7 @@ class PdVerdict:
     """Outcome of a projective dimension computation.
 
     kind is 'finite' (value set), 'infinite' (periodicity witness
-    (i, j, matrix) recorded) or 'undetermined' (cap reached). The
+    (i, j, map) recorded, the map column-sparse) or 'undetermined' (cap reached). The
     certificate carries the resolution term dimensions either way.
     """
 
@@ -479,18 +475,18 @@ class ChainComplex:
             d.validate()
         for i, d in self.diffs.items():
             up = self.diffs.get(i + 1)
-            if up is not None:
-                comp = d.matrix.mul(up.matrix)
-                if any(map(any, comp.rows)):
-                    raise ValidationError(f"d o d != 0 at degree {i + 1}")
+            if up is not None and any(compose(d.source.algebra.field,
+                                              d.cols, up.cols)):
+                raise ValidationError(f"d o d != 0 at degree {i + 1}")
 
     def degrees(self):
         return sorted(self.modules)
 
     def homology(self):
         """Dimension of homology at each degree."""
-        from .linalg import rank
-        ranks = {i: rank(d.matrix) for i, d in self.diffs.items()}
+        ranks = {i: sparse_rank(map(dict, d.cols), d.target.dim,
+                                d.source.algebra.field)
+                 for i, d in self.diffs.items()}
         return homology_dims({i: self.modules[i].dim for i in self.degrees()},
                              ranks)
 

@@ -14,7 +14,7 @@ zero, pd 0) or as cokernels of injective maps between projective bimodules
 self-injective factors like the dual numbers.
 """
 
-from .linalg import EchelonSpan, matrix_combination, nonzero_pairs, quotient
+from .linalg import EchelonSpan, map_combination, nonzero_pairs, quotient
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .errors import AdmissibilityError, PresentationError
 from .modules import (Bimodule, Module, bimodule_direct_sum, projective_data,
@@ -146,9 +146,9 @@ def cokernel_pd1_bimodule(rng, bleft, bright=None, tries=12):
                 coeffs = [f.of(rng.randrange(p)) for _ in basis]
             else:
                 coeffs = [f.of(rng.randint(-2, 2)) for _ in basis]
-            mat = matrix_combination(f, coeffs, [bm.matrix for bm in basis],
-                                     tgt.dim, src.dim)
-            image = EchelonSpan(f, tgt.dim, mat.transpose().rows)
+            cols = map_combination(f, coeffs, [bm.cols for bm in basis],
+                                   src.dim)
+            image = EchelonSpan(f, tgt.dim, map(dict, cols))
             if image.rank != src.dim:
                 continue
             _, free, (left, right) = quotient(
@@ -166,6 +166,5 @@ def inflated_simple_bimodule(b, i, j):
     infinite projective dimension over B^e."""
     from .modules import simple_top_coefficients
     c = simple_top_coefficients(b)
-    left = [(((0, x),) if (x := c[i, t]) else (),) for t in range(b.dim)]
-    right = [(((0, x),) if (x := c[j, t]) else (),) for t in range(b.dim)]
-    return Bimodule(b, b, 1, left, right, validate=False)
+    return Bimodule(b, b, 1, [(col,) for col in c[i]],
+                    [(col,) for col in c[j]], validate=False)

@@ -1,6 +1,6 @@
 import pytest
 
-from quiverext.linalg import GF, QQ, Matrix
+from quiverext.linalg import GF, QQ
 from quiverext.quiver import QuiverPresentation, algebra_from_presentation
 from quiverext.algebra import scalar_algebra
 from quiverext.extensions import subalgebra_extension
@@ -48,14 +48,20 @@ def lam():
 @pytest.fixture(scope="session")
 def gamma_in_lambda(gamma, lam):
     """The loop-quiver subalgebra extension with its canonical witnesses."""
-    lab = {l: i for i, l in enumerate(lam.basis_labels)}
-    emb = Matrix.from_cols(
-        QQ, [[1 if i == lab[x] else 0 for i in range(lam.dim)]
-             for x in gamma.basis_labels], nrows=lam.dim)
-    ret = Matrix.from_rows(
-        QQ, [[1 if i == lab[x] else 0 for i in range(lam.dim)]
-             for x in gamma.basis_labels])
-    return subalgebra_extension(lam, gamma, emb, ret)
+    return subalgebra_extension(lam, gamma, *inclusion_witnesses(gamma, lam))
+
+
+def inclusion_witnesses(sub, amb):
+    """The column-sparse embedding of sub into amb sending each basis
+    element to the one of amb with the same label, and the retraction
+    sending it back and every other basis element of amb to zero."""
+    one = amb.field.one
+    lab = {x: i for i, x in enumerate(amb.basis_labels)}
+    back = {lab[x]: j for j, x in enumerate(sub.basis_labels)}
+    emb = tuple(((lab[x], one),) for x in sub.basis_labels)
+    ret = tuple(((back[i], one),) if i in back else ()
+                for i in range(amb.dim))
+    return emb, ret
 
 
 @pytest.fixture(scope="session")

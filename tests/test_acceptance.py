@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from quiverext.linalg import GF, QQ, Matrix
+from conftest import inclusion_witnesses
+from quiverext.linalg import GF, QQ
 from quiverext.quiver import QuiverPresentation, algebra_from_presentation
 from quiverext.algebra import opposite
 from quiverext.barcomplex import full_bar_homology, relative_bar_homology
@@ -43,15 +44,7 @@ def fresh_worked_example(field=QQ):
         (("beta", "1", "2"), ("gamma", "1", "1"), ("alpha", "2", "1")),
         (((1, ("gamma", "gamma")),), ((1, ("alpha", "beta")),)))
     l = algebra_from_presentation(lp, field)
-    lab = {x: i for i, x in enumerate(l.basis_labels)}
-    one, zero = field.one, field.zero
-    emb = Matrix.from_cols(
-        field, [[one if i == lab[x] else zero for i in range(l.dim)]
-                for x in g.basis_labels], nrows=l.dim)
-    ret = Matrix.from_rows(
-        field, [[one if i == lab[x] else zero for i in range(l.dim)]
-                for x in g.basis_labels])
-    return g, l, subalgebra_extension(l, g, emb, ret)
+    return g, l, subalgebra_extension(l, g, *inclusion_witnesses(g, l))
 
 
 def test_criterion_1_worked_example_regression():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverext.errors import FieldMismatchError, ValidationError
-from quiverext.linalg import GF, QQ, EchelonSpan, Matrix, nonzero_pairs
+from quiverext.linalg import GF, QQ, EchelonSpan, identity_map, nonzero_pairs
 from quiverext.quiver import QuiverPresentation, algebra_from_presentation
 from quiverext.suite import random_quiver_algebra
 from quiverext.algebra import (Algebra, opposite, product_algebra,
@@ -113,13 +113,12 @@ def test_generators_of_quiver_algebra(gamma):
 
 def test_verify_isomorphism_identity(gamma):
     assert verify_algebra_isomorphism(gamma, gamma,
-                                      Matrix.identity(QQ, gamma.dim))
+                                      identity_map(QQ, gamma.dim))
 
 
 def test_verify_isomorphism_rejects_non_map(gamma, dual_numbers):
     with pytest.raises(ValidationError):
-        verify_algebra_isomorphism(gamma, dual_numbers,
-                                   Matrix.zeros(QQ, 2, 5))
+        verify_algebra_isomorphism(gamma, dual_numbers, ((),) * 5)
 
 
 def test_tensor_with_scalar_matches_structure_constants(k, gamma):
@@ -272,8 +271,6 @@ def test_sparse_coords_agree_with_echelon_span(data):
         member = span.contains(w)
         assert (cs is not None) == member
         assert (rb.sparse_coords(nonzero_pairs(a.field, w)) is not None) == member
-        if cs is not None:
-            assert rb.combine(cs) == w
 
 
 def _is_associative(a):

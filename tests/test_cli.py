@@ -100,6 +100,28 @@ def test_parse_error_exit_three():
         os.unlink(path)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("colour B", "unknown key 'colour'"),
+    ("module M", "repeated key 'module'"),
+    ("b C", "repeated key 'b'"),
+], ids=["unknown-key", "repeated-module", "repeated-side"])
+def test_construct_key_error_exit_three(extra, message):
+    """A bad key on a construct line is an input error at its token."""
+    from test_docparse import CONSTRUCT_LINE, TRIANGULAR_DOC
+    line = CONSTRUCT_LINE + " " + extra
+    doc = TRIANGULAR_DOC.replace(CONSTRUCT_LINE, line)
+    path = write_temp(doc)
+    try:
+        code, out, err = run_cli(["check-extension", path])
+        assert code == 3
+        assert out == ""
+        line_no = doc[:doc.index(line)].count("\n") + 1
+        assert f"line {line_no}, col {len(CONSTRUCT_LINE) + 2}" in err
+        assert message in err
+    finally:
+        os.unlink(path)
+
+
 @pytest.mark.parametrize("command, check", [
     ("check-extension", "check extension Lambda"),
     ("invariants", "check extension Lambda"),

@@ -101,6 +101,49 @@ def test_construct_argument_of_wrong_kind_rejected(line, col, message):
     assert message in str(err)
 
 
+CONSTRUCT_LINE = "construct triangular T = b B c C module M"
+
+
+def _construct_key_error(extra, prefix=""):
+    """Parse the triangular document with `extra` appended to its construct
+    line (and `prefix` defined before that line); return the error and the
+    (line, col) of the last token named in `extra`'s first word."""
+    line = CONSTRUCT_LINE + " " + extra
+    doc = TRIANGULAR_DOC.replace(CONSTRUCT_LINE, prefix + line)
+    err = _kind_error(doc)
+    line_no = doc[:doc.index(line)].count("\n") + 1
+    return err, (line_no, line.rindex(extra.split()[0] + " ") + 1)
+
+
+def test_construct_unknown_key_rejected():
+    err, pos = _construct_key_error("colour B")
+    assert (err.line, err.col) == pos
+    assert "unknown key 'colour' for 'construct triangular'" in str(err)
+
+
+def test_construct_repeated_key_rejected():
+    """A second module would otherwise silently replace the first."""
+    other = "bimodule N over C B dim 1\n  left e1 = 1\n  right e1 = 1\nend\n\n"
+    err, pos = _construct_key_error("module N", prefix=other)
+    assert (err.line, err.col) == pos
+    assert "repeated key 'module'" in str(err)
+
+
+def test_construct_repeated_side_key_rejected_at_its_token():
+    """A repeated algebra key is an input error at its token, not a later
+    failure of the construction without a position."""
+    err, pos = _construct_key_error("b C")
+    assert (err.line, err.col) == pos
+    assert "repeated key 'b'" in str(err)
+
+
+def test_construct_missing_key_rejected():
+    doc = TRIANGULAR_DOC.replace(CONSTRUCT_LINE,
+                                 "construct triangular T = b B c C")
+    err = _kind_error(doc)
+    assert "construction missing 'module'" in str(err)
+
+
 def test_duplicate_name():
     doc = "field q\nquiver A\n vertices 1\nend\nquiver A\n vertices 1\nend\n"
     with pytest.raises(ParseError):

@@ -4,7 +4,8 @@ import pytest
 
 from quiverext.errors import (InternalCheckError, ValidationError,
                               WitnessError)
-from quiverext.linalg import QQ, Matrix, identity_map
+import dense_reference as dense
+from quiverext.linalg import QQ, identity_map
 from quiverext.algebra import (opposite, product_algebra,
                                verify_algebra_isomorphism)
 from quiverext.modules import (Bimodule, direct_sum, is_isomorphic,
@@ -27,7 +28,7 @@ def one_dim_bimodule(k):
 
 
 def identity_extension(algebra):
-    ident = Matrix.identity(algebra.field, algebra.dim)
+    ident = identity_map(algebra.field, algebra.dim)
     return subalgebra_extension(algebra, algebra, ident, ident)
 
 
@@ -42,20 +43,16 @@ def test_identity_extension_valid(gamma):
 
 def test_non_multiplicative_embedding_rejected(gamma, lam):
     lab = {l: i for i, l in enumerate(lam.basis_labels)}
-    cols = []
-    for x in gamma.basis_labels:
-        v = [0] * lam.dim
-        v[lab[x]] = 1
-        cols.append(v)
+    cols = [((lab[x], QQ.one),) for x in gamma.basis_labels]
     # swap the images of the arrow and the loop: breaks multiplicativity
     cols[2], cols[3] = cols[3], cols[2]
-    emb = Matrix.from_cols(QQ, cols, nrows=lam.dim)
+    emb = tuple(cols)
     with pytest.raises(WitnessError):
         subalgebra_extension(lam, gamma, emb)
 
 
 def test_non_unital_embedding_rejected(k, gamma):
-    emb = Matrix.from_cols(QQ, [[0, 0, 0, 1, 0]], nrows=5)
+    emb = (((3, QQ.one),),)
     with pytest.raises(WitnessError):
         subalgebra_extension(gamma, k, emb)
 
@@ -64,12 +61,12 @@ def _bad_map(a, fault):
     """An invertible endomorphism matrix of Gamma that is not unital (e1 goes
     to e1 + beta) or unital but not multiplicative (beta and gamma swap)."""
     f = a.field
-    cols = [list(a.basis_vector(i)) for i in range(a.dim)]
+    cols = list(identity_map(f, a.dim))
     if fault == "not unital":
-        cols[0][a.basis_labels.index("beta")] = f.one
+        cols[0] = ((0, f.one), (a.basis_labels.index("beta"), f.one))
     else:
         cols[2], cols[3] = cols[3], cols[2]
-    return Matrix.from_cols(f, cols, nrows=a.dim)
+    return tuple(cols)
 
 
 @pytest.mark.parametrize("fault", ["not unital", "not multiplicative"])
@@ -79,7 +76,7 @@ def test_map_fault_rejected_by_every_caller(gamma_qq_gf2, fault, caller):
     a = gamma_qq_gf2
     assert a.basis_labels[2:4] == ("beta", "gamma")
     bad = _bad_map(a, fault)
-    ident = Matrix.identity(a.field, a.dim)
+    ident = identity_map(a.field, a.dim)
     message = f"{caller}( is)? {fault}"
     if caller == "isomorphism witness":
         with pytest.raises(ValidationError, match=message):
@@ -94,12 +91,64 @@ def test_map_fault_rejected_by_every_caller(gamma_qq_gf2, fault, caller):
         assert re.match(message, v.certificate["violation"])
 
 
+FORMAT_FAULTS = ["columns", "row out of range", "row out of order",
+                 "stored zero", "non-canonical"]
+
+
+def _malformed(f, m, nrows, fault):
+    """The column-sparse map m (nrows rows, at least two) with one fault
+    of format in its first column, or one column short."""
+    if fault == "columns":
+        return m[:-1]
+    first = {"row out of range": ((nrows, f.one),),
+             "row out of order": ((1, f.one), (0, f.one)),
+             "stored zero": ((0, f.zero),),
+             # an integer residue past p, or a float for a rational
+             "non-canonical": ((0, f.characteristic + 1 if f.characteristic
+                                else 1.0),)}[fault]
+    return (first,) + m[1:]
+
+
+@pytest.mark.parametrize("fault", FORMAT_FAULTS)
+@pytest.mark.parametrize("caller", ["embedding", "retraction",
+                                    "isomorphism witness", "module map"])
+def test_malformed_map_rejected_by_every_caller(gamma_qq_gf2, fault, caller):
+    """A map in the wrong format is rejected by the one format check with
+    the engine's own error, before anything reads its entries."""
+    from quiverext.modules import ModuleMap, left_regular_module
+    a = gamma_qq_gf2
+    ident = identity_map(a.field, a.dim)
+    bad = _malformed(a.field, ident, a.dim, fault)
+    if caller == "isomorphism witness":
+        with pytest.raises(ValidationError, match=caller):
+            verify_algebra_isomorphism(a, a, bad)
+    elif caller == "module map":
+        m = left_regular_module(a)
+        with pytest.raises(ValidationError, match=caller):
+            ModuleMap(m, m, bad, validate=False)
+    else:
+        emb, ret = (bad, None) if caller == "embedding" else (ident, bad)
+        with pytest.raises(WitnessError, match=caller):
+            subalgebra_extension(a, a, emb, ret)
+        if ret is not None:
+            ext = ExtensionPresentation(a, a, emb, ret, validate=False)
+            assert check_split(ext).fails
+
+
+def test_non_tuple_map_rejected(gamma):
+    """A list of columns, or a column given as a list, is not the format."""
+    ident = identity_map(QQ, gamma.dim)
+    for bad in (list(ident), (list(ident[0]),) + ident[1:]):
+        with pytest.raises(WitnessError, match="embedding"):
+            subalgebra_extension(gamma, gamma, bad)
+
+
 def test_corrupted_retraction_fails_check(gamma, lam, gamma_in_lambda):
     good = gamma_in_lambda
-    rows = [list(r) for r in good.retraction.rows]
+    rows = [list(r) for r in dense.rows(QQ, good.retraction, gamma.dim)]
     rows[0][1] = QQ.of(1)  # retraction no longer splits the embedding
     bad = ExtensionPresentation(lam, gamma, good.embedding,
-                                Matrix(QQ, rows), validate=False)
+                                dense.columns(QQ, rows), validate=False)
     v = check_split(bad)
     assert v.fails
     assert "violation" in v.certificate
@@ -156,16 +205,10 @@ def test_lambda_is_trivial_extension_with_witness(gamma, lam, gamma_in_lambda):
     q, classes, _ = quotient_bimodule(gamma_in_lambda, return_maps=True)
     t, _ = trivial_extension(gamma, q)
     g_lab = {l: i for i, l in enumerate(gamma.basis_labels)}
-    cols = []
-    for i, l in enumerate(lam.basis_labels):
-        v = [QQ.zero] * t.dim
-        if l in g_lab:
-            v[g_lab[l]] = QQ.one
-        else:
-            for j, c in classes[i].items():
-                v[gamma.dim + j] = c
-        cols.append(v)
-    iso = Matrix.from_cols(QQ, cols, nrows=t.dim)
+    iso = tuple(((g_lab[l], QQ.one),) if l in g_lab
+                else tuple((gamma.dim + j, c)
+                           for j, c in sorted(classes[i].items()))
+                for i, l in enumerate(lam.basis_labels))
     assert verify_algebra_isomorphism(lam, t, iso)
 
 
@@ -246,8 +289,7 @@ def test_periodic_bimodule_syzygy_detected(k, dual_numbers):
     from quiverext.modules import simple_top_coefficients
     c = simple_top_coefficients(dual_numbers)
     left = [identity_map(QQ, 1)]
-    right = [Matrix(QQ, [[c[0, t]]]).sparse_columns()
-             for t in range(dual_numbers.dim)]
+    right = [(col,) for col in c[0]]
     m = Bimodule(k, dual_numbers, 1, left, right)
     t, ext = triangular_matrix_algebra(dual_numbers, k, m)
     pd = check_bimodule_pd(ext, 8)
@@ -447,7 +489,8 @@ def test_augmented_resolution_exact_with_euler(gamma_in_lambda):
     for i in range(len(res.gens)):
         p = res.projective_module(i)
         modules[i + 1] = p
-        diffs[i + 1] = ModuleMap(p, prev, res.diffs[i], validate=True)
+        diffs[i + 1] = ModuleMap(p, prev, dense.diff_columns(
+            res.sparse_diffs[i]), validate=True)
         prev = p
     cc = ChainComplex(modules, diffs)
     assert cc.is_exact()
