@@ -27,7 +27,7 @@ from .resolutions import (ChainComplex, PdVerdict, Resolution, ext,
                           projective_dimension, syzygy, tor)
 from .invariants import (global_dimension, gorenstein_verdict,
                          hochschild_homology, injective_dimension_regular,
-                         perp_membership, singularity_trivial)
+                         perp_membership)
 from .extensions import (CheckConfig, ExtensionPresentation, HypothesisReport,
                          check_bimodule_pd, check_derived_tor_families,
                          check_extension, check_nilpotency, check_split,

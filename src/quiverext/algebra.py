@@ -14,7 +14,16 @@ product goes through one kernel, `sparse_multiply`, which visits only
 nonempty table cells; the battery runs on it and skips only products that
 are zero by construction, so its checks are as strong as dense ones. Zero
 is tested by truthiness, exact on canonical elements: `__init__`
-canonicalises the stored data, `linalg.nonzero_pairs` outside vectors.
+canonicalises the table.
+
+An element of the algebra (the unit, each radical row, each idempotent,
+each generator) is stored in the format of a column (see linalg): its
+(index, coeff) pairs, indices increasing, coefficients nonzero and
+canonical. `__init__` rejects an element in any other form, through the
+check `linalg.map_problem` makes of a one-column map. `sparse_multiply`
+takes elements as pairs in any order and returns the pairs of the product
+unordered; the battery compares products as dicts, and a product is
+sorted only where it is stored.
 
 A claimed algebra map (an embedding, a retraction, an isomorphism
 witness) is column-sparse, like every linear map in the engine, and is
@@ -23,8 +32,8 @@ product. Its callers add only their own extra condition.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, dense_vector, map_problem, nonzero_pairs,
-                     sparse_combination, sparse_rank, unit_vector)
+from .linalg import (EchelonSpan, map_problem, sparse_combination,
+                     sparse_rank)
 
 
 class Algebra:
@@ -40,9 +49,16 @@ class Algebra:
             tuple(tuple((k, x) for k, c in cell if (x := field.of(c)))
                   for cell in row)
             for row in table)
-        self.unit = tuple(field.of(x) for x in unit)
-        self.radical_rows = tuple(tuple(field.of(x) for x in r) for r in radical_rows)
-        self.idempotents = tuple(tuple(field.of(x) for x in e) for e in idempotents)
+        self.unit = unit
+        self.radical_rows = tuple(radical_rows)
+        self.idempotents = tuple(idempotents)
+        for what, elems in (("unit", (unit,)),
+                            ("radical row", self.radical_rows),
+                            ("idempotent", self.idempotents)):
+            for e in elems:
+                problem = map_problem(field, (e,), self.dim, 1)
+                if problem:
+                    raise ValidationError(f"{what}: {problem}")
         self.meta = dict(meta) if meta else {}
         self._cache = {}
         if validate:
@@ -51,9 +67,10 @@ class Algebra:
     # -- basic arithmetic -------------------------------------------------
 
     def sparse_multiply(self, x, y):
-        """Product of two vectors given as nonzero (index, canonical coeff)
-        pairs, in the same form; the algebra's one product loop, visiting
-        only the nonempty cells b_i * b_j with x_i and y_j nonzero."""
+        """Product of two elements given as nonzero (index, canonical coeff)
+        pairs, as the same pairs in no particular order; the algebra's one
+        product loop, visiting only the nonempty cells b_i * b_j with x_i
+        and y_j nonzero."""
         f = self.field
         mul, add = f.mul, f.add
         table = self.table
@@ -69,28 +86,16 @@ class Algebra:
                         out[k] = add(out[k], v) if k in out else v
         return [kc for kc in out.items() if kc[1]]
 
-    def dense(self, pairs):
-        """The coordinate vector with the given (index, coeff) entries."""
-        return dense_vector(self.field, self.dim, pairs)
-
-    def multiply(self, x, y):
-        """Product of two coordinate vectors."""
-        return self.dense(self.sparse_multiply(nonzero_pairs(self.field, x),
-                                             nonzero_pairs(self.field, y)))
-
-    def basis_vector(self, i):
-        return unit_vector(self.field, self.dim, i)
-
-    def left_mult_matrix(self, vec):
-        """The column-sparse map x -> vec * x."""
-        v, one = nonzero_pairs(self.field, vec), self.field.one
-        return tuple(tuple(sorted(self.sparse_multiply(v, ((j, one),))))
+    def left_mult_matrix(self, elem):
+        """The column-sparse map x -> elem * x."""
+        one = self.field.one
+        return tuple(tuple(sorted(self.sparse_multiply(elem, ((j, one),))))
                      for j in range(self.dim))
 
-    def right_mult_matrix(self, vec):
-        """The column-sparse map x -> x * vec."""
-        v, one = nonzero_pairs(self.field, vec), self.field.one
-        return tuple(tuple(sorted(self.sparse_multiply(((i, one),), v)))
+    def right_mult_matrix(self, elem):
+        """The column-sparse map x -> x * elem."""
+        one = self.field.one
+        return tuple(tuple(sorted(self.sparse_multiply(((i, one),), elem)))
                      for i in range(self.dim))
 
     @property
@@ -100,9 +105,7 @@ class Algebra:
     def radical_basis(self):
         """Reduced echelon basis of the radical (cached)."""
         if "rad_basis" not in self._cache:
-            span = EchelonSpan(self.field, self.dim)
-            for r in self.radical_rows:
-                span.insert(r)
+            span = EchelonSpan(self.field, self.dim, self.radical_rows)
             self._cache["rad_basis"] = span.reduced_basis()
         return self._cache["rad_basis"]
 
@@ -121,25 +124,19 @@ class Algebra:
             for s in rb.sparse_rows:
                 prod = self.sparse_multiply(r, s)
                 if prod:
-                    sq.insert(dict(prod))
-        gens = list(self.idempotents)
-        for r in rb.rows:
-            if sq.insert(r):
-                gens.append(tuple(r))
-        gens = tuple(gens)
+                    sq.insert(prod)
+        gens = self.idempotents + tuple(r for r in rb.sparse_rows
+                                        if sq.insert(r))
         self._cache["generators"] = gens
         return gens
 
     # -- validation battery ----------------------------------------------
 
     def validate(self):
-        f = self.field
         n = self.dim
         if n == 0:
             raise ValidationError("zero-dimensional algebra has no unit")
-        if len(self.unit) != n:
-            raise ValidationError("unit vector has wrong length")
-        for i, row in enumerate(self.table):
+        for row in self.table:
             if len(row) != n:
                 raise ValidationError("multiplication table has wrong shape")
         self._check_unit()
@@ -148,12 +145,12 @@ class Algebra:
         self._check_radical()
 
     def _check_unit(self):
-        f = self.field
+        one, mul = self.field.one, self.sparse_multiply
         for j in range(self.dim):
-            ej = self.basis_vector(j)
-            if self.multiply(self.unit, ej) != ej:
+            bj = ((j, one),)
+            if dict(mul(self.unit, bj)) != {j: one}:
                 raise ValidationError(f"unit law fails: 1*b{j} != b{j}")
-            if self.multiply(ej, self.unit) != ej:
+            if dict(mul(bj, self.unit)) != {j: one}:
                 raise ValidationError(f"unit law fails: b{j}*1 != b{j}")
 
     def _check_associativity(self):
@@ -190,15 +187,12 @@ class Algebra:
             raise ValidationError("no idempotents supplied")
         for s, e in enumerate(self.idempotents):
             for t, e2 in enumerate(self.idempotents):
-                prod = self.multiply(e, e2)
-                expected = e if s == t else (f.zero,) * self.dim
-                if prod != expected:
+                if dict(self.sparse_multiply(e, e2)) != (dict(e) if s == t
+                                                         else {}):
                     raise ValidationError(
                         f"idempotents e{s}, e{t} are not orthogonal idempotents")
-        total = [f.zero] * self.dim
-        for e in self.idempotents:
-            total = [f.add(a, b) for a, b in zip(total, e)]
-        if tuple(total) != self.unit:
+        if sparse_combination(f, [(f.one, e) for e in self.idempotents]) != \
+                dict(self.unit):
             raise ValidationError("idempotents do not sum to the unit")
 
     def _check_radical(self):
@@ -210,11 +204,7 @@ class Algebra:
             raise ValidationError(
                 "algebra is not split basic: dim != #idempotents + dim radical")
         # idempotents + radical must span everything
-        span = EchelonSpan(f, self.dim)
-        for r in rb.rows:
-            span.insert(r)
-        for e in self.idempotents:
-            span.insert(e)
+        span = EchelonSpan(f, self.dim, [*rb.sparse_rows, *self.idempotents])
         if span.rank != self.dim:
             raise ValidationError("idempotents and radical do not span the algebra")
         # two-sided ideal
@@ -237,7 +227,7 @@ class Algebra:
                 for r in rows:
                     prod = self.sparse_multiply(x, r)
                     if prod:
-                        nxt.insert(dict(prod))
+                        nxt.insert(prod)
             current = nxt.reduced_basis().sparse_rows
         raise ValidationError("radical is not nilpotent")
 
@@ -247,10 +237,8 @@ class Algebra:
 
 def scalar_algebra(field, label="e"):
     """The ground field as a one-dimensional algebra."""
-    one = field.one
-    cell = ((0, one),)
-    table = ((cell,),)
-    return Algebra(field, (label,), table, (one,), (), ((one,),),
+    cell = ((0, field.one),)
+    return Algebra(field, (label,), ((cell,),), cell, (), (cell,),
                    meta={"kind": "scalar"})
 
 
@@ -303,44 +291,19 @@ def tensor_algebra(a, b):
                     row.append(tuple(terms))
             table.append(tuple(row))
 
-    unit = [f.zero] * n
-    for i, x in enumerate(a.unit):
-        if not x:
-            continue
-        for j, y in enumerate(b.unit):
-            if y:
-                unit[idx(i, j)] = f.mul(x, y)
+    def pure(x, y):
+        """The element x (x) y; its pairs come in index order."""
+        return tuple((idx(i, j), f.mul(c, d)) for i, c in x for j, d in y)
 
     span = EchelonSpan(f, n)
     for r in a.radical_rows:
-        for j in range(nb):
-            vec = [f.zero] * n
-            for i, x in enumerate(r):
-                if x:
-                    vec[idx(i, j)] = x
-            span.insert(vec)
+        span.extend(pure(r, ((j, f.one),)) for j in range(nb))
     for s in b.radical_rows:
-        for i in range(na):
-            vec = [f.zero] * n
-            for j, y in enumerate(s):
-                if y:
-                    vec[idx(i, j)] = y
-            span.insert(vec)
-    radical_rows = tuple(tuple(r) for r in span.reduced_basis().rows)
+        span.extend(pure(((i, f.one),), s) for i in range(na))
+    idempotents = [pure(e, g) for e in a.idempotents for g in b.idempotents]
 
-    idempotents = []
-    for e in a.idempotents:
-        for g in b.idempotents:
-            vec = [f.zero] * n
-            for i, x in enumerate(e):
-                if not x:
-                    continue
-                for j, y in enumerate(g):
-                    if y:
-                        vec[idx(i, j)] = f.mul(x, y)
-            idempotents.append(tuple(vec))
-
-    out = Algebra(f, labels, table, unit, radical_rows, idempotents,
+    out = Algebra(f, labels, table, pure(a.unit, b.unit),
+                  span.reduced_basis().sparse_rows, idempotents,
                   meta={"kind": "tensor", "left_dim": na, "right_dim": nb})
     a._cache[key] = (b, out)
     return out
@@ -350,27 +313,24 @@ def product_algebra(a, b):
     """Direct product A x B with block-diagonal structure constants."""
     if a.field != b.field:
         raise FieldMismatchError("product factors over different fields")
-    f = a.field
     na, nb = a.dim, b.dim
-    n = na + nb
     labels = tuple(f"{l}.L" for l in a.basis_labels) + tuple(f"{l}.R" for l in b.basis_labels)
+
+    def shifted(x):
+        """An element or table cell of B, moved to the B block."""
+        return tuple((k + na, c) for k, c in x)
+
     empty = tuple()
     table = []
     for i in range(na):
         row = [a.table[i][j] for j in range(na)] + [empty] * nb
         table.append(tuple(row))
     for i in range(nb):
-        row = [empty] * na + [tuple((k + na, c) for k, c in b.table[i][j])
-                              for j in range(nb)]
+        row = [empty] * na + [shifted(b.table[i][j]) for j in range(nb)]
         table.append(tuple(row))
-    pad_a = (f.zero,) * nb
-    pad_b = (f.zero,) * na
-    unit = tuple(a.unit) + tuple(b.unit)
-    radical_rows = tuple(tuple(r) + pad_a for r in a.radical_rows) + \
-        tuple(pad_b + tuple(r) for r in b.radical_rows)
-    idempotents = tuple(tuple(e) + pad_a for e in a.idempotents) + \
-        tuple(pad_b + tuple(e) for e in b.idempotents)
-    return Algebra(f, labels, table, unit, radical_rows, idempotents,
+    return Algebra(a.field, labels, table, a.unit + shifted(b.unit),
+                   a.radical_rows + tuple(map(shifted, b.radical_rows)),
+                   a.idempotents + tuple(map(shifted, b.idempotents)),
                    meta={"kind": "product", "left_dim": na, "right_dim": nb})
 
 
@@ -384,8 +344,8 @@ def map_violation(a, b, m, what):
     if problem:
         return f"{what}: {problem}"
     f = b.field
-    unit = sparse_combination(f, [(c, m[k]) for k, c in enumerate(a.unit)])
-    if unit != dict(nonzero_pairs(f, b.unit)):
+    unit = sparse_combination(f, [(c, m[k]) for k, c in a.unit])
+    if unit != dict(b.unit):
         return f"{what} is not unital"
     for i, row in enumerate(a.table):
         for j, cell in enumerate(row):

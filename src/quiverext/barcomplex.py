@@ -77,22 +77,22 @@ def full_bar_homology(a, i_max):
 
 
 def _sandwich_blocks(a, rows):
-    """Split the span of `rows` into idempotent sandwich blocks
-    e_u . x . e_v; returns {(u, v): ReducedBasis}. The span must be
-    idempotent-stable (its block dimensions add up)."""
+    """Split the span of `rows` (algebra elements, as (index, coeff) pairs)
+    into idempotent sandwich blocks e_u . x . e_v; returns {(u, v):
+    ReducedBasis}. The span must be idempotent-stable (its block dimensions
+    add up)."""
     f = a.field
-    r = len(a.idempotents)
     spans = {}
     total_in = EchelonSpan(f, a.dim)
     for x in rows:
         total_in.insert(x)
-        for u in range(r):
-            left = a.multiply(a.idempotents[u], x)
-            if not any(left):
+        for u, eu in enumerate(a.idempotents):
+            left = a.sparse_multiply(eu, x)
+            if not left:
                 continue
-            for v in range(r):
-                w = a.multiply(left, a.idempotents[v])
-                if any(w):
+            for v, ev in enumerate(a.idempotents):
+                w = a.sparse_multiply(left, ev)
+                if w:
                     spans.setdefault((u, v), EchelonSpan(f, a.dim)).insert(w)
     blocks = {uv: s.reduced_basis() for uv, s in spans.items()}
     if sum(b.dim for b in blocks.values()) != total_in.rank:
@@ -109,15 +109,14 @@ def relative_bar_homology(a, i_max):
     chain's block path (u, v_0, ..., v_i) is part of its basis key.
     """
     f = a.field
-    unit_rows = [a.basis_vector(t) for t in range(a.dim)]
-    a_blocks = _sandwich_blocks(a, unit_rows)
-    rad_blocks = _sandwich_blocks(a, list(a.radical_rows)) if a.radical_rows else {}
+    a_blocks = _sandwich_blocks(a, [((t, f.one),) for t in range(a.dim)])
+    rad_blocks = _sandwich_blocks(a, a.radical_rows)
     rad_items = sorted(rad_blocks.items())
 
     def chains(i):
         for (u, v0), blk in sorted(a_blocks.items()):
             for aidx in range(blk.dim):
-                stack = [((blk.rows[aidx],), (u, v0))]
+                stack = [((blk.sparse_rows[aidx],), (u, v0))]
                 while stack:
                     vecs, path = stack.pop()
                     if len(vecs) == i + 1:
@@ -130,7 +129,8 @@ def relative_bar_homology(a, i_max):
                         if x != v_prev or (last and y != u):
                             continue
                         for t in range(rblk.dim):
-                            stack.append((vecs + (rblk.rows[t],), path + (y,)))
+                            stack.append((vecs + (rblk.sparse_rows[t],),
+                                          path + (y,)))
 
     orders = {}
     index_maps = {}
@@ -154,32 +154,30 @@ def relative_bar_homology(a, i_max):
             col = {}
             for j in range(i + 1):
                 if j == 0:
-                    prod = a.multiply(vecs[0], vecs[1])
+                    prod = a.sparse_multiply(vecs[0], vecs[1])
                     new_path = (path[0],) + path[2:]
                     blk = a_blocks.get((new_path[0], new_path[1]))
                     build = lambda row: (row,) + vecs[2:]
                 elif j < i:
-                    prod = a.multiply(vecs[j], vecs[j + 1])
+                    prod = a.sparse_multiply(vecs[j], vecs[j + 1])
                     new_path = path[:j + 1] + path[j + 2:]
                     blk = rad_blocks.get((path[j], path[j + 2]))
                     build = lambda row, j=j: vecs[:j] + (row,) + vecs[j + 2:]
                 else:
-                    prod = a.multiply(vecs[i], vecs[0])
+                    prod = a.sparse_multiply(vecs[i], vecs[0])
                     new_path = (path[i],) + path[1:i + 1]
                     blk = a_blocks.get((new_path[0], new_path[1]))
                     build = lambda row: (row,) + vecs[1:i]
-                if not any(prod):
+                if not prod:
                     continue
                 if blk is None:
                     raise InternalCheckError("face product outside known blocks")
-                coords = blk.coords(prod)
+                coords = blk.sparse_coords(prod)
                 if coords is None:
                     raise InternalCheckError("face product left its sandwich block")
                 negate = j % 2 == 1
-                for t, c in enumerate(coords):
-                    if not c:
-                        continue
-                    key = (new_path, tuple(build(blk.rows[t])))
+                for t, c in sorted(coords.items()):
+                    key = (new_path, tuple(build(blk.sparse_rows[t])))
                     target = imap.get(key)
                     if target is None:
                         raise InternalCheckError("face image missing from basis")

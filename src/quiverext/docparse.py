@@ -32,7 +32,8 @@ fields.
 
 A block gives each generator exactly one line of each kind it uses
 (`left`, `right`, `embed`, `retract`), and a check line takes only the
-options shown. Errors found while building the document are reported at
+options shown. At dim 0 an action line has nothing after '=' (the matrix
+with no rows). Errors found while building the document are reported at
 the line of the directive, or of the block's header when a generator has
 no line.
 
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import QuiverExtError
-from .linalg import compose, field_from_spec, linear_combination, nonzero_pairs
+from .linalg import compose, field_from_spec, sparse_combination, to_column
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .modules import Bimodule
 from .extensions import (morita_ring_zero, subalgebra_extension,
@@ -463,7 +464,8 @@ def _parse_rows(tokens, line, col, dim):
                 current.append(Fraction(t))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(line, col, f"malformed scalar {t!r}")
-    rows.append(current)
+    if tokens:  # an empty body is the matrix with no rows
+        rows.append(current)
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ParseError(line, col,
                          f"expected a {dim}x{dim} matrix (rows split by ';')")
@@ -488,25 +490,25 @@ def _generators(algebra, pos):
         raise ParseError(*pos, "algebra does not expose named generators")
     out = {f"e{v}": e for v, e in zip(meta["vertices"], algebra.idempotents)}
     for lab in meta["arrow_labels"]:
-        out[lab] = algebra.basis_vector(meta["arrow_basis_index"][lab])
+        out[lab] = ((meta["arrow_basis_index"][lab], algebra.field.one),)
     return out
 
 
 def evaluate_expr(algebra, terms, pos):
-    """Evaluate a parsed expression to an element of the algebra; an
-    unknown generator is reported at pos, the (line, col) of the
-    expression."""
+    """Evaluate a parsed expression to an element of the algebra, as its
+    (index, coeff) pairs; an unknown generator is reported at pos, the
+    (line, col) of the expression."""
     f = algebra.field
     gens = _generators(algebra, pos)
     summands = []
     for coeff, path in terms:
-        vec = algebra.unit
+        elem = algebra.unit
         for lab in reversed(path):
             if lab not in gens:
                 raise ParseError(*pos, f"unknown generator {lab!r}")
-            vec = algebra.multiply(gens[lab], vec)
-        summands.append((f.of(coeff), vec))
-    return linear_combination(f, summands, algebra.dim)
+            elem = algebra.sparse_multiply(gens[lab], elem)
+        summands.append((f.of(coeff), elem))
+    return to_column(sparse_combination(f, summands))
 
 
 def _extend_from_generators(algebra, kw, directives, image, product, pos):
@@ -599,6 +601,5 @@ def _map_from_generators(src, dst, kw, directives, pos):
     images, extended multiplicatively along the path basis of src."""
     return tuple(_extend_from_generators(
         src, kw, directives,
-        lambda expr, epos: tuple(nonzero_pairs(
-            dst.field, evaluate_expr(dst, expr, epos))),
+        lambda expr, epos: evaluate_expr(dst, expr, epos),
         lambda g, acc: tuple(sorted(dst.sparse_multiply(g, acc))), pos))

@@ -28,7 +28,7 @@ from itertools import product
 from .errors import (FieldMismatchError, InternalCheckError, ValidationError,
                      WitnessError)
 from .linalg import (EchelonSpan, compose, identity_map, quotient,
-                     sparse_combination, sparse_rank, to_column, unit_vector)
+                     sparse_combination, sparse_rank, to_column)
 from .algebra import Algebra, map_violation, product_algebra
 from .modules import (Bimodule, ModuleMap, bimodule_direct_sum,
                       projective_bimodule, tensor_over, tensor_powers)
@@ -101,7 +101,6 @@ def trivial_extension(r, m):
         raise ValidationError("trivial extension needs an (R, R)-bimodule")
     f = r.field
     nr, nm = r.dim, m.dim
-    n = nr + nm
     labels = tuple(r.basis_labels) + tuple(f"m{i}" for i in range(nm))
     table = []
 
@@ -116,12 +115,10 @@ def trivial_extension(r, m):
     for i in range(nm):
         table.append(tuple(shifted(m.right_action[j][i]) for j in range(nr)) +
                      ((),) * nm)
-    pad = (f.zero,) * nm
-    unit = tuple(r.unit) + pad
-    radical_rows = [tuple(rr) + pad for rr in r.radical_rows]
-    radical_rows += [unit_vector(f, n, nr + i) for i in range(nm)]
-    idempotents = [tuple(e) + pad for e in r.idempotents]
-    t = Algebra(f, labels, table, unit, radical_rows, idempotents,
+    # R's elements keep their pairs; M lies in the radical
+    radical_rows = r.radical_rows + tuple(((nr + i, f.one),)
+                                          for i in range(nm))
+    t = Algebra(f, labels, table, r.unit, radical_rows, r.idempotents,
                 meta={"kind": "trivial-extension", "base_dim": nr})
     emb = identity_map(f, nr)  # r_j -> (r_j, 0)
     ret = emb + ((),) * nm  # (r_j, 0) -> r_j, (0, m_i) -> 0
@@ -190,9 +187,10 @@ def _b_actions(ext):
     column-sparse map per basis element of B (cached)."""
     if "b_actions" not in ext._cache:
         a = ext.ambient
-        images = [a.dense(col) for col in ext.embedding]
-        ext._cache["b_actions"] = ([a.left_mult_matrix(v) for v in images],
-                                   [a.right_mult_matrix(v) for v in images])
+        # column j of the embedding is the image of b_j, as an element of A
+        ext._cache["b_actions"] = (
+            [a.left_mult_matrix(col) for col in ext.embedding],
+            [a.right_mult_matrix(col) for col in ext.embedding])
     return ext._cache["b_actions"]
 
 

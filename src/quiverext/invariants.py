@@ -13,13 +13,12 @@ independent oracles in the test suite.
 """
 
 from .errors import InternalCheckError
-from .linalg import EchelonSpan, transpose
+from .linalg import EchelonSpan, sparse_combination, transpose
 from .modules import (Bimodule, dual_module, left_regular_module,
                       right_regular_module, simple_modules)
 from .resolutions import ext as ext_dims
 from .resolutions import projective_dimension
 from . import verdicts
-from .verdicts import Verdict
 
 
 def global_dimension(a, cap, seed=0):
@@ -44,14 +43,6 @@ def global_dimension(a, cap, seed=0):
         return verdicts.holds(value=max(values), bound=cap,
                               certificate={"simple_pds": values})
     return verdicts.undetermined(bound=cap, certificate={"statuses": statuses})
-
-
-def singularity_trivial(a, cap, seed=0):
-    """Vanishing of the singularity category: equivalent to finite global
-    dimension, which is the only statement made about it here."""
-    gd = global_dimension(a, cap, seed=seed)
-    return Verdict(gd.status, bound=cap, value=gd.value,
-                   certificate=gd.certificate)
 
 
 def injective_dimension_regular(a, side, cap, seed=0):
@@ -104,14 +95,15 @@ def perp_membership(x, i_max):
 
 def commutator_rank(a):
     """Dimension of the commutator subspace [A, A]."""
-    span = EchelonSpan(a.field, a.dim)
+    f = a.field
+    mul, one, minus = a.sparse_multiply, f.one, f.neg(f.one)
+    span = EchelonSpan(f, a.dim)
     for i in range(a.dim):
-        bi = a.basis_vector(i)
+        bi = ((i, one),)
         for j in range(i + 1, a.dim):
-            bj = a.basis_vector(j)
-            x = a.multiply(bi, bj)
-            y = a.multiply(bj, bi)
-            span.insert([a.field.sub(u, v) for u, v in zip(x, y)])
+            bj = ((j, one),)
+            span.insert(sparse_combination(f, [(one, mul(bi, bj)),
+                                               (minus, mul(bj, bi))]))
     return span.rank
 
 

@@ -22,8 +22,15 @@ nonzero canonical entries in row order. That covers module and bimodule
 actions, module maps (hom bases, isomorphism witnesses, differentials)
 and algebra maps (embeddings, retractions). `identity_map`,
 `map_combination`, `compose`, `transpose`, `block_sum` and `kron` build
-them, and `map_problem` is the one check of the format. Dense vectors
-stay only for algebra elements.
+them, and `map_problem` is the one check of the format.
+
+A vector has the format of one column: its (index, coeff) pairs, indices
+increasing, coefficients nonzero and canonical. Algebra elements (the
+unit, idempotents, radical rows and generators) are stored so, and
+`map_problem` checks one by reading it as a one-column map. There are no
+dense vectors: a product or a combination is built as a dict of its
+nonzero entries, which `to_column` turns into the stored form, and an
+EchelonSpan takes a vector as that dict or as its pairs.
 """
 
 from fractions import Fraction
@@ -150,37 +157,6 @@ def field_from_spec(spec):
     raise LinAlgError(f"unknown field spec {spec!r}")
 
 
-def unit_vector(field, n, i):
-    """The i-th standard basis vector of k^n."""
-    v = [field.zero] * n
-    v[i] = field.one
-    return tuple(v)
-
-
-def dense_vector(field, n, entries):
-    """The vector of k^n with the given (index, coeff) entries, zero
-    elsewhere."""
-    v = [field.zero] * n
-    for i, c in entries:
-        v[i] = c
-    return tuple(v)
-
-
-def linear_combination(field, terms, n):
-    """The sum of c * v over (c, v) pairs, each v of length n.
-
-    Zero is tested by truthiness, exact on canonical elements; a falsy
-    value is always zero, so no term is ever lost."""
-    add, mul = field.add, field.mul
-    out = [field.zero] * n
-    for c, v in terms:
-        if c:
-            for t, x in enumerate(v):
-                if x:
-                    out[t] = add(out[t], mul(c, x))
-    return tuple(out)
-
-
 def sparse_combination(field, terms):
     """The sum of c * v over (c, v) pairs, each v given by its nonzero
     (index, coeff) entries, as a dict of the nonzero entries of the sum."""
@@ -227,10 +203,10 @@ def identity_map(field, n):
     return tuple(((j, field.one),) for j in range(n))
 
 
-def map_combination(field, coeffs, maps, ncols):
-    """The column-sparse sum of c * m over coeffs and the column-sparse
-    maps, each with ncols columns."""
-    terms = [(c, m) for c, m in zip(coeffs, maps) if c]
+def map_combination(field, elem, maps, ncols):
+    """The column-sparse sum of c * maps[k] over the (k, c) entries of elem,
+    each map column-sparse with ncols columns."""
+    terms = [(c, maps[k]) for k, c in elem]
     return tuple(to_column(sparse_combination(field, [(c, m[j])
                                                       for c, m in terms]))
                  for j in range(ncols))
@@ -308,11 +284,11 @@ class EchelonSpan:
         return len(self.pivot_to_row)
 
     def _reduce(self, vec):
-        """Reduce vec (a sequence, or a dict col -> value) against the
-        stored pivots. Returns the sparse remainder and its lead column,
-        None when vec lies in the span."""
+        """Reduce vec (a dict col -> value, or its (col, value) pairs)
+        against the stored pivots. Returns the sparse remainder and its lead
+        column, None when vec lies in the span."""
         p = self._p
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        items = vec.items() if type(vec) is dict else vec
         if p:
             row = {c: r for c, v in items if v and (r := int(v) % p)}
         else:
@@ -342,8 +318,8 @@ class EchelonSpan:
         return row, None
 
     def insert(self, vec):
-        """Add vec (a sequence, or a dict col -> value) to the span.
-        Returns True if the span grew."""
+        """Add vec (a dict col -> value, or its (col, value) pairs) to the
+        span. Returns True if the span grew."""
         row, lead = self._reduce(vec)
         if lead is None:
             return False
@@ -388,25 +364,17 @@ class EchelonSpan:
                             [tuple(sorted(row.items())) for row in rows], pivots)
 
 
-def nonzero_pairs(field, vec):
-    """The nonzero entries of vec, canonicalised, as (index, coeff) pairs."""
-    of = field.of
-    return [(i, of(c)) for i, c in enumerate(vec) if c]
-
-
 class ReducedBasis:
     """A reduced row-echelon basis of a subspace, with cheap coordinates.
 
     Rows have leading coefficient one and zeros in the other pivot columns,
     so the coordinates of a vector in the span are just its pivot entries.
-    The rows are kept sparse, as tuples of their nonzero (index, coeff)
-    entries in index order (`sparse_rows`), so a vector is reduced only at
-    the pivots where it is nonzero, by sparse row updates. The dense `rows`
-    are built on first use, as most bases never need them.
+    The rows are sparse, as tuples of their nonzero (index, coeff) entries
+    in index order (`sparse_rows`), so a vector is reduced only at the
+    pivots where it is nonzero, by sparse row updates.
     """
 
-    __slots__ = ("field", "width", "sparse_rows", "pivots", "_row_of",
-                 "_rows")
+    __slots__ = ("field", "width", "sparse_rows", "pivots", "_row_of")
 
     def __init__(self, field, width, sparse_rows, pivots):
         self.field = field
@@ -414,18 +382,10 @@ class ReducedBasis:
         self.sparse_rows = sparse_rows
         self.pivots = tuple(pivots)
         self._row_of = {p: t for t, p in enumerate(self.pivots)}
-        self._rows = None
 
     @property
     def dim(self):
         return len(self.pivots)
-
-    @property
-    def rows(self):
-        if self._rows is None:
-            self._rows = [dense_vector(self.field, self.width, r)
-                          for r in self.sparse_rows]
-        return self._rows
 
     def sparse_coords(self, vec):
         """Coordinates of a vector given as (index, canonical coeff) pairs,
@@ -442,12 +402,6 @@ class ReducedBasis:
                 for i, b in sparse_rows[t]:
                     resid[i] = sub(resid.get(i, zero), mul(c, b))
         return None if any(resid.values()) else cs
-
-    def coords(self, vec):
-        """Coordinates of vec in this basis, or None if not in the span."""
-        cs = self.sparse_coords(nonzero_pairs(self.field, vec))
-        return None if cs is None else tuple(
-            cs.get(t, self.field.zero) for t in range(self.dim))
 
     def complement(self):
         """The projection of k^width onto the free (non-pivot) coordinates

@@ -1,7 +1,9 @@
 """Modules and bimodules as exact representations.
 
 A Module is a finitely generated left module: for each algebra basis
-element, the column-sparse map (see linalg) by which it acts. Right
+element, the column-sparse map (see linalg) by which it acts. An algebra
+element, given as its (index, coeff) pairs like every element of the
+engine, acts by the combination of those maps its pairs give. Right
 modules are left modules over the opposite algebra. A Bimodule always has
 both sides: it stores one action family per side and exposes the
 equivalent left module over the tensor algebra L (x) R^op on demand;
@@ -25,8 +27,8 @@ from functools import partial
 
 from .errors import FieldMismatchError, ValidationError
 from .linalg import (EchelonSpan, block_sum, compose, identity_map, kron,
-                     map_combination, map_problem, nonzero_pairs, quotient,
-                     sparse_combination, sparse_rank, transpose, unit_vector)
+                     map_combination, map_problem, quotient,
+                     sparse_combination, sparse_rank, transpose)
 from .algebra import opposite, tensor_algebra
 
 
@@ -53,18 +55,19 @@ class Module:
                                       for u, a in elem
                                       for k, x in vec.items()])
 
-    def action_map(self, vec):
-        """The column-sparse map by which the element with coordinates vec
-        acts."""
-        return map_combination(self.algebra.field, vec, self.action, self.dim)
+    def action_map(self, elem):
+        """The column-sparse map by which the algebra element elem (its
+        (index, coeff) pairs) acts."""
+        return map_combination(self.algebra.field, elem, self.action, self.dim)
 
     def validate(self, full=False):
         """Check the action on every basis pair (full) or on every pair of
         algebra generators, which implies it."""
         a = self.algebra
-        elems = ([a.basis_vector(i) for i in range(a.dim)] if full
+        elems = ([((i, a.field.one),) for i in range(a.dim)] if full
                  else a.generators())
-        _check_action(a, self.action, self.dim, elems, a.multiply, "module")
+        _check_action(a, self.action, self.dim, elems, a.sparse_multiply,
+                      "module")
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
@@ -88,15 +91,16 @@ def _check_format(alg, action, dim, side):
 def _check_action(alg, action, dim, elems, product, side):
     """Raise unless `action` (one column-sparse map of k^dim per basis
     element of alg) is unital and x.(y.m) = product(x, y).m for all x, y in
-    elems. The map of each element of elems is built once, and they are
-    returned. A right action is checked with the reversed product y x, as a
-    left action of the opposite algebra, without building that algebra."""
+    elems, which are algebra elements as (index, coeff) pairs. The map of
+    each element of elems is built once, and they are returned. A right
+    action is checked with the reversed product y x, as a left action of
+    the opposite algebra, without building that algebra."""
     if not dim:
         return []
     f = alg.field
 
-    def mat(vec):
-        return map_combination(f, vec, action, dim)
+    def mat(elem):
+        return map_combination(f, elem, action, dim)
 
     if mat(alg.unit) != identity_map(f, dim):
         raise ValidationError(f"{side} action: unit does not act as the identity")
@@ -183,12 +187,12 @@ def projective_data(algebra, s):
     if key in algebra._cache:
         return algebra._cache[key]
     f = algebra.field
-    one, es = f.one, nonzero_pairs(f, algebra.idempotents[s])
+    one, es = f.one, algebra.idempotents[s]
     span = EchelonSpan(f, algebra.dim)
     for j in range(algebra.dim):
         prod = algebra.sparse_multiply(((j, one),), es)
         if prod:
-            span.insert(dict(prod))
+            span.insert(prod)
     rb = span.reduced_basis()
     action = []
     for i in range(algebra.dim):
@@ -232,8 +236,7 @@ def simple_top_coefficients(algebra):
                                       for k, c in pairs])
 
     out = []
-    for e in algebra.idempotents:
-        es = nonzero_pairs(f, e)
+    for es in algebra.idempotents:
         ce = cls(es)
         lead = min(ce)
         inv = f.inv(ce[lead])
@@ -332,13 +335,14 @@ def is_isomorphic(m, n, seed=0):
     f = m.algebra.field
     rng = random.Random(seed)
     # try the basis elements themselves first, then random combinations
-    candidates = [unit_vector(f, len(basis), i) for i in range(len(basis))]
+    candidates = [((i, f.one),) for i in range(len(basis))]
     p = f.characteristic
     for _ in range(40):
         if p:
-            candidates.append([f.of(rng.randrange(p)) for _ in basis])
+            draw = [f.of(rng.randrange(p)) for _ in basis]
         else:
-            candidates.append([f.of(rng.randint(-3, 3)) for _ in basis])
+            draw = [f.of(rng.randint(-3, 3)) for _ in basis]
+        candidates.append([(i, c) for i, c in enumerate(draw) if c])
     maps = [bm.cols for bm in basis]
     for coeffs in candidates:
         cols = map_combination(f, coeffs, maps, m.dim)
@@ -383,8 +387,9 @@ class Bimodule:
     @classmethod
     def regular(cls, a):
         if "regular_bimodule" not in a._cache:
-            left = [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
-            right = [a.right_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
+            basis = [((i, a.field.one),) for i in range(a.dim)]
+            left = [a.left_mult_matrix(b) for b in basis]
+            right = [a.right_mult_matrix(b) for b in basis]
             a._cache["regular_bimodule"] = cls(a, a, a.dim, left, right,
                                                validate=False)
         return a._cache["regular_bimodule"]
@@ -392,9 +397,9 @@ class Bimodule:
     def validate(self):
         l, r = self.left_alg, self.right_alg
         lmats = _check_action(l, self.left_action, self.dim, l.generators(),
-                              l.multiply, "left")
+                              l.sparse_multiply, "left")
         rmats = _check_action(r, self.right_action, self.dim, r.generators(),
-                              lambda x, y: r.multiply(y, x), "right")
+                              lambda x, y: r.sparse_multiply(y, x), "right")
         f = self.field
         for lx in lmats:
             for ry in rmats:

@@ -199,7 +199,6 @@ def algebra_from_presentation(pres, field):
 
     basis = [p for level in survivors for p in level]
     pos = {p: i for i, p in enumerate(basis)}
-    n = len(basis)
 
     def label_of(path):
         if isinstance(path, _Trivial):
@@ -228,20 +227,11 @@ def algebra_from_presentation(pres, field):
             row.append(tuple(sorted(reduce_product(p, q).items())))
         table.append(tuple(row))
 
-    unit = [field.zero] * n
-    for v in range(nv):
-        unit[pos[_Trivial(v)]] = field.one
-    radical_rows = []
-    for p in basis:
-        if not isinstance(p, _Trivial):
-            vec = [field.zero] * n
-            vec[pos[p]] = field.one
-            radical_rows.append(tuple(vec))
-    idempotents = []
-    for v in range(nv):
-        vec = [field.zero] * n
-        vec[pos[_Trivial(v)]] = field.one
-        idempotents.append(tuple(vec))
+    one = field.one
+    idempotents = [((pos[_Trivial(v)], one),) for v in range(nv)]
+    unit = tuple(sorted((pos[_Trivial(v)], one) for v in range(nv)))
+    radical_rows = [((pos[p], one),) for p in basis
+                    if not isinstance(p, _Trivial)]
 
     meta = {
         "kind": "quiver",

@@ -23,7 +23,7 @@ def _fmt(value):
 
 
 class Report:
-    def __init__(self, title, input_text=None, seed=None):
+    def __init__(self, title, input_text=None, seed=None, field=None):
         self.title = title
         self.sections = []
         self._current = None
@@ -33,6 +33,8 @@ class Report:
             self.header.append(("input-digest", f"sha256:{digest}"))
         if seed is not None:
             self.header.append(("seed", str(seed)))
+        if field is not None:
+            self.header.append(("field", repr(field)))
 
     def section(self, name):
         self._current = (name, [])

@@ -31,8 +31,8 @@ ranked from its sparse images.
 from itertools import accumulate
 
 from .errors import InternalCheckError, ValidationError
-from .linalg import (EchelonSpan, compose, nonzero_pairs, sparse_combination,
-                     sparse_rank, transpose)
+from .linalg import (EchelonSpan, compose, sparse_combination, sparse_rank,
+                     transpose)
 from .modules import (Module, ModuleMap, direct_sum, is_isomorphic,
                       projective_data, simple_modules, zero_module)
 from .algebra import opposite
@@ -176,8 +176,7 @@ def _cover_step(algebra, ambient, current):
         for r in rad_rows:
             span.insert(ambient.apply(r, v))
     gens = []
-    for s, e in enumerate(algebra.idempotents):
-        es = nonzero_pairs(f, e)
+    for s, es in enumerate(algebra.idempotents):
         for v in current:
             u = ambient.apply(es, v)
             if span.insert(u):
@@ -303,7 +302,7 @@ def _slice(n, ambient, algebra_of_e, s):
     key = ("slice", algebra_of_e, s)
     if key not in n._cache:
         f = n.algebra.field
-        es = nonzero_pairs(f, algebra_of_e.idempotents[s])
+        es = algebra_of_e.idempotents[s]
         span = EchelonSpan(f, n.dim)
         for j in range(n.dim):
             span.insert(ambient.apply(es, {j: f.one}))

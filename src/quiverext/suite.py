@@ -14,7 +14,7 @@ zero, pd 0) or as cokernels of injective maps between projective bimodules
 self-injective factors like the dual numbers.
 """
 
-from .linalg import EchelonSpan, map_combination, nonzero_pairs, quotient
+from .linalg import EchelonSpan, map_combination, quotient
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .errors import AdmissibilityError, PresentationError
 from .modules import (Bimodule, Module, bimodule_direct_sum, projective_data,
@@ -75,11 +75,11 @@ def random_module(rng, algebra, max_dim=5):
     # generate a submodule from a couple of random vectors, and take the
     # quotient by the span it closes
     span = EchelonSpan(f, proj.dim)
-    gens = [nonzero_pairs(f, g) for g in algebra.generators()]
+    gens = algebra.generators()
     seeds = rng.randint(0, 2)
     for _ in range(seeds):
-        vec = [f.of(rng.randint(-1, 1)) for _ in range(proj.dim)]
-        stack = [dict(nonzero_pairs(f, vec))]
+        draw = [f.of(rng.randint(-1, 1)) for _ in range(proj.dim)]
+        stack = [{i: c for i, c in enumerate(draw) if c}]
         while stack:
             v = stack.pop()
             if not span.insert(v):
@@ -100,18 +100,12 @@ def random_right_module(rng, algebra, max_dim=5):
 def corner_projective_bimodule(rng, b):
     """B e_i (x) e_j B with e_j B e_i = 0 when such a corner exists:
     a projective bimodule whose tensor square over B vanishes."""
-    r = len(b.idempotents)
+    mul, one = b.sparse_multiply, b.field.one
     pairs = []
-    for i in range(r):
-        for j in range(r):
-            ei, ej = b.idempotents[i], b.idempotents[j]
-            corner_dim = 0
-            for t in range(b.dim):
-                w = b.multiply(ej, b.multiply(b.basis_vector(t), ei))
-                if any(w):
-                    corner_dim += 1
-                    break
-            if corner_dim == 0:
+    for i, ei in enumerate(b.idempotents):
+        for j, ej in enumerate(b.idempotents):
+            # e_j B e_i = 0 when e_j b_t e_i = 0 for every basis element b_t
+            if not any(mul(ej, mul(((t, one),), ei)) for t in range(b.dim)):
                 pairs.append((i, j))
     if not pairs:
         return None
@@ -143,9 +137,10 @@ def cokernel_pd1_bimodule(rng, bleft, bright=None, tries=12):
         p = f.characteristic
         for _ in range(6):
             if p:
-                coeffs = [f.of(rng.randrange(p)) for _ in basis]
+                draw = [f.of(rng.randrange(p)) for _ in basis]
             else:
-                coeffs = [f.of(rng.randint(-2, 2)) for _ in basis]
+                draw = [f.of(rng.randint(-2, 2)) for _ in basis]
+            coeffs = [(i, c) for i, c in enumerate(draw) if c]
             cols = map_combination(f, coeffs, [bm.cols for bm in basis],
                                    src.dim)
             image = EchelonSpan(f, tgt.dim, map(dict, cols))

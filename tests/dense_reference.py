@@ -1,10 +1,12 @@
-"""A dense reference for the engine's column-sparse maps, for tests only.
+"""A dense reference for the engine's sparse maps and elements, for tests
+only.
 
 A dense matrix here is a tuple of rows, each a tuple of canonical field
-elements. `columns` and `rows` convert between the two formats, `mul`
-and `kron` are the textbook dense routines the sparse ones are compared
-with, and `diff_columns` reads a resolution's row-sparse differential
-by its columns.
+elements, and a dense vector one such row. `columns` and `rows` convert
+between the two formats of a map, `pairs` and `vector` those of a vector
+(an algebra element, say); `mul`, `kron` and `product` are the textbook
+dense routines the sparse ones are compared with, and `diff_columns`
+reads a resolution's row-sparse differential by its columns.
 """
 
 
@@ -24,6 +26,33 @@ def rows(field, cols, nrows):
         for i, x in col:
             out[i][j] = x
     return tuple(map(tuple, out))
+
+
+def pairs(vec):
+    """The nonzero (index, coeff) entries of a dense vector of canonical
+    elements: the engine's format of a vector."""
+    return tuple((i, x) for i, x in enumerate(vec) if x)
+
+
+def vector(field, n, entries):
+    """The dense vector of length n with the given (index, coeff) entries,
+    in any order."""
+    out = [field.zero] * n
+    for i, x in entries:
+        out[i] = x
+    return tuple(out)
+
+
+def product(a, x, y):
+    """The product of dense vectors x and y in the algebra a, by the triple
+    loop over its structure constants."""
+    f = a.field
+    out = [f.zero] * a.dim
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k, c in a.table[i][j]:
+                out[k] = f.add(out[k], f.mul(f.mul(f.of(x[i]), f.of(y[j])), c))
+    return tuple(out)
 
 
 def identity(field, n):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverext.errors import FieldMismatchError, ValidationError
-from quiverext.linalg import GF, QQ, EchelonSpan, identity_map, nonzero_pairs
+import dense_reference as dense
+from quiverext.linalg import (GF, QQ, EchelonSpan, identity_map,
+                              sparse_combination, to_column)
 from quiverext.quiver import QuiverPresentation, algebra_from_presentation
 from quiverext.suite import random_quiver_algebra
 from quiverext.algebra import (Algebra, opposite, product_algebra,
@@ -13,20 +15,29 @@ from quiverext.algebra import (Algebra, opposite, product_algebra,
                                verify_algebra_isomorphism)
 
 
+def _product(a, x, y):
+    """The product of two elements of a, in the stored element format."""
+    return to_column(dict(a.sparse_multiply(x, y)))
+
+
+def basis_element(a, label):
+    return ((a.basis_labels.index(label), a.field.one),)
+
+
 def test_scalar_algebra(k):
     assert k.dim == 1
-    assert k.multiply(k.unit, k.unit) == k.unit
+    assert _product(k, k.unit, k.unit) == k.unit
 
 
 def test_opposite_is_involution(gamma):
     opp = opposite(gamma)
     assert opposite(opp) is gamma
     assert opp.dim == gamma.dim
-    lab = {l: i for i, l in enumerate(gamma.basis_labels)}
-    beta = gamma.basis_vector(lab["beta"])
-    g = gamma.basis_vector(lab["gamma"])
+    beta = basis_element(gamma, "beta")
+    g = basis_element(gamma, "gamma")
     # beta*gamma in the opposite order
-    assert opp.multiply(g, beta) == gamma.multiply(beta, g)
+    assert _product(opp, g, beta) == _product(gamma, beta, g)
+    assert _product(gamma, beta, g) == basis_element(gamma, "beta*gamma")
 
 
 def test_opposite_of_commutative_unchanged(dual_numbers):
@@ -87,8 +98,8 @@ def test_bad_associativity_rejected():
         (((1, one),), ((1, one),)),  # x*x = x but also forced products clash
     )
     with pytest.raises(ValidationError):
-        Algebra(QQ, ("e", "x"), table, (one, QQ.zero), ((QQ.zero, one),),
-                ((one, QQ.zero),))
+        Algebra(QQ, ("e", "x"), table, ((0, one),), (((1, one),),),
+                (((0, one),),))
 
 
 def test_bad_radical_rejected(dual_numbers):
@@ -96,7 +107,7 @@ def test_bad_radical_rejected(dual_numbers):
     one = QQ.one
     with pytest.raises(ValidationError):
         Algebra(QQ, dual_numbers.basis_labels, dual_numbers.table,
-                dual_numbers.unit, ((one, QQ.zero),), dual_numbers.idempotents)
+                dual_numbers.unit, (((0, one),),), dual_numbers.idempotents)
 
 
 def test_incomplete_idempotents_rejected(gamma):
@@ -176,7 +187,8 @@ def _a2(field):
 
 def _vec(field, **coeffs):
     order = ("e1", "e2", "b")
-    return tuple(field.of(coeffs.get(l, 0)) for l in order)
+    return tuple((i, field.of(coeffs[l])) for i, l in enumerate(order)
+                 if l in coeffs)
 
 
 _RADICAL_FAULTS = [
@@ -209,17 +221,66 @@ def test_radical_fault_rejected(field, fault, build, message):
                 idempotents or a.idempotents)
 
 
+_IDEMPOTENT_FAULTS = [
+    # e1 + b is idempotent, but (e1 + b) e2 = 0 while e2 (e1 + b) = b
+    ("not orthogonal", lambda f: (None, [_vec(f, e1=1, b=1), _vec(f, e2=1)]),
+     "idempotents e1, e0 are not orthogonal idempotents"),
+    ("not complete", lambda f: (None, [_vec(f, e1=1)]),
+     "idempotents do not sum to the unit"),
+    # b squares to zero
+    ("not idempotent", lambda f: (None, [_vec(f, b=1), _vec(f, e2=1)]),
+     "idempotents e0, e0 are not orthogonal idempotents"),
+    ("unit law", lambda f: (_vec(f, e1=1), None), "unit law fails"),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+@pytest.mark.parametrize("fault,build,message", _IDEMPOTENT_FAULTS,
+                         ids=[x[0] for x in _IDEMPOTENT_FAULTS])
+def test_idempotent_fault_rejected(field, fault, build, message):
+    a = _a2(field)
+    unit, idempotents = build(field)
+    with pytest.raises(ValidationError, match=message):
+        Algebra(field, a.basis_labels, a.table, unit or a.unit,
+                a.radical_rows, idempotents or a.idempotents)
+
+
+# -- the element format: every fault, in every stored element ------------
+
+_ELEMENT_FAULTS = {
+    "index out of range": lambda f: ((3, f.one),),
+    "index out of order": lambda f: ((1, f.one), (0, f.one)),
+    "stored zero": lambda f: ((0, f.zero),),
+    # the dense vector of e1, whose entries are not pairs
+    "non-pair": lambda f: (f.one, f.zero, f.zero),
+    # an integer residue past p, or a float for a rational
+    "non-canonical": lambda f: ((0, f.characteristic + 1 if f.characteristic
+                                 else 1.0),),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+@pytest.mark.parametrize("fault", sorted(_ELEMENT_FAULTS))
+@pytest.mark.parametrize("where", ["unit", "radical row", "idempotent"])
+def test_malformed_element_rejected(field, fault, where):
+    """An element in the wrong format is rejected by the format check
+    with the engine's own error, with or without the battery."""
+    a = _a2(field)
+    bad = _ELEMENT_FAULTS[fault](field)
+    unit, radical, idempotents = a.unit, a.radical_rows, a.idempotents
+    if where == "unit":
+        unit = bad
+    elif where == "radical row":
+        radical = (bad,)
+    else:
+        idempotents = (bad,) + idempotents[1:]
+    for validate in (True, False):
+        with pytest.raises(ValidationError, match=f"^{where}: "):
+            Algebra(field, a.basis_labels, a.table, unit, radical,
+                    idempotents, validate=validate)
+
+
 # -- the sparse product kernel against a dense triple loop ---------------
-
-def _reference_product(a, x, y):
-    f = a.field
-    out = [f.zero] * a.dim
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, c in a.table[i][j]:
-                out[k] = f.add(out[k], f.mul(f.mul(f.of(x[i]), f.of(y[j])), c))
-    return tuple(out)
-
 
 _FIELDS = st.sampled_from([QQ, GF(2)])
 
@@ -240,37 +301,42 @@ def _algebra_and_vectors(draw, count):
 @settings(max_examples=60, deadline=None)
 def test_multiply_matches_dense_reference(data):
     a, (x, y) = data
-    assert a.multiply(x, y) == _reference_product(a, x, y)
+    xs, ys = dense.pairs(x), dense.pairs(y)
+    assert dense.vector(a.field, a.dim, a.sparse_multiply(xs, ys)) == \
+        dense.product(a, x, y)
     one = a.field.one
     for j in range(a.dim):
-        bj = a.basis_vector(j)
+        bj = dense.vector(a.field, a.dim, ((j, one),))
         # column j of each multiplication map, read as its sparse entries
-        assert a.left_mult_matrix(x)[j] == tuple(
-            nonzero_pairs(a.field, _reference_product(a, x, bj)))
-        assert a.right_mult_matrix(x)[j] == tuple(
-            nonzero_pairs(a.field, _reference_product(a, bj, x)))
-        assert a.sparse_multiply(nonzero_pairs(a.field, x), ((j, one),)) == \
-            nonzero_pairs(a.field, _reference_product(a, x, bj))
+        assert a.left_mult_matrix(xs)[j] == dense.pairs(dense.product(a, x, bj))
+        assert a.right_mult_matrix(xs)[j] == dense.pairs(dense.product(a, bj, x))
+        assert tuple(a.sparse_multiply(xs, ((j, one),))) == \
+            dense.pairs(dense.product(a, x, bj))
 
 
 @given(data=_algebra_and_vectors(4))
 @settings(max_examples=60, deadline=None)
 def test_sparse_coords_agree_with_echelon_span(data):
     """The left ideal A x + A y: sparse coordinates and membership of
-    products and of arbitrary vectors agree with EchelonSpan."""
-    a, (x, y, u, v) = data
-    span = EchelonSpan(a.field, a.dim)
+    products and of arbitrary vectors agree with EchelonSpan, and the
+    coordinates of a member combine the basis rows to it."""
+    a, dense_elems = data
+    f = a.field
+    x, y, u, v = map(dense.pairs, dense_elems)
+    span = EchelonSpan(f, a.dim)
     for g in (x, y):
         for i in range(a.dim):
-            span.insert(a.multiply(a.basis_vector(i), g))
+            span.insert(a.sparse_multiply(((i, f.one),), g))
     rb = span.reduced_basis()
-    for w in (u, v, a.multiply(u, x), a.multiply(v, y),
-              tuple(a.field.add(p, q) for p, q in
-                    zip(a.multiply(u, x), a.multiply(v, y)))):
-        cs = rb.coords(w)
+    ux, vy = _product(a, u, x), _product(a, v, y)
+    for w in (u, v, ux, vy,
+              to_column(sparse_combination(f, [(f.one, ux), (f.one, vy)]))):
+        cs = rb.sparse_coords(w)
         member = span.contains(w)
         assert (cs is not None) == member
-        assert (rb.sparse_coords(nonzero_pairs(a.field, w)) is not None) == member
+        if member:
+            assert sparse_combination(f, [(c, rb.sparse_rows[t])
+                                          for t, c in cs.items()]) == dict(w)
 
 
 def _is_associative(a):

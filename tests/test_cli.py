@@ -324,6 +324,42 @@ check invariants K gldim gorenstein hh 3 cap 6
         os.unlink(path)
 
 
+def test_zero_bimodule_trivial_extension_exit_zero():
+    """The trivial extension of the demo's Gamma by the zero bimodule is
+    Gamma itself: A/B is zero and every hypothesis holds."""
+    from test_docparse import ZERO_BIMODULE_DOC
+    path = write_temp(ZERO_BIMODULE_DOC)
+    try:
+        code, out, err = run_cli(["check-extension", path, "--machine"])
+        assert (code, err) == (0, "")
+        assert "extension.T.quotient-dim = 0" in out
+        assert "extension.T.conclusion.singular-equivalence = holds" in out
+    finally:
+        os.unlink(path)
+
+
+@pytest.mark.parametrize("command", ["demo", "check-extension",
+                                     "invariants"])
+def test_field_override_recorded_in_report_header(demo_path, tmp_path,
+                                                  command):
+    """--field adds one header line naming the field, after the seed; the
+    rest of the report is the one the document's own field gives."""
+    doc = tmp_path / "k.txt"
+    doc.write_text("field q\nquiver K\n  vertices 1\nend\n"
+                   "check invariants K gldim cap 2\n", encoding="utf-8")
+    target = {"demo": "example-4-5", "check-extension": demo_path,
+              "invariants": str(doc)}[command]
+    code, plain, _ = run_cli([command, target, "--machine"])
+    code_q, with_field, _ = run_cli([command, target, "--machine",
+                                     "--field", "q"])
+    assert code == code_q == 0
+    lines = plain.splitlines(keepends=True)
+    assert not any(line.startswith("field = ") for line in lines)
+    seed = next(i for i, line in enumerate(lines) if line.startswith("seed = "))
+    lines.insert(seed + 1, "field = QQ\n")
+    assert with_field == "".join(lines)
+
+
 def test_report_file_output(demo_path, tmp_path):
     target = tmp_path / "report.txt"
     code, out, _ = run_cli(["check-extension", demo_path, "--machine",

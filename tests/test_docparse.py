@@ -189,6 +189,41 @@ end
     assert block.left_rows[0][1][0][0] == Fraction(1, 2)
 
 
+ZERO_BIMODULE_DOC = demo_document().replace(
+    "check extension GammaInLambda cap 12 pmax 8 hh 4", """
+bimodule Z over Gamma Gamma dim 0
+  left e1 =
+  left e2 =
+  left beta =
+  left gamma =
+  right e1 =
+  right e2 =
+  right beta =
+  right gamma =
+end
+
+construct trivial_extension T = base Gamma module Z
+
+check extension T
+""")
+
+
+def test_empty_action_body_is_the_matrix_with_no_rows():
+    """A generator line with nothing after '=' is the 0x0 matrix, so a zero
+    bimodule can be written, and the document round-trips; at dim 1 the
+    same line is still too short."""
+    doc = parse_document(ZERO_BIMODULE_DOC)
+    assert doc.blocks[3].left_rows[0][1] == []
+    built = build_document(doc)
+    z = built.env["Z"]
+    assert z.dim == 0
+    assert z.left_action == z.right_action == ((),) * 5
+    assert built.env["T.algebra"].table == built.env["Gamma"].table
+    assert parse_document(doc.render()).render() == doc.render()
+    with pytest.raises(ParseError, match="expected a 1x1 matrix"):
+        parse_document(ZERO_BIMODULE_DOC.replace("dim 0", "dim 1"))
+
+
 def test_build_minimal():
     built = build_document(parse_document(MINIMAL))
     assert built.env["K"].dim == 1

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-function, class and method it defines is used somewhere.
+"""Every module of the package uses each name it imports, every function,
+class and method it defines is used somewhere, and no module goes back to
+dense vectors.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules:
   * a name bound by an import statement anywhere in a module must be read
@@ -8,6 +9,11 @@ Stdlib stand-ins for a linter's unused-import and dead-code rules:
   * every non-dunder function, class and method defined in the package
     must be referenced by name (read as a variable, an attribute or an
     imported name) somewhere in the package or its tests.
+
+The engine has one format for vectors, algebra elements included: the
+(index, coeff) pairs of a column (see linalg). So no module of the package
+allocates a dense field vector (`[field.zero] * n`, `(f.zero,) * n`) or
+names one of the dense helpers that served the second format.
 """
 
 import ast
@@ -55,6 +61,47 @@ def referenced_names(source):
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
     return names
+
+
+# the dense helpers, read as a name, an import or an attribute
+DENSE_NAMES = {"unit_vector", "dense_vector", "linear_combination",
+               "nonzero_pairs"}
+# the dense members of Algebra and ReducedBasis, read as an attribute
+DENSE_ATTRIBUTES = {"dense", "multiply", "basis_vector", "rows", "_rows",
+                    "coords"}
+DENSE_ALLOCATIONS = ("zero] *", "zero,) *")
+
+
+def dense_idioms(source):
+    """(line, what) of every dense allocation or dense name in source."""
+    found = [(n, pattern) for n, line in enumerate(source.splitlines(), 1)
+             for pattern in DENSE_ALLOCATIONS if pattern in line]
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name.rsplit(".", 1)[-1] if isinstance(node, ast.alias)
+                else None)
+        if name in DENSE_NAMES or (isinstance(node, ast.Attribute)
+                                   and name in DENSE_ATTRIBUTES):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_detector_flags_dense_idioms():
+    src = ("from .linalg import nonzero_pairs\n"
+           "v = [f.zero] * n\n"
+           "w = (field.zero,) * n\n"
+           "x = a.multiply(a.basis_vector(0), rb.rows[0])\n"
+           "rows = a.sparse_multiply(x, x)\n")
+    assert dense_idioms(src) == [(1, "nonzero_pairs"), (2, "zero] *"),
+                                 (3, "zero,) *"), (4, "basis_vector"),
+                                 (4, "multiply"), (4, "rows")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dense_vectors(path):
+    assert dense_idioms(path.read_text(encoding="utf-8")) == []
 
 
 def test_detector_flags_an_unused_name():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 
 from quiverext.linalg import GF, QQ
@@ -6,9 +8,10 @@ from quiverext.barcomplex import full_bar_homology, relative_bar_homology
 from quiverext.invariants import (commutator_rank, global_dimension,
                                   gorenstein_verdict, hochschild_homology,
                                   injective_dimension_regular,
-                                  perp_membership, singularity_trivial)
+                                  perp_membership)
 from quiverext.modules import (dual_module, left_regular_module,
                                projective_indecomposables, simple_modules)
+from quiverext.cli import main
 from quiverext.suite import random_module, random_quiver_algebra
 
 
@@ -35,13 +38,52 @@ def test_gldim_infinite_with_witness(gamma):
     assert 0 in v.certificate["periodic_simples"]
 
 
-def test_singularity_trivial_tracks_gldim(gamma, hereditary_a2):
-    assert singularity_trivial(hereditary_a2, 6).holds
-    assert singularity_trivial(gamma, 10).fails
+_GLDIM_DOCUMENT = """
+field q
+quiver A2
+  vertices 1 2
+  arrow b 1 2
+end
+quiver Gamma
+  vertices 1 2
+  arrow beta 1 2
+  arrow gamma 1 1
+  relation gamma*gamma
+end
+check invariants NAME gldim cap CAP
+"""
 
 
-def test_singularity_undetermined_at_tiny_cap(gamma):
-    assert singularity_trivial(gamma, 0).undetermined
+def _invariants_lines(tmp_path, name, cap):
+    """The machine report of `gldim` on one algebra, as a dict."""
+    doc = tmp_path / f"{name}-{cap}.txt"
+    doc.write_text(_GLDIM_DOCUMENT.replace("NAME", name)
+                   .replace("CAP", str(cap)), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["invariants", str(doc), "--machine"]) == 0
+    return dict(line.split(" = ", 1) for line in out.getvalue().splitlines())
+
+
+def _assert_singularity_tracks_gldim(tmp_path, name, algebra, cap, status):
+    lines = _invariants_lines(tmp_path, name, cap)
+    prefix = f"invariants.{name}."
+    assert global_dimension(algebra, cap).status == status
+    assert lines[prefix + "global-dimension-finite"] == status
+    assert lines[prefix + "singularity-category-trivial"] == status
+
+
+def test_singularity_trivial_tracks_gldim(tmp_path, gamma, hereditary_a2):
+    """The report states the singularity category trivial exactly when the
+    global dimension is finite."""
+    _assert_singularity_tracks_gldim(tmp_path, "A2", hereditary_a2, 6, "holds")
+    _assert_singularity_tracks_gldim(tmp_path, "Gamma", gamma, 10, "fails")
+
+
+def test_singularity_undetermined_at_tiny_cap(tmp_path, gamma):
+    """At cap 0 neither verdict is decided, and the report says so."""
+    _assert_singularity_tracks_gldim(tmp_path, "Gamma", gamma, 0,
+                                     "undetermined")
 
 
 def test_selfinjective_dual_numbers(dual_numbers):

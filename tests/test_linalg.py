@@ -27,6 +27,10 @@ class Dense:
     def columns(self):
         return dense.columns(self.field, self.rows, self.ncols)
 
+    def sparse_rows(self):
+        """The rows in the engine's format of a vector."""
+        return [dense.pairs(r) for r in self.rows]
+
     def transpose(self):
         return Dense(self.field, list(zip(*self.rows)) if self.rows
                      else [()] * self.ncols, self.nrows)
@@ -74,7 +78,8 @@ def rank_by_minor_enumeration(m):
 def null_space(m):
     """The null space of m, spanned by the rows of the complement of its
     row space, as sparse vectors."""
-    return EchelonSpan(m.field, m.ncols, m.rows).reduced_basis().complement()[0]
+    return EchelonSpan(m.field, m.ncols,
+                       m.sparse_rows()).reduced_basis().complement()[0]
 
 
 def test_scalar_canonical_form():
@@ -94,9 +99,18 @@ def test_field_spec():
             field_from_spec(spec)
 
 
+def qq_vector(*entries):
+    """The vector of k^len(entries) over QQ in the engine's format."""
+    return dense.pairs(QQ.of(x) for x in entries)
+
+
+def identity_rows(n):
+    return [dense.pairs(r) for r in dense.identity(QQ, n)]
+
+
 def test_rref_identity():
     """The reduced row echelon form of the identity, a ReducedBasis."""
-    r = EchelonSpan(QQ, 3, dense.identity(QQ, 3)).reduced_basis()
+    r = EchelonSpan(QQ, 3, identity_rows(3)).reduced_basis()
     assert r.dim == 3
     assert r.pivots == (0, 1, 2)
 
@@ -122,15 +136,15 @@ def test_kernel_substitution():
 
 def test_solve_identity():
     """Coordinates in the identity basis are the vector itself."""
-    b = (QQ.of(5), QQ.of(7), QQ.of(-2))
-    rb = EchelonSpan(QQ, 3, dense.identity(QQ, 3)).reduced_basis()
-    assert rb.coords(b) == b
+    b = qq_vector(5, 7, -2)
+    rb = EchelonSpan(QQ, 3, identity_rows(3)).reduced_basis()
+    assert rb.sparse_coords(b) == dict(b)
 
 
 def test_solve_inconsistent():
     """A vector outside the span has no coordinates."""
-    rb = EchelonSpan(QQ, 2, [[1, 0], [1, 0]]).reduced_basis()
-    assert rb.coords([1, 2]) is None
+    rb = EchelonSpan(QQ, 2, [qq_vector(1, 0), qq_vector(1, 0)]).reduced_basis()
+    assert rb.sparse_coords(qq_vector(1, 2)) is None
 
 
 def class_of(field, classes, vec):
@@ -147,7 +161,7 @@ def test_quotient_zero_subspace():
 
 
 def test_quotient_full_subspace():
-    classes, free, _ = quotient(EchelonSpan(QQ, 2, dense.identity(QQ, 2)))
+    classes, free, _ = quotient(EchelonSpan(QQ, 2, identity_rows(2)))
     assert free == []
     assert classes == [{}, {}]
 
@@ -156,7 +170,8 @@ def test_quotient_line_in_three_space():
     sub = [QQ.of(x) for x in (1, 2, 3)]
     # m fixes the line: m (1, 2, 3) = (1, 2, 3)
     m = Dense(QQ, [[1, 0, 0], [0, 1, 0], [2, -1, 1]])
-    classes, free, [[induced]] = quotient(EchelonSpan(QQ, 3, [sub]),
+    classes, free, [[induced]] = quotient(EchelonSpan(QQ, 3,
+                                                      [dense.pairs(sub)]),
                                           [[m.columns().__getitem__]])
     assert free == [1, 2]
     assert class_of(QQ, classes, sub) == {}
@@ -217,8 +232,8 @@ def test_rank_nullity_gf2(m):
 @settings(max_examples=40, deadline=None)
 def test_rref_idempotent(m):
     """The reduced basis of the span of a reduced basis is itself."""
-    red = EchelonSpan(m.field, m.ncols, m.rows).reduced_basis()
-    again = EchelonSpan(m.field, m.ncols, red.rows).reduced_basis()
+    red = EchelonSpan(m.field, m.ncols, m.sparse_rows()).reduced_basis()
+    again = EchelonSpan(m.field, m.ncols, red.sparse_rows).reduced_basis()
     assert (again.sparse_rows, again.pivots) == (red.sparse_rows, red.pivots)
 
 
@@ -227,12 +242,14 @@ def test_rref_idempotent(m):
 def test_solve_residual_exact(m, b):
     """Each row of b that has coordinates in the reduced row space of m is
     their exact combination; a row of m always has them."""
-    rb = EchelonSpan(m.field, m.ncols, m.rows).reduced_basis()
+    rb = EchelonSpan(m.field, m.ncols, m.sparse_rows()).reduced_basis()
+    basis = [dense.vector(QQ, m.ncols, r) for r in rb.sparse_rows]
     for v in m.rows + (b.rows if b.ncols == m.ncols else ()):
-        cs = rb.coords(v)
+        cs = rb.sparse_coords(dense.pairs(v))
         assert cs is not None or v not in m.rows
         if cs is not None:
-            assert dense.mul(QQ, [cs], rb.rows, m.ncols) == (v,)
+            coords = dense.vector(QQ, rb.dim, cs.items())
+            assert dense.mul(QQ, [coords], basis, m.ncols) == (v,)
 
 
 @given(m=st.one_of(matrices(QQ), matrices(GF(2)), matrices(GF(3))))
@@ -240,7 +257,8 @@ def test_solve_residual_exact(m, b):
 def test_quotient_projection_full_row_rank(m):
     """The quotient of k^nrows by the column span of m."""
     f = m.field
-    classes, free, _ = quotient(EchelonSpan(f, m.nrows, m.transpose().rows))
+    classes, free, _ = quotient(EchelonSpan(f, m.nrows,
+                                            m.transpose().sparse_rows()))
     assert len(free) == m.nrows - rank(m)
     for col in m.transpose().rows:
         assert class_of(f, classes, col) == {}
@@ -281,8 +299,8 @@ def test_sparse_maps_match_dense_reference(data):
     assert dense.rows(f, transpose(ca, a.nrows), a.ncols) == \
         a.transpose().rows
     two = f.of(2)
-    assert dense.rows(f, map_combination(f, [two, f.one], [ca, ca], a.ncols),
-                      a.nrows) == \
+    assert dense.rows(f, map_combination(f, [(0, two), (1, f.one)], [ca, ca],
+                                         a.ncols), a.nrows) == \
         tuple(tuple(f.mul(f.of(3), x) for x in r) for r in a.rows)
     z = f.zero
     diag = tuple(r + (z,) * b.ncols for r in a.rows) + \
@@ -304,15 +322,28 @@ def test_sparse_rank_agrees(m):
 
 def test_echelon_span_membership():
     span = EchelonSpan(QQ, 3)
-    assert span.insert([1, 2, 3])
-    assert span.insert([0, 1, 1])
-    assert not span.insert([1, 3, 4])
-    assert span.contains([2, 4, 6])
-    assert not span.contains([0, 0, 1])
+    assert span.insert(qq_vector(1, 2, 3))
+    assert span.insert(dict(qq_vector(0, 1, 1)))
+    assert not span.insert(qq_vector(1, 3, 4))
+    assert span.contains(qq_vector(2, 4, 6))
+    assert not span.contains(qq_vector(0, 0, 1))
     rb = span.reduced_basis()
     assert rb.dim == 2
-    assert rb.coords([2, 4, 6]) is not None
-    assert rb.coords([0, 0, 1]) is None
+    assert rb.sparse_coords(qq_vector(2, 4, 6)) is not None
+    assert rb.sparse_coords(qq_vector(0, 0, 1)) is None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_echelon_span_rejects_dense_vectors(field):
+    """A vector is a dict or its (index, coeff) pairs; a dense sequence of
+    coordinates is not read."""
+    span = EchelonSpan(field, 3)
+    for vec in ([field.one, field.zero, field.one], (field.one,) * 3):
+        with pytest.raises(TypeError):
+            span.insert(vec)
+        with pytest.raises(TypeError):
+            span.contains(vec)
+    assert span.rank == 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])

@@ -40,8 +40,8 @@ def test_rank_kernel_and_rref_agree_with_sympy(m):
     the rows of its complement, against sympy."""
     s = to_sympy(m)
     ncols = len(m[0])
-    span = EchelonSpan(QQ, ncols, m)
     rows = [{j: x for j, x in enumerate(r) if x} for r in m]
+    span = EchelonSpan(QQ, ncols, rows)
     assert span.rank == sparse_rank(rows, ncols, QQ) == s.rank()
     basis = span.reduced_basis()
     kernel, _ = basis.complement()
@@ -56,6 +56,7 @@ def test_rank_kernel_and_rref_agree_with_sympy(m):
         assert stacked.rank() == len(kernel)
     reduced, pivots = s.rref()
     reduced = from_sympy(reduced)
-    assert basis.rows == reduced[:basis.dim]
+    assert basis.sparse_rows == [tuple((j, x) for j, x in enumerate(r) if x)
+                                 for r in reduced[:basis.dim]]
     assert all(not any(r) for r in reduced[basis.dim:])
     assert basis.pivots == tuple(pivots)

@@ -223,7 +223,7 @@ def test_hom_space_generators_equal_full_basis(gamma, dual_numbers):
                 # as a sparse row over the unknowns X[k][l] at k * md + l
                 system = EchelonSpan(f, nd * md)
                 for i_b in range(a.dim):
-                    g = a.basis_vector(i_b)
+                    g = ((i_b, f.one),)
                     ng = transpose(n.action_map(g), nd)  # rows of N_g
                     mg = m.action_map(g)                 # columns of M_g
                     for i in range(nd):
@@ -261,12 +261,14 @@ def test_simple_top_coefficients_match_per_column_solve(p):
     rng = random.Random(5 + p)
     for _ in range(6):
         a = random_quiver_algebra(rng, field)
-        gens = list(a.idempotents) + list(a.radical_basis().rows)
-        ident = dense.identity(field, a.dim)
-        rb = EchelonSpan(field, 2 * a.dim, [tuple(g) + e for g, e in
-                                            zip(gens, ident)]).reduced_basis()
+        gens = list(a.idempotents) + list(a.radical_basis().sparse_rows)
+        rb = EchelonSpan(field, 2 * a.dim, [g + ((a.dim + t, field.one),)
+                                            for t, g in enumerate(gens)]
+                         ).reduced_basis()
         assert rb.pivots == tuple(range(a.dim))
-        inverse = [r[a.dim:] for r in rb.rows]
+        inverse = [dense.vector(field, a.dim, [(i - a.dim, x) for i, x in r
+                                               if i >= a.dim])
+                   for r in rb.sparse_rows]
         coeffs = simple_top_coefficients(a)
         for s in range(len(a.idempotents)):
             assert dense.rows(field, coeffs[s], 1) == \

@@ -4,8 +4,7 @@ import pytest
 
 from quiverext.errors import InternalCheckError, ValidationError
 import dense_reference as dense
-from quiverext.linalg import (GF, QQ, compose, identity_map, nonzero_pairs,
-                              sparse_rank)
+from quiverext.linalg import GF, QQ, compose, identity_map, sparse_rank
 from quiverext.algebra import opposite
 from quiverext.modules import (ModuleMap, direct_sum, is_isomorphic,
                                left_regular_module, projective_data,
@@ -218,8 +217,8 @@ def _ext_by_hom_complex(m, n, i_max):
         span = EchelonSpan(f, n.dim * len(diffs[i]))
         for h in homs[i - 1]:
             comp = compose(f, h.cols, diffs[i])
-            span.insert([x for row in dense.rows(f, comp, n.dim)
-                         for x in row])
+            span.insert(dense.pairs(x for row in dense.rows(f, comp, n.dim)
+                                    for x in row))
         ranks[i] = span.rank
     return [len(homs[i]) - ranks.get(i, 0) - ranks.get(i + 1, 0)
             if i < len(homs) else 0 for i in range(i_max + 1)]
@@ -253,16 +252,12 @@ def _gamma(field):
     return algebra_from_presentation(pres, field)
 
 
-def _idempotent(algebra, s):
-    return tuple(nonzero_pairs(algebra.field, algebra.idempotents[s]))
-
-
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_check_minimal_rejects_block_outside_radical(field):
     a = _gamma(field)
     res = minimal_resolution(simple_modules(a)[0], 3)
     assert res.check_minimal()
-    res.w_blocks[1][0][0] = _idempotent(a, res.gens[1][0])
+    res.w_blocks[1][0][0] = a.idempotents[res.gens[1][0]]
     with pytest.raises(InternalCheckError, match="not minimal"):
         res.check_minimal()
 
@@ -306,12 +301,12 @@ def test_derived_dims_reject_block_leaving_its_slice(field):
     aop = opposite(a)
     res = minimal_resolution(simple_modules(aop)[1], 3)
     i, c, r = _block_across_vertices(res)
-    res.w_blocks[i][c][r] = _idempotent(aop, res.gens[i][c])
+    res.w_blocks[i][c][r] = aop.idempotents[res.gens[i][c]]
     with pytest.raises(InternalCheckError, match="tensored block leaves"):
         _derived_dims(res, left_regular_module(a), aop, i, contravariant=False)
     res = minimal_resolution(simple_modules(a)[0], 3)
     i, c, r = _block_across_vertices(res)
-    res.w_blocks[i][c][r] = _idempotent(a, res.gens[i - 1][r])
+    res.w_blocks[i][c][r] = a.idempotents[res.gens[i - 1][r]]
     with pytest.raises(InternalCheckError, match="hom block leaves"):
         _derived_dims(res, left_regular_module(a), a, i, contravariant=True)
 
