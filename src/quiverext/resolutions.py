@@ -26,6 +26,13 @@ the big enveloping algebras cheap once the resolution is known. Tor and
 Ext stay sparse too: a slice is read off the columns of the action of
 e_s, each block acts on the sparse rows of a slice basis, and each map is
 ranked from its sparse images.
+
+A finite projective dimension is certified on the resolution it is read
+from: a minimal projective resolution has length pd M, so
+_check_resolution checks that the terminated resolution is one (shapes,
+augmentation onto M, d o d = 0, exactness with an injective top
+differential, blocks in the radical), ranking each differential afresh.
+No second module is resolved and no algebra is built for the check.
 """
 
 from itertools import accumulate
@@ -34,7 +41,7 @@ from .errors import InternalCheckError, ValidationError
 from .linalg import (EchelonSpan, compose, sparse_combination, sparse_rank,
                      transpose)
 from .modules import (Module, ModuleMap, direct_sum, is_isomorphic,
-                      projective_data, simple_modules, zero_module)
+                      projective_data, zero_module)
 from .algebra import opposite
 
 
@@ -412,30 +419,54 @@ class PdVerdict:
         return f"PdVerdict(undetermined at cap {self.cap})"
 
 
-def projective_dimension(m, cap, seed=0, crosscheck=True):
+def _check_resolution(res):
+    """Raise unless a terminated resolution is a minimal projective
+    resolution of its module, whose length is then pd M (Benson,
+    Representations and Cohomology I, 1991). Its terms are projective by
+    construction. Ranks are taken afresh from the differentials' rows,
+    never read off the kernels the resolution computed, so a fault in
+    _kernel cannot confirm itself."""
+    def fail(what):
+        raise InternalCheckError(f"pd cross-check failed: {what}")
+
+    f = res.module.algebra.field
+    dims = res.term_dims()
+    diffs = res.sparse_diffs
+    if ([(len(rows), n) for rows, n in diffs]
+            != list(zip([res.module.dim] + dims, dims))):
+        fail("term dimensions disagree with the differentials")
+    ranks = [sparse_rank(rows, n, f) for rows, n in diffs]
+    if ranks[0] != res.module.dim:
+        fail("the augmentation is not onto the module")
+    for i in range(1, len(diffs)):
+        rows = diffs[i][0]
+        if any(sparse_combination(f, [(x, rows[k].items())
+                                      for k, x in row.items()])
+               for row in diffs[i - 1][0]):
+            fail(f"d o d != 0 at degree {i}")
+    for i, (d, r, up) in enumerate(zip(dims, ranks, ranks[1:] + [0])):
+        if d - r != up:
+            fail(f"not exact at degree {i}" if i < len(dims) - 1
+                 else "the top differential is not injective")
+    try:
+        res.check_minimal()
+    except InternalCheckError as e:
+        fail(e)
+
+
+def projective_dimension(m, cap, seed=0):
     """Projective dimension with a three-valued verdict.
 
-    Terminating resolution gives finite(d); two isomorphic syzygies within
-    the cap give infinite with a re-checkable witness; otherwise
-    undetermined at the cap. When finite, the value is cross-checked
-    against max{ i : Tor_i(A/rad, M) != 0 } computed by resolving the
-    semisimple right module independently.
+    Terminating resolution gives finite(d), after _check_resolution has
+    certified the resolution as minimal, so that d is pd M; two isomorphic
+    syzygies within the cap give infinite with a re-checkable witness;
+    otherwise undetermined at the cap.
     """
-    a = m.algebra
     res = minimal_resolution(m, cap)
     cert = {"term_dims": res.term_dims()}
     if res.terminated:
-        d = res.length
-        if m.dim == 0:
-            d = 0
-        if crosscheck and m.dim:
-            sem = direct_sum(simple_modules(opposite(a)))
-            tdims = tor(sem, m, d + 1)
-            top = max((i for i, v in enumerate(tdims) if v), default=0)
-            if top != d:
-                raise InternalCheckError(
-                    f"pd cross-check failed: resolution says {d}, Tor says {top}")
-        return PdVerdict("finite", value=d, certificate=cert)
+        _check_resolution(res)
+        return PdVerdict("finite", value=res.length, certificate=cert)
     # periodicity search among syzygies
     syzygies = {}
     limit = len(res.kernels)

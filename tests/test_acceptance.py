@@ -240,7 +240,7 @@ def test_criterion_9_pd_tor_consistency():
         modules += 1
         if m.dim == 0:
             continue
-        v = projective_dimension(m, 8, crosscheck=False)
+        v = projective_dimension(m, 8)
         if v.kind != "finite":
             continue
         sem = direct_sum(simple_modules(opposite(a)))

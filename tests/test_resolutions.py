@@ -152,17 +152,19 @@ def test_tor_symmetry_small_random():
 
 def test_pd_tor_consistency_small_random():
     rng = random.Random(11)
-    for _ in range(15):
-        a = random_quiver_algebra(rng, QQ)
-        if a.dim > 5:
-            continue
-        m = random_module(rng, a)
-        v = projective_dimension(m, 6, crosscheck=False)
-        if v.kind != "finite" or m.dim == 0:
-            continue
-        sem = direct_sum(simple_modules(opposite(a)))
-        dims = tor(sem, m, v.value + 2)
-        assert max((i for i, d in enumerate(dims) if d), default=0) == v.value
+    for field in (QQ, GF(2), GF(3)):
+        for _ in range(15):
+            a = random_quiver_algebra(rng, field)
+            if a.dim > 5:
+                continue
+            m = random_module(rng, a)
+            v = projective_dimension(m, 6)
+            if v.kind != "finite" or m.dim == 0:
+                continue
+            sem = direct_sum(simple_modules(opposite(a)))
+            dims = tor(sem, m, v.value + 2)
+            assert (max((i for i, d in enumerate(dims) if d), default=0)
+                    == v.value)
 
 
 def test_tensored_homology_concentration(gamma_in_lambda):
@@ -279,6 +281,121 @@ def test_pd_crosscheck_rejects_short_resolution(monkeypatch, hereditary_a2):
     monkeypatch.setattr(resolutions, "minimal_resolution", short)
     with pytest.raises(InternalCheckError, match="pd cross-check failed"):
         projective_dimension(s, 4)
+
+
+def _a3(field):
+    """The path algebra of 1 -> 2 -> 3 modulo the path of length two: its
+    simple at 1 resolves as 0 -> P3 -> P2 -> P1, so it has pd 2."""
+    pres = QuiverPresentation(("1", "2", "3"),
+                              (("a", "1", "2"), ("b", "2", "3")),
+                              (((1, ("b", "a")),),))
+    return algebra_from_presentation(pres, field)
+
+
+def _fault_on_call(monkeypatch, name, n, fault):
+    """Patch resolutions.<name> so that the result of its n-th call
+    (counting from 0) goes through fault."""
+    from quiverext import resolutions
+    real = getattr(resolutions, name)
+    calls = []
+
+    def patched(*args):
+        out = real(*args)
+        calls.append(name)
+        return fault(out) if len(calls) == n + 1 else out
+
+    monkeypatch.setattr(resolutions, name, patched)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_pd_check_rejects_dropped_kernel_vector(monkeypatch, field):
+    """Without the syzygy of P_1 the resolution stops a degree early, and
+    its top differential is not injective."""
+    s1 = simple_modules(_a3(field))[0]
+    assert projective_dimension(s1, 4).value == 2
+    _fault_on_call(monkeypatch, "_kernel", 1,
+                   lambda out: (out[0][:-1], out[1][:-1]))
+    with pytest.raises(InternalCheckError,
+                       match="pd cross-check failed: the top differential"):
+        projective_dimension(s1, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_pd_check_rejects_wrong_differential_entry(monkeypatch, field):
+    """One more entry in the top differential, at a coordinate that
+    d_{top-1} does not kill, keeps every rank and breaks d o d = 0."""
+    def wrong_entry(res):
+        top = res.length
+        rows, below = res.sparse_diffs[top][0], res.sparse_diffs[top - 1][0]
+        r = next(k for k in range(len(rows))
+                 if 0 not in rows[k] and any(k in row for row in below))
+        rows[r][0] = field.one
+        return res
+
+    s1 = simple_modules(_a3(field))[0]
+    _fault_on_call(monkeypatch, "minimal_resolution", 0, wrong_entry)
+    with pytest.raises(InternalCheckError,
+                       match="pd cross-check failed: d o d != 0"):
+        projective_dimension(s1, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_pd_check_rejects_block_outside_radical(monkeypatch, field):
+    a = _a3(field)
+
+    def unit_block(res):
+        res.w_blocks[1][0][0] = a.idempotents[res.gens[1][0]]
+        return res
+
+    s1 = simple_modules(a)[0]
+    _fault_on_call(monkeypatch, "minimal_resolution", 0, unit_block)
+    with pytest.raises(InternalCheckError,
+                       match="pd cross-check failed: .*not minimal"):
+        projective_dimension(s1, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("degree, check", [(0, "the augmentation"),
+                                           (1, "not exact at degree 0")],
+                         ids=["degree0", "degree1"])
+def test_pd_check_rejects_cover_missing_a_generator(monkeypatch, field,
+                                                    degree, check):
+    """The semisimple module over A3 needs three generators in degree 0
+    and two in degree 1; dropping the last one leaves the augmentation
+    short of M, or the image of d_1 short of the kernel of d_0."""
+    m = direct_sum(simple_modules(_a3(field)))
+    assert projective_dimension(m, 4).value == 2
+    _fault_on_call(monkeypatch, "_cover_step", degree, lambda gens: gens[:-1])
+    with pytest.raises(InternalCheckError,
+                       match=f"pd cross-check failed: {check}"):
+        projective_dimension(m, 4)
+
+
+def test_pd_builds_no_algebra_and_calls_no_tor(monkeypatch):
+    """The finite pd of the demo's A/B over B^e is checked on its own
+    resolution: no algebra is built (no (B^e)^op) and tor is not called."""
+    from quiverext import resolutions
+    from quiverext.algebra import Algebra
+    from quiverext.cli import demo_document
+    from quiverext.docparse import build_document, parse_document
+    from quiverext.extensions import quotient_bimodule
+    ext = build_document(parse_document(demo_document())).env["GammaInLambda"]
+    m = quotient_bimodule(ext).as_env_module()
+    counts = {"tor": 0, "Algebra": 0}
+    real_tor, real_init = resolutions.tor, Algebra.__init__
+
+    def counting_tor(*args, **kwargs):
+        counts["tor"] += 1
+        return real_tor(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["Algebra"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "tor", counting_tor)
+    monkeypatch.setattr(Algebra, "__init__", counting_init)
+    assert projective_dimension(m, 12).kind == "finite"
+    assert counts == {"tor": 0, "Algebra": 0}
 
 
 def _block_across_vertices(res):
