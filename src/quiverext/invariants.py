@@ -12,7 +12,7 @@ algebra built; the bar-complex routes in barcomplex.py serve as
 independent oracles in the test suite.
 """
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, ValidationError
 from .linalg import EchelonSpan, sparse_combination, transpose
 from .modules import (Bimodule, dual_module, left_regular_module,
                       right_regular_module, simple_modules)
@@ -53,7 +53,7 @@ def injective_dimension_regular(a, side, cap, seed=0):
     elif side == "right":
         mod = dual_module(right_regular_module(a))
     else:
-        raise ValueError("side must be 'left' or 'right'")
+        raise ValidationError("side must be 'left' or 'right'")
     pd = projective_dimension(mod, cap, seed=seed)
     if pd.kind == "finite":
         return verdicts.holds(value=pd.value, bound=cap,

@@ -49,11 +49,19 @@ class Module:
     def act(self, elem, vec):
         """The action on the sparse vector vec (a dict) of the algebra
         element with nonzero (index, coeff) entries elem, as a dict of the
-        nonzero entries of the image."""
+        nonzero entries of the image. An empty column costs no product."""
         f = self.algebra.field
-        return sparse_combination(f, [(f.mul(a, x), self.action[u][k])
-                                      for u, a in elem
-                                      for k, x in vec.items()])
+        add, mul, zero = f.add, f.mul, f.zero
+        action = self.action
+        out = {}
+        for k, x in vec.items():
+            for u, a in elem:
+                col = action[u][k]
+                if col:
+                    ax = mul(a, x)
+                    for r, v in col:
+                        out[r] = add(out.get(r, zero), mul(v, ax))
+        return {r: y for r, y in out.items() if y}
 
     def action_map(self, elem):
         """The column-sparse map by which the algebra element elem (its

@@ -1,20 +1,22 @@
 """Minimal projective resolutions, syzygies, Tor, Ext, projective dimension.
 
-Resolutions are built by iterated projective covers. Internally a cover
-target lives inside the previous projective (or inside the resolved module
-at the start), so syzygies are tracked as explicit kernel subspaces.
+Resolutions are built by iterated projective covers. A cover target is a
+plain Module: the resolved module at the start, then the projective
+P_{i-1} = + A e_s of the previous degree (cached on the algebra, see
+_projective_sum), so syzygies are tracked as explicit kernel subspaces
+of it.
 
 Every vector on this path is sparse, a dict index -> value of its nonzero
 canonical entries: the vectors spanning a cover target, the chosen
-generators, the rows of each differential and the kernel vectors. Acting
-on a vector touches only its nonzero coordinates, through the columns of
-the column-sparse action of each summand, read as the module stores it.
-The kernel of a differential is one EchelonSpan over its sparse rows,
-read through ReducedBasis.complement; the differentials stay in that
-row-sparse form, since the kernel needs rows. Maps handed out as
-ModuleMaps (the cover's epimorphism, the differentials of a ChainComplex,
-isomorphism witnesses) are column-sparse, like every other linear map in
-the engine; ChainComplex checks d o d = 0 by composing them and ranks
+generators and the kernel vectors. Module.act applies an algebra element
+to such a vector, touching only its nonzero coordinates through the
+columns of the column-sparse action. Each differential is column-sparse,
+like every other linear map in the engine, in the format
+linalg.map_problem checks: column c is the image b . g of a basis element
+b of its summand A e_s under the generator g of that summand. The kernel
+of a differential is one EchelonSpan over its rows, read through
+ReducedBasis.complement; _kernel is the one reader that transposes.
+ChainComplex checks d o d = 0 by composing its differentials and ranks
 them through linalg.sparse_rank.
 
 Each differential is also stored in "algebra form": the map
@@ -23,7 +25,7 @@ w[c][r] in e_{s(c)} A e_{s(r)}, each kept as its sparse entries. Tensoring
 with a module N then collapses each summand A e_s to the slice e_s N and
 each block to the action of w on N, which is what makes Tor and Ext over
 the big enveloping algebras cheap once the resolution is known. Tor and
-Ext stay sparse too: a slice is read off the columns of the action of
+Ext stay sparse too: a slice is spanned by the columns of the action of
 e_s, each block acts on the sparse rows of a slice basis, and each map is
 ranked from its sparse images.
 
@@ -38,85 +40,48 @@ No second module is resolved and no algebra is built for the check.
 from itertools import accumulate
 
 from .errors import InternalCheckError, ValidationError
-from .linalg import (EchelonSpan, compose, sparse_combination, sparse_rank,
-                     transpose)
+from .linalg import (EchelonSpan, compose, map_problem, sparse_combination,
+                     sparse_rank, to_column, transpose)
 from .modules import (Module, ModuleMap, direct_sum, is_isomorphic,
                       projective_data, zero_module)
 from .algebra import opposite
 
 
-class _Ambient:
-    """A module acting on sparse vectors: the resolved module itself (the
-    degree-minus-one ambient) or a direct sum of projectives A e_s.
-
-    It is a direct sum of blocks, each given by its column-sparse action
-    (cols[u] the map by which b_u acts on the block) and its dimension."""
-
-    __slots__ = ("field", "dim", "_place")
-
-    def __init__(self, field, blocks):
-        self.field = field
-        place = []  # coordinate -> (its block's columns, block offset, column)
-        for cols, dim in blocks:
-            off = len(place)
-            place.extend((cols, off, c) for c in range(dim))
-        self._place = place
-        self.dim = len(place)
-
-    def apply(self, elem, vec):
-        """The action on vec of the algebra element with nonzero
-        (index, coeff) entries elem, as a sparse vector."""
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out = {}
-        for i, x in vec.items():
-            cols, off, c = self._place[i]
-            for u, a in elem:
-                col = cols[u][c]
-                if col:
-                    ax = mul(a, x)
-                    for r, v in col:
-                        k = off + r
-                        out[k] = add(out.get(k, zero), mul(v, ax))
-        return {k: y for k, y in out.items() if y}
-
-
-def _projective_ambient(algebra, summands):
-    data = [projective_data(algebra, s) for s in summands]
-    return _Ambient(algebra.field, [(d.module.action, d.basis.dim)
-                                    for d in data])
-
-
 def _projective_sum(algebra, summands):
-    """The module + A e_s over the given summands."""
-    mods = [projective_data(algebra, s).module for s in summands]
-    return direct_sum(mods) if mods else zero_module(algebra)
+    """The module + A e_s over the given summands, cached on the algebra,
+    since resolutions over one algebra meet the same terms again; a single
+    summand is the projective itself."""
+    key = ("proj_sum", tuple(summands))
+    if key not in algebra._cache:
+        mods = [projective_data(algebra, s).module for s in summands]
+        algebra._cache[key] = (direct_sum(mods) if len(mods) > 1 else
+                               mods[0] if mods else zero_module(algebra))
+    return algebra._cache[key]
 
 
 class Resolution:
     """A minimal projective resolution, possibly truncated at a cap.
 
     Degrees run 0, 1, 2, ...; gens[i] lists the idempotent index of each
-    indecomposable summand of P_i. sparse_diffs[i] holds the differential
-    out of P_i as (rows, ncols), one dict col -> value per row: degree 0 is
-    the augmentation onto the module, degree i maps P_i into P_{i-1}.
-    kernels[i] spans the syzygy inside P_i, as sparse vectors whose
-    entries at kernel_free[i] are their coordinates. terminated means some
-    kernel was zero within the cap.
+    indecomposable summand of P_i. diffs[i] is the differential out of P_i,
+    a column-sparse map with dim P_i columns: degree 0 is the augmentation
+    onto the module, degree i maps P_i into P_{i-1}. kernels[i] spans the
+    syzygy inside P_i, as sparse vectors whose entries at kernel_free[i]
+    are their coordinates. terminated means some kernel was zero within
+    the cap.
     """
 
-    __slots__ = ("module", "gens", "sparse_diffs", "w_blocks", "kernels",
-                 "kernel_free", "terminated", "cap")
+    __slots__ = ("module", "gens", "diffs", "w_blocks", "kernels",
+                 "kernel_free", "terminated")
 
-    def __init__(self, module, cap):
+    def __init__(self, module):
         self.module = module
         self.gens = []
-        self.sparse_diffs = []
+        self.diffs = []
         self.w_blocks = []
         self.kernels = []
         self.kernel_free = []
         self.terminated = False
-        self.cap = cap
 
     @property
     def length(self):
@@ -144,12 +109,12 @@ class Resolution:
         free = self.kernel_free[t - 1]
         if not vecs:
             return zero_module(a)
-        amb = _projective_ambient(a, self.gens[t - 1])
+        p = self.projective_module(t - 1)
         action = []
         for u in range(a.dim):
             cols = []
             for vec in vecs:
-                img = amb.apply(((u, f.one),), vec)
+                img = p.act(((u, f.one),), vec)
                 col = tuple((t, img[j]) for t, j in enumerate(free) if j in img)
                 # exactness of the coordinate extraction is a consistency check
                 if sparse_combination(f, [(c, vecs[t].items())
@@ -170,22 +135,21 @@ class Resolution:
         return True
 
 
-def _cover_step(algebra, ambient, current):
+def _cover_step(algebra, target, current):
     """One projective cover: returns [(idempotent index, generator)].
 
-    current (sparse vectors) spans a submodule of the ambient; generators
-    are chosen idempotent-homogeneous lifts of a basis of the top
-    (Nakayama)."""
-    f = algebra.field
-    span = EchelonSpan(f, ambient.dim)
+    current (sparse vectors) spans a submodule of the target module;
+    generators are chosen idempotent-homogeneous lifts of a basis of the
+    top (Nakayama)."""
+    span = EchelonSpan(algebra.field, target.dim)
     rad_rows = algebra.radical_basis().sparse_rows
     for v in current:
         for r in rad_rows:
-            span.insert(ambient.apply(r, v))
+            span.insert(target.act(r, v))
     gens = []
     for s, es in enumerate(algebra.idempotents):
         for v in current:
-            u = ambient.apply(es, v)
+            u = target.act(es, v)
             if span.insert(u):
                 gens.append((s, u))
     if span.rank != len(current):
@@ -193,34 +157,25 @@ def _cover_step(algebra, ambient, current):
     return gens
 
 
-def _build_differential(algebra, ambient, gens):
-    """The map + A e_s -> ambient sending the generator of each summand to
-    its chosen vector, as (rows, ncols): one sparse row per ambient
-    coordinate. Basis element b of A e_s goes to b . generator."""
-    rows = [{} for _ in range(ambient.dim)]
-    col = 0
-    for s, g in gens:
-        for brow in projective_data(algebra, s).basis.sparse_rows:
-            for r, x in ambient.apply(brow, g).items():
-                rows[r][col] = x
-            col += 1
-    return rows, col
+def _build_differential(algebra, target, gens):
+    """The map + A e_s -> target sending the generator of each summand to
+    its chosen vector, column-sparse: basis element b of A e_s goes to
+    b . generator."""
+    return tuple([to_column(target.act(brow, g)) for s, g in gens
+                  for brow in projective_data(algebra, s).basis.sparse_rows])
 
 
 def _module_cover(m):
     """The degree-0 cover of a module: its generators and differential."""
-    a = m.algebra
-    ambient = _Ambient(a.field, [(m.action, m.dim)])
-    gens = _cover_step(a, ambient, [{i: a.field.one} for i in range(m.dim)])
-    return gens, _build_differential(a, ambient, gens)
+    one = m.algebra.field.one
+    gens = _cover_step(m.algebra, m, [{i: one} for i in range(m.dim)])
+    return gens, _build_differential(m.algebra, m, gens)
 
 
-def _kernel(field, diff):
-    """Sparse kernel vectors of a differential, and the free columns at
-    which they have their coordinates."""
-    rows, ncols = diff
-    span = EchelonSpan(field, ncols)
-    span.extend(rows)
+def _kernel(field, diff, nrows):
+    """Sparse kernel vectors of a differential with nrows rows, and the
+    free columns at which they have their coordinates."""
+    span = EchelonSpan(field, len(diff), transpose(diff, nrows))
     return span.reduced_basis().complement()
 
 
@@ -248,18 +203,19 @@ def minimal_resolution(m, cap):
     if cap < 0:
         raise ValidationError("cap must be nonnegative")
     a = m.algebra
-    res = Resolution(m, cap)
+    res = Resolution(m)
+    target = m
     gens, diff = _module_cover(m)
     for degree in range(cap + 1):
         if degree:
             prev_gens = gens
-            ambient = _projective_ambient(a, res.gens[-1])
-            gens = _cover_step(a, ambient, res.kernels[-1])
-            diff = _build_differential(a, ambient, gens)
+            target = res.projective_module(degree - 1)
+            gens = _cover_step(a, target, res.kernels[-1])
+            diff = _build_differential(a, target, gens)
         res.gens.append([s for s, _ in gens])
-        res.sparse_diffs.append(diff)
+        res.diffs.append(diff)
         res.w_blocks.append(_w_blocks(a, prev_gens, gens) if degree else None)
-        kvecs, kfree = _kernel(a.field, diff)
+        kvecs, kfree = _kernel(a.field, diff, target.dim)
         res.kernels.append(kvecs)
         res.kernel_free.append(kfree)
         if not kvecs:
@@ -270,18 +226,19 @@ def minimal_resolution(m, cap):
 
 def projective_cover(m):
     """Projective cover as (projective module, epimorphism)."""
-    gens, (rows, ncols) = _module_cover(m)
+    gens, epi = _module_cover(m)
     p = _projective_sum(m.algebra, [s for s, _ in gens])
-    epi = transpose(tuple(tuple(sorted(r.items())) for r in rows), ncols)
     return p, ModuleMap(p, m, epi, validate=False)
 
 
 def syzygy(m, t, cap=None):
-    """The t-th syzygy; t = 0 returns the module itself."""
+    """The t-th syzygy; t = 0 returns the module itself. It is zero past
+    the end of a terminated resolution; a resolution cut off by the cap
+    before degree t - 1 raises ValidationError."""
     if t == 0:
         return m
     res = minimal_resolution(m, t if cap is None else cap)
-    if t - 1 >= len(res.kernels):
+    if res.terminated and t - 1 >= len(res.kernels):
         return zero_module(m.algebra)
     return res.syzygy_module(t)
 
@@ -290,8 +247,9 @@ def is_projective(m):
     """Projectivity via the cover: projective iff the cover kernel is zero."""
     if m.dim == 0:
         return True
-    _, (rows, ncols) = _module_cover(m)
-    return ncols == m.dim and sparse_rank(rows, ncols, m.algebra.field) == m.dim
+    _, epi = _module_cover(m)
+    return (len(epi) == m.dim
+            and sparse_rank(map(dict, epi), m.dim, m.algebra.field) == m.dim)
 
 
 def homology_dims(dims, ranks):
@@ -302,18 +260,14 @@ def homology_dims(dims, ranks):
             for i, d in dims.items()}
 
 
-def _slice(n, ambient, algebra_of_e, s):
+def _slice(n, algebra_of_e, s):
     """The slice e_s N of a module, as a ReducedBasis cached on N: the span
-    of the columns of the action of e_s, read through an ambient of N that
-    holds the columns of e_s."""
+    of the columns of the action of e_s."""
     key = ("slice", algebra_of_e, s)
     if key not in n._cache:
-        f = n.algebra.field
         es = algebra_of_e.idempotents[s]
-        span = EchelonSpan(f, n.dim)
-        for j in range(n.dim):
-            span.insert(ambient.apply(es, {j: f.one}))
-        n._cache[key] = span.reduced_basis()
+        n._cache[key] = EchelonSpan(n.algebra.field, n.dim,
+                                    n.action_map(es)).reduced_basis()
     return n._cache[key]
 
 
@@ -331,8 +285,7 @@ def _derived_dims(res, n, base_algebra, i_max, contravariant):
     f = n.algebra.field
     top = min(i_max + 1, len(res.gens) - 1)
     degrees = res.w_blocks[1:top + 1]
-    ambient = _Ambient(f, [(n.action, n.dim)])
-    terms = [[_slice(n, ambient, base_algebra, s) for s in gens]
+    terms = [[_slice(n, base_algebra, s) for s in gens]
              for gens in res.gens[:top + 1]]
     ranks = {}
     for i, blocks in enumerate(degrees, 1):
@@ -347,7 +300,7 @@ def _derived_dims(res, n, base_algebra, i_max, contravariant):
                 for k, w in enumerate(ws):
                     if not w:
                         continue
-                    cs = dst[k].sparse_coords(ambient.apply(w, x).items())
+                    cs = dst[k].sparse_coords(n.act(w, x).items())
                     if cs is None:
                         raise InternalCheckError(
                             "hom block leaves its slice" if contravariant
@@ -423,29 +376,30 @@ def _check_resolution(res):
     """Raise unless a terminated resolution is a minimal projective
     resolution of its module, whose length is then pd M (Benson,
     Representations and Cohomology I, 1991). Its terms are projective by
-    construction. Ranks are taken afresh from the differentials' rows,
+    construction. Ranks are taken afresh from the differentials' columns,
     never read off the kernels the resolution computed, so a fault in
-    _kernel cannot confirm itself."""
+    _kernel cannot confirm itself. The homology is that of the augmented
+    complex, with M in degree -1."""
     def fail(what):
         raise InternalCheckError(f"pd cross-check failed: {what}")
 
     f = res.module.algebra.field
     dims = res.term_dims()
-    diffs = res.sparse_diffs
-    if ([(len(rows), n) for rows, n in diffs]
-            != list(zip([res.module.dim] + dims, dims))):
+    diffs = res.diffs
+    heights = [res.module.dim] + dims
+    if len(diffs) != len(dims) or any(map_problem(f, d, h, n) for d, h, n
+                                      in zip(diffs, heights, dims)):
         fail("term dimensions disagree with the differentials")
-    ranks = [sparse_rank(rows, n, f) for rows, n in diffs]
-    if ranks[0] != res.module.dim:
+    h = homology_dims(dict(enumerate(heights, -1)),
+                      {i: sparse_rank(map(dict, d), height, f)
+                       for i, (d, height) in enumerate(zip(diffs, heights))})
+    if h[-1]:
         fail("the augmentation is not onto the module")
     for i in range(1, len(diffs)):
-        rows = diffs[i][0]
-        if any(sparse_combination(f, [(x, rows[k].items())
-                                      for k, x in row.items()])
-               for row in diffs[i - 1][0]):
+        if any(compose(f, diffs[i - 1], diffs[i])):
             fail(f"d o d != 0 at degree {i}")
-    for i, (d, r, up) in enumerate(zip(dims, ranks, ranks[1:] + [0])):
-        if d - r != up:
+    for i in range(len(dims)):
+        if h[i]:
             fail(f"not exact at degree {i}" if i < len(dims) - 1
                  else "the top differential is not injective")
     try:

@@ -5,8 +5,7 @@ A dense matrix here is a tuple of rows, each a tuple of canonical field
 elements, and a dense vector one such row. `columns` and `rows` convert
 between the two formats of a map, `pairs` and `vector` those of a vector
 (an algebra element, say); `mul`, `kron` and `product` are the textbook
-dense routines the sparse ones are compared with, and `diff_columns`
-reads a resolution's row-sparse differential by its columns.
+dense routines the sparse ones are compared with.
 """
 
 
@@ -76,13 +75,3 @@ def kron(field, a, b):
     return tuple(tuple(field.mul(x, y) for x in ra for y in rb)
                  for ra in a for rb in b)
 
-
-def diff_columns(diff):
-    """A differential (rows, ncols) of a resolution, one sparse row (a
-    dict col -> value) per target coordinate, as a column-sparse map."""
-    rows_, ncols = diff
-    cols = [[] for _ in range(ncols)]
-    for i, r in enumerate(rows_):
-        for j, x in r.items():
-            cols[j].append((i, x))
-    return tuple(map(tuple, cols))

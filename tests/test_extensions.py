@@ -490,8 +490,7 @@ def test_augmented_resolution_exact_with_euler(gamma_in_lambda):
     for i in range(len(res.gens)):
         p = res.projective_module(i)
         modules[i + 1] = p
-        diffs[i + 1] = ModuleMap(p, prev, dense.diff_columns(
-            res.sparse_diffs[i]), validate=True)
+        diffs[i + 1] = ModuleMap(p, prev, res.diffs[i], validate=True)
         prev = p
     cc = ChainComplex(modules, diffs)
     assert cc.is_exact()

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, every function,
-class and method it defines is used somewhere, and no module goes back to
-dense vectors.
+class and method it defines is used somewhere, no module defines a
+top-level name twice, and no module goes back to dense vectors.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules:
   * a name bound by an import statement anywhere in a module must be read
@@ -8,7 +8,10 @@ Stdlib stand-ins for a linter's unused-import and dead-code rules:
     imports to re-export;
   * every non-dunder function, class and method defined in the package
     must be referenced by name (read as a variable, an attribute or an
-    imported name) somewhere in the package or its tests.
+    imported name) somewhere in the package or its tests;
+  * no module of the package or of the tests defines a top-level function
+    or class twice: the later definition silently replaces the earlier,
+    so a shadowed test is never collected.
 
 The engine has one format for vectors, algebra elements included: the
 (index, coeff) pairs of a column (see linalg). So no module of the package
@@ -63,6 +66,19 @@ def referenced_names(source):
     return names
 
 
+def redefinitions(source):
+    """(line, name) of every top-level function or class whose name an
+    earlier top-level definition of the module already took."""
+    seen, out = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if node.name in seen:
+                out.append((node.lineno, node.name))
+            seen.add(node.name)
+    return out
+
+
 # the dense helpers, read as a name, an import or an attribute
 DENSE_NAMES = {"unit_vector", "dense_vector", "linear_combination",
                "nonzero_pairs"}
@@ -115,6 +131,18 @@ def test_detector_flags_a_dead_definition():
            "def __dunder__():\n    pass\n\nC().used()\n")
     used = referenced_names(src)
     assert [d for d in definitions(src) if d[1] not in used] == [(5, "dead")]
+
+
+def test_detector_flags_a_redefinition():
+    src = ("def f():\n    pass\n\nclass C:\n    def f(self):\n        pass\n\n"
+           "def test_x():\n    pass\n\nclass f:\n    pass\n\n"
+           "def test_x():\n    pass\n")
+    assert redefinitions(src) == [(11, "f"), (14, "test_x")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_top_level_redefinitions(path):
+    assert redefinitions(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

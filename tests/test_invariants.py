@@ -2,6 +2,9 @@ import contextlib
 import io
 import random
 
+import pytest
+
+from quiverext.errors import ValidationError
 from quiverext.linalg import GF, QQ
 from quiverext.algebra import opposite, product_algebra, scalar_algebra
 from quiverext.barcomplex import full_bar_homology, relative_bar_homology
@@ -92,6 +95,11 @@ def test_selfinjective_dual_numbers(dual_numbers):
     assert left.holds and left.value == 0
     assert right.holds and right.value == 0
     assert gorenstein_verdict(dual_numbers, 6).holds
+
+
+def test_injective_dimension_rejects_unknown_side(dual_numbers):
+    with pytest.raises(ValidationError, match="side must be"):
+        injective_dimension_regular(dual_numbers, "both", 6)
 
 
 def test_gorenstein_semisimple():

@@ -4,7 +4,8 @@ import pytest
 
 from quiverext.errors import InternalCheckError, ValidationError
 import dense_reference as dense
-from quiverext.linalg import GF, QQ, compose, identity_map, sparse_rank
+from quiverext.linalg import (GF, QQ, compose, identity_map, map_problem,
+                              sparse_rank)
 from quiverext.algebra import opposite
 from quiverext.modules import (ModuleMap, direct_sum, is_isomorphic,
                                left_regular_module, projective_data,
@@ -211,7 +212,7 @@ def _ext_by_hom_complex(m, n, i_max):
     from quiverext.modules import hom_space
     f = m.algebra.field
     res = minimal_resolution(m, i_max + 1)
-    diffs = [dense.diff_columns(d) for d in res.sparse_diffs]
+    diffs = res.diffs
     homs = [hom_space(res.projective_module(i), n)
             for i in range(len(res.gens))]
     ranks = {}
@@ -252,6 +253,21 @@ def _gamma(field):
         ("1", "2"), (("beta", "1", "2"), ("gamma", "1", "1")),
         (((1, ("gamma", "gamma")),),))
     return algebra_from_presentation(pres, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_syzygy_past_the_cap_is_not_zero(field):
+    """The simple at vertex 1 of the loop quiver algebra has infinite pd,
+    so its third syzygy is nonzero; a cap that stops the resolution before
+    it raises instead of reporting zero, and past the end of a terminated
+    resolution the syzygy is zero."""
+    a = _gamma(field)
+    s = simple_modules(a)[0]
+    assert syzygy(s, 3).dim == 2
+    with pytest.raises(ValidationError, match="not computed that far"):
+        syzygy(s, 3, cap=1)
+    p = projective_data(a, 0).module
+    assert syzygy(p, 3, cap=1).dim == 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
@@ -322,14 +338,15 @@ def test_pd_check_rejects_dropped_kernel_vector(monkeypatch, field):
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_pd_check_rejects_wrong_differential_entry(monkeypatch, field):
-    """One more entry in the top differential, at a coordinate that
+    """One more entry in column 0 of the top differential, at a row that
     d_{top-1} does not kill, keeps every rank and breaks d o d = 0."""
     def wrong_entry(res):
         top = res.length
-        rows, below = res.sparse_diffs[top][0], res.sparse_diffs[top - 1][0]
-        r = next(k for k in range(len(rows))
-                 if 0 not in rows[k] and any(k in row for row in below))
-        rows[r][0] = field.one
+        col, below = res.diffs[top][0], res.diffs[top - 1]
+        rows = {r for r, _ in col}
+        r = next(k for k in range(len(below)) if k not in rows and below[k])
+        res.diffs[top] = (tuple(sorted(col + ((r, field.one),))),
+                          *res.diffs[top][1:])
         return res
 
     s1 = simple_modules(_a3(field))[0]
@@ -432,9 +449,10 @@ def test_derived_dims_reject_block_leaving_its_slice(field):
 def test_resolution_structure_random(field):
     """Every computed degree of a minimal resolution, on random modules
     over random algebras of dimension at most 5: each differential is a
-    module map into the previous term, d o d = 0, d_0 is onto M, the
-    complex is exact below the top, every block lies in the radical, and
-    the algebra-form blocks reproduce the differentials."""
+    module map into the previous term in the format map_problem accepts,
+    d o d = 0, d_0 is onto M, the complex is exact below the top, every
+    block lies in the radical, and the algebra-form blocks reproduce the
+    differentials."""
     rng = random.Random(47 + field.characteristic)
     cases = 0
     while cases < 10:
@@ -444,15 +462,17 @@ def test_resolution_structure_random(field):
         # a simple summand keeps most resolutions from stopping at P_0
         m = direct_sum([random_module(rng, a), rng.choice(simple_modules(a))])
         res = minimal_resolution(m, 3)
-        diffs = [dense.diff_columns(d) for d in res.sparse_diffs]
+        diffs = res.diffs
         assert len(diffs) == len(res.gens)
         terms = [res.projective_module(i) for i in range(len(diffs))]
+        ranks = []
         for i, d in enumerate(diffs):
-            ModuleMap(terms[i], terms[i - 1] if i else m, d)
+            target = terms[i - 1] if i else m
+            assert map_problem(field, d, target.dim, terms[i].dim) is None
+            ModuleMap(terms[i], target, d)
             if i:
                 assert not any(compose(field, diffs[i - 1], d))
-        ranks = [sparse_rank(rows, ncols, field)
-                 for rows, ncols in res.sparse_diffs]
+            ranks.append(sparse_rank(map(dict, d), target.dim, field))
         assert ranks[0] == m.dim
         for i in range(len(diffs) - 1):
             assert ranks[i] + ranks[i + 1] == res.term_dim(i)
