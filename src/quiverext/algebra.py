@@ -3,9 +3,14 @@
 An Algebra carries its multiplication table, unit, a basis of its Jacobson
 radical and a complete set of orthogonal primitive idempotents. Radicals
 and idempotents are tracked structurally through every constructor and
-verified, never discovered: each constructor re-runs the full invariant
-battery (associativity, unit law, radical is a nilpotent two-sided ideal,
+verified, never discovered. An algebra from outside (a presentation, a
+document, a direct `Algebra(...)`) runs the full invariant battery
+(associativity, unit law, radical is a nilpotent two-sided ideal,
 idempotents are complete, the semisimple quotient is split basic).
+`opposite`, `tensor_algebra` and `product_algebra` build with
+`validate=False`, which runs only the shape, idempotent and dimension
+checks: their outputs are valid by theorem when their inputs are (rad(A
+(x) B) = rad A (x) B + A (x) rad B, with semisimple quotient k^r (x) k^s).
 
 The multiplication table is sparse: table[i][j] is a tuple of
 (index, coefficient) pairs for the product b_i * b_j. Quiver algebras and
@@ -63,6 +68,10 @@ class Algebra:
         self._cache = {}
         if validate:
             self.validate()
+        else:  # valid by construction: only the cheap structural checks
+            self._check_shape()
+            self._check_idempotents()
+            self._check_count(len(self.radical_rows))
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -133,16 +142,23 @@ class Algebra:
     # -- validation battery ----------------------------------------------
 
     def validate(self):
-        n = self.dim
-        if n == 0:
-            raise ValidationError("zero-dimensional algebra has no unit")
-        for row in self.table:
-            if len(row) != n:
-                raise ValidationError("multiplication table has wrong shape")
+        self._check_shape()
         self._check_unit()
         self._check_associativity()
         self._check_idempotents()
         self._check_radical()
+
+    def _check_shape(self):
+        n = self.dim
+        if n == 0:
+            raise ValidationError("zero-dimensional algebra has no unit")
+        if len(self.table) != n or any(len(row) != n for row in self.table):
+            raise ValidationError("multiplication table has wrong shape")
+
+    def _check_count(self, radical_dim):
+        if radical_dim + len(self.idempotents) != self.dim:
+            raise ValidationError(
+                "algebra is not split basic: dim != #idempotents + dim radical")
 
     def _check_unit(self):
         one, mul = self.field.one, self.sparse_multiply
@@ -200,9 +216,7 @@ class Algebra:
         rb = self.radical_basis()
         if rb.dim != len(self.radical_rows):
             raise ValidationError("radical rows are linearly dependent")
-        if rb.dim + len(self.idempotents) != self.dim:
-            raise ValidationError(
-                "algebra is not split basic: dim != #idempotents + dim radical")
+        self._check_count(rb.dim)
         # idempotents + radical must span everything
         span = EchelonSpan(f, self.dim, [*rb.sparse_rows, *self.idempotents])
         if span.rank != self.dim:
@@ -249,7 +263,8 @@ def opposite(a):
     n = a.dim
     table = tuple(tuple(a.table[j][i] for j in range(n)) for i in range(n))
     opp = Algebra(a.field, a.basis_labels, table, a.unit, a.radical_rows,
-                  a.idempotents, meta={"kind": "opposite", "base": a.meta.get("kind")})
+                  a.idempotents, meta={"kind": "opposite", "base": a.meta.get("kind")},
+                  validate=False)
     a._cache["opposite"] = opp
     opp._cache["opposite"] = a
     return opp
@@ -304,7 +319,8 @@ def tensor_algebra(a, b):
 
     out = Algebra(f, labels, table, pure(a.unit, b.unit),
                   span.reduced_basis().sparse_rows, idempotents,
-                  meta={"kind": "tensor", "left_dim": na, "right_dim": nb})
+                  meta={"kind": "tensor", "left_dim": na, "right_dim": nb},
+                  validate=False)
     a._cache[key] = (b, out)
     return out
 
@@ -331,7 +347,8 @@ def product_algebra(a, b):
     return Algebra(a.field, labels, table, a.unit + shifted(b.unit),
                    a.radical_rows + tuple(map(shifted, b.radical_rows)),
                    a.idempotents + tuple(map(shifted, b.idempotents)),
-                   meta={"kind": "product", "left_dim": na, "right_dim": nb})
+                   meta={"kind": "product", "left_dim": na, "right_dim": nb},
+                   validate=False)
 
 
 def map_violation(a, b, m, what):

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Everything in this module is exact: rational arithmetic uses
-fractions.Fraction (always in lowest terms with positive denominator),
-prime-field arithmetic uses canonical residues in [0, p).
+Everything in this module is exact: a rational is an int when it is
+integral and otherwise a fractions.Fraction in lowest terms with
+denominator > 1, so the common integral case costs no Fraction; a
+prime-field element is its canonical residue in [0, p). Each field's
+`is_canonical` says whether a value has that form.
 
 There is one elimination loop, EchelonSpan's. It keeps each pivot row
 sparse, as a dict of its nonzero entries. Over the rationals it is
@@ -41,30 +43,33 @@ from .errors import LinAlgError
 
 
 class RationalField:
-    """The field of rational numbers. Elements are Fraction instances."""
+    """The field of rational numbers. An element is an int when it is
+    integral and otherwise a Fraction with denominator > 1, so most
+    arithmetic runs on ints."""
 
     characteristic = 0
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, x):
-        if type(x) is Fraction:
+        if type(x) is int:
             return x
-        return Fraction(x)
+        return _demote(Fraction(x))
 
     def parse(self, text):
-        return Fraction(text)
+        return _demote(Fraction(text))
+
+    def is_canonical(self, x):
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
     def add(self, a, b):
-        return a + b
+        return _demote(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _demote(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _demote(a * b)
 
     def neg(self, a):
         return -a
@@ -72,7 +77,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise LinAlgError("division by zero")
-        return 1 / a
+        return _demote(Fraction(a.denominator, a.numerator))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -107,6 +112,9 @@ class PrimeField:
     def parse(self, text):
         return self.of(Fraction(text))
 
+    def is_canonical(self, x):
+        return type(x) is int and 0 <= x < self.p
+
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -132,6 +140,11 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
+
+
+def _demote(x):
+    """A rational as the canonical element of QQ: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 QQ = RationalField()
@@ -181,7 +194,7 @@ def map_problem(field, m, nrows, ncols):
     and canonical."""
     if type(m) is not tuple or len(m) != ncols:
         return f"need a tuple of {ncols} columns"
-    of, kind = field.of, type(field.one)
+    canonical = field.is_canonical
     for col in m:
         if type(col) is not tuple:
             return "a column is not a tuple"
@@ -192,7 +205,7 @@ def map_problem(field, m, nrows, ncols):
             i, x = e
             if type(i) is not int or not prev < i < nrows:
                 return f"row {i!r} out of range or order"
-            if type(x) is not kind or not x or of(x) != x:
+            if not canonical(x) or not x:
                 return "stored zero or non-canonical entry"
             prev = i
     return None

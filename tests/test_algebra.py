@@ -1,5 +1,6 @@
 import gc
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +246,45 @@ def test_idempotent_fault_rejected(field, fault, build, message):
                 a.radical_rows, idempotents or a.idempotents)
 
 
+_STRUCTURAL_FAULTS = _IDEMPOTENT_FAULTS[:3] + [
+    # the battery reports the unit law first; the structural check sees
+    # that the idempotents do not sum to the unit
+    ("unit law", _IDEMPOTENT_FAULTS[3][1],
+     "idempotents do not sum to the unit"),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+@pytest.mark.parametrize("fault,build,message", _STRUCTURAL_FAULTS,
+                         ids=[x[0] for x in _STRUCTURAL_FAULTS])
+def test_structural_check_without_battery(field, fault, build, message):
+    """validate=False, which the derived constructors use, still checks
+    that the idempotents are complete and orthogonal."""
+    a = _a2(field)
+    unit, idempotents = build(field)
+    with pytest.raises(ValidationError, match=message):
+        Algebra(field, a.basis_labels, a.table, unit or a.unit,
+                a.radical_rows, idempotents or a.idempotents, validate=False)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+def test_structural_check_counts_dimensions(field):
+    a = _a2(field)
+    with pytest.raises(ValidationError, match="not split basic"):
+        Algebra(field, a.basis_labels, a.table, a.unit, (), a.idempotents,
+                validate=False)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_table_missing_a_row_rejected(validate):
+    """A table with a row too few is rejected by the shape check, not
+    met by an IndexError in the battery."""
+    a = _a2(QQ)
+    with pytest.raises(ValidationError, match="wrong shape"):
+        Algebra(QQ, a.basis_labels, a.table[:2], a.unit, a.radical_rows,
+                a.idempotents, validate=validate)
+
+
 # -- the element format: every fault, in every stored element ------------
 
 _ELEMENT_FAULTS = {
@@ -256,6 +296,8 @@ _ELEMENT_FAULTS = {
     # an integer residue past p, or a float for a rational
     "non-canonical": lambda f: ((0, f.characteristic + 1 if f.characteristic
                                  else 1.0),),
+    # an integral rational is an int, and a residue is never a Fraction
+    "integral fraction": lambda f: ((0, Fraction(3, 1)),),
 }
 
 
@@ -369,11 +411,30 @@ def test_associativity_check_exact_on_corrupted_tables(seed, field, data):
     c = data.draw(st.integers(0, 2))
     table = [list(row) for row in a.table]
     table[i][j] = ((k, field.of(c)),) if c else ()
-    bad = Algebra(field, a.basis_labels, table, a.unit, a.radical_rows,
+    # The constructor's structural check would reject a table corrupted at
+    # an idempotent, so the corrupted table is put in after construction.
+    bad = Algebra(field, a.basis_labels, a.table, a.unit, a.radical_rows,
                   a.idempotents, validate=False)
+    bad.table = tuple(map(tuple, table))
     try:
         bad._check_associativity()
         rejected = False
     except ValidationError:
         rejected = True
     assert rejected == (not _is_associative(bad))
+
+
+# -- derived algebras are valid by construction --------------------------
+
+@given(seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+       field=st.sampled_from([QQ, GF(2), GF(3)]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_constructor_outputs_pass_the_battery(seeds, field):
+    """opposite, tensor_algebra and product_algebra build their outputs
+    with validate=False, trusting the theorems behind them; on valid
+    inputs every output passes the full battery."""
+    a, b = (random_quiver_algebra(random.Random(s), field, max_vertices=2,
+                                  max_arrows=3) for s in seeds)
+    for out in (opposite(a), tensor_algebra(a, b),
+                tensor_algebra(a, opposite(a)), product_algebra(a, b)):
+        out.validate()

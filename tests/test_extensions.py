@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -92,7 +93,7 @@ def test_map_fault_rejected_by_every_caller(gamma_qq_gf2, fault, caller):
 
 
 FORMAT_FAULTS = ["columns", "row out of range", "row out of order",
-                 "stored zero", "non-canonical"]
+                 "stored zero", "non-canonical", "integral fraction"]
 
 
 def _malformed(f, m, nrows, fault):
@@ -105,7 +106,10 @@ def _malformed(f, m, nrows, fault):
              "stored zero": ((0, f.zero),),
              # an integer residue past p, or a float for a rational
              "non-canonical": ((0, f.characteristic + 1 if f.characteristic
-                                else 1.0),)}[fault]
+                                else 1.0),),
+             # an integral rational is an int, and a residue is never a
+             # Fraction
+             "integral fraction": ((0, Fraction(3, 1)),)}[fault]
     return (first,) + m[1:]
 
 

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quiverext.errors import ValidationError
 from quiverext.linalg import GF, QQ
@@ -12,8 +14,9 @@ from quiverext.invariants import (commutator_rank, global_dimension,
                                   gorenstein_verdict, hochschild_homology,
                                   injective_dimension_regular,
                                   perp_membership)
-from quiverext.modules import (dual_module, left_regular_module,
+from quiverext.modules import (Bimodule, dual_module, left_regular_module,
                                projective_indecomposables, simple_modules)
+from quiverext.resolutions import ext, minimal_resolution
 from quiverext.cli import main
 from quiverext.suite import random_module, random_quiver_algebra
 
@@ -181,3 +184,27 @@ def test_hh_agreement_small_random():
 def test_hh_worked_example_oracle(gamma, lam):
     assert hochschild_homology(gamma, 4) == relative_bar_homology(gamma, 4)
     assert hochschild_homology(lam, 4) == relative_bar_homology(lam, 4)
+
+
+@given(seed=st.integers(0, 10**6),
+       field=st.sampled_from([QQ, GF(2), GF(3)]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_happel_enveloping_resolution_matches_simple_ext(seed, field):
+    """Happel's theorem, an oracle for A^e that never builds it: in the
+    minimal A^e-resolution of A, the summand A e_i (x) e_j A, idempotent
+    e_i (x) e_j^op of tensor_algebra(A, A^op), occurs in degree n exactly
+    dim Ext^n_A(S_j, S_i) times."""
+    a = random_quiver_algebra(random.Random(seed), field, max_vertices=3,
+                              max_arrows=3)
+    assume(a.dim <= 9)
+    cap = 3
+    r = len(a.idempotents)
+    res = minimal_resolution(Bimodule.regular(a).as_env_module(), cap)
+    simples = simple_modules(a)
+    exts = {(j, i): ext(simples[j], simples[i], cap)
+            for j in range(r) for i in range(r)}
+    for n in range(cap + 1):
+        counts = Counter(res.gens[n] if n < len(res.gens) else ())
+        assert counts == Counter({i * r + j: exts[j, i][n]
+                                  for i in range(r) for j in range(r)
+                                  if exts[j, i][n]}), n

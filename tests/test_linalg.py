@@ -89,6 +89,34 @@ def test_scalar_canonical_form():
     assert GF(5).parse("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
 
 
+def _canonical_rational(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@given(x=st.fractions(max_denominator=6), y=st.fractions(max_denominator=6))
+@settings(max_examples=200, deadline=None)
+def test_rational_operations_stay_canonical(x, y):
+    """Every QQ operation returns an int or a Fraction with denominator
+    > 1, never a float, and the exact value."""
+    a, b = QQ.of(x), QQ.of(y)
+    results = [(a, x), (QQ.parse(str(x)), x), (QQ.add(a, b), x + y),
+               (QQ.sub(a, b), x - y), (QQ.mul(a, b), x * y), (QQ.neg(a), -x)]
+    if x:
+        results.append((QQ.inv(a), 1 / x))
+    for got, want in results:
+        assert _canonical_rational(got) and QQ.is_canonical(got)
+        assert got == want
+    assert not QQ.is_canonical(Fraction(3, 1)) and not QQ.is_canonical(1.0)
+
+
+def test_rational_inverse_is_exact():
+    """inv of an int is never a float: 1 / a would be one."""
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
 def test_field_spec():
     assert field_from_spec("q") is QQ
     assert field_from_spec("p:3").characteristic == 3
