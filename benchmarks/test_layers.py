@@ -6,7 +6,10 @@
 
 Every round starts from empty per-object caches, so it redoes the layer's
 work. Each case asserts its output, and with --benchmark-disable each runs
-once, as a test. The directory is outside the tier-1 test paths.
+once, as a test. Each case also records, in extra_info, the number of
+EchelonSpan inserts one more run makes: a count moves only when the work
+does, while process times drift. The directory is outside the tier-1 test
+paths.
 """
 
 import contextlib
@@ -22,18 +25,33 @@ from quiverext.docparse import build_document, parse_document
 from quiverext.extensions import (CheckConfig, check_extension,
                                   triangular_matrix_algebra)
 from quiverext.linalg import QQ, EchelonSpan, transpose
+from quiverext.modules import Bimodule, projective_data
 from quiverext.suite import cokernel_pd1_bimodule, random_quiver_algebra
 
 ROUNDS = 20
 
 
 def _run(benchmark, target, caches=()):
-    """Time target over ROUNDS rounds, each after the caches are emptied."""
+    """Time target over ROUNDS rounds, each after the caches are emptied,
+    and record the EchelonSpan inserts of one more such run."""
     def empty():
         for obj in caches:
             obj._cache.clear()
-    return benchmark.pedantic(target, setup=empty, rounds=ROUNDS,
-                              warmup_rounds=1)
+    out = benchmark.pedantic(target, setup=empty, rounds=ROUNDS,
+                             warmup_rounds=1)
+    count, insert = 0, EchelonSpan.insert
+
+    def counting(self, vec):
+        nonlocal count
+        count += 1
+        return insert(self, vec)
+
+    empty()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EchelonSpan, "insert", counting)
+        target()
+    benchmark.extra_info["span_inserts"] = count
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +59,17 @@ def lam():
     """The ambient algebra Lambda of the worked example."""
     return build_document(parse_document(demo_document())) \
         .env["GammaInLambda"].ambient
+
+
+@pytest.fixture(scope="module")
+def lam_env(lam):
+    """Lambda, its opposite, Lambda^e = Lambda (x) Lambda^op, and Lambda as
+    a module over Lambda^e, built once."""
+    lam_op = opposite(lam)
+    env = tensor_algebra(lam, lam_op)
+    reg = Bimodule.regular(lam).as_env_module()
+    assert reg.algebra is env
+    return lam, lam_op, env, reg
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +126,18 @@ def test_echelon_span_demo_kernel(benchmark, demo_kernel_system):
     rows, width = demo_kernel_system
     span = _run(benchmark, lambda: EchelonSpan(QQ, width, rows))
     assert (len(rows), width, span.rank) == (41, 56, 32)
+
+
+def test_projective_data_lambda_enveloping(benchmark, lam_env):
+    lam, lam_op, env, _ = lam_env
+    dims = _run(benchmark, lambda: [projective_data(env, s).basis.dim
+                                    for s in range(len(env.idempotents))],
+                [env, lam, lam_op])
+    assert dims == [16, 20, 20, 25]
+
+
+def test_resolution_lambda_over_enveloping(benchmark, lam_env):
+    lam, lam_op, env, reg = lam_env
+    res = _run(benchmark, lambda: resolutions.minimal_resolution(reg, 3),
+               [env, lam, lam_op, reg])
+    assert res.term_dims() == [41, 56, 32, 16]

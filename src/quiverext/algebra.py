@@ -11,6 +11,9 @@ idempotents are complete, the semisimple quotient is split basic).
 `validate=False`, which runs only the shape, idempotent and dimension
 checks: their outputs are valid by theorem when their inputs are (rad(A
 (x) B) = rad A (x) B + A (x) rad B, with semisimple quotient k^r (x) k^s).
+A tensor algebra keeps its two factors (`factors`, None elsewhere) and
+reads its generators and projectives off theirs; its radical rows are
+built reduced echelon, so they are its radical basis.
 
 The multiplication table is sparse: table[i][j] is a tuple of
 (index, coefficient) pairs for the product b_i * b_j. Quiver algebras and
@@ -37,13 +40,13 @@ product. Its callers add only their own extra condition.
 """
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, map_problem, sparse_combination,
-                     sparse_rank)
+from .linalg import (EchelonSpan, ReducedBasis, map_problem,
+                     sparse_combination, sparse_rank)
 
 
 class Algebra:
     __slots__ = ("field", "dim", "basis_labels", "table", "unit",
-                 "radical_rows", "idempotents", "meta", "_cache")
+                 "radical_rows", "idempotents", "meta", "factors", "_cache")
 
     def __init__(self, field, basis_labels, table, unit, radical_rows,
                  idempotents, meta=None, validate=True):
@@ -65,6 +68,7 @@ class Algebra:
                 if problem:
                     raise ValidationError(f"{what}: {problem}")
         self.meta = dict(meta) if meta else {}
+        self.factors = None
         self._cache = {}
         if validate:
             self.validate()
@@ -112,30 +116,48 @@ class Algebra:
         return len(self.radical_rows)
 
     def radical_basis(self):
-        """Reduced echelon basis of the radical (cached)."""
+        """Reduced echelon basis of the radical (cached). A tensor
+        algebra's radical rows are one already, each led by its pivot."""
         if "rad_basis" not in self._cache:
-            span = EchelonSpan(self.field, self.dim, self.radical_rows)
-            self._cache["rad_basis"] = span.reduced_basis()
+            rows = self.radical_rows
+            self._cache["rad_basis"] = (
+                ReducedBasis(self.field, self.dim, rows,
+                             [row[0][0] for row in rows]) if self.factors
+                else EchelonSpan(self.field, self.dim, rows).reduced_basis())
         return self._cache["rad_basis"]
 
     def generators(self):
-        """An algebra generating set: idempotents plus lifts of rad/rad^2.
+        """An algebra generating set: the idempotents first, then lifts of
+        a basis of rad/rad^2 (the arrows, for a quiver algebra).
 
         For an elementary algebra this generates: every element is a
         polynomial in the idempotents and any lift of a basis of
-        rad/rad^2 (the arrows, for a quiver algebra).
+        rad/rad^2. As rad is nilpotent, rad = arrows . A, which
+        resolutions._cover_step relies on. A tensor algebra A (x) B takes
+        alpha (x) f and e (x) beta, for the arrows alpha of A and beta of
+        B and the idempotents e of A and f of B, so it multiplies nothing.
         """
         if "generators" in self._cache:
             return self._cache["generators"]
-        rb = self.radical_basis()
-        sq = EchelonSpan(self.field, self.dim)
-        for r in rb.sparse_rows:
-            for s in rb.sparse_rows:
-                prod = self.sparse_multiply(r, s)
-                if prod:
-                    sq.insert(prod)
-        gens = self.idempotents + tuple(r for r in rb.sparse_rows
-                                        if sq.insert(r))
+        if self.factors:
+            a, b = self.factors
+            arrows_a = a.generators()[len(a.idempotents):]
+            arrows_b = b.generators()[len(b.idempotents):]
+            gens = (self.idempotents
+                    + tuple(pure_tensor(self.field, x, e, b.dim)
+                            for x in arrows_a for e in b.idempotents)
+                    + tuple(pure_tensor(self.field, e, y, b.dim)
+                            for e in a.idempotents for y in arrows_b))
+        else:
+            rb = self.radical_basis()
+            sq = EchelonSpan(self.field, self.dim)
+            for r in rb.sparse_rows:
+                for s in rb.sparse_rows:
+                    prod = self.sparse_multiply(r, s)
+                    if prod:
+                        sq.insert(prod)
+            gens = self.idempotents + tuple(r for r in rb.sparse_rows
+                                            if sq.insert(r))
         self._cache["generators"] = gens
         return gens
 
@@ -274,7 +296,10 @@ def tensor_algebra(a, b):
     """Tensor product algebra A (x)_k B; basis pairs in row-major order.
 
     Both factors must be elementary over the same field. The radical is
-    rad A (x) B + A (x) rad B and the idempotents are the pairwise products.
+    rad A (x) B + A (x) rad B and the idempotents are the pairwise products
+    e_p (x) f_q, at index p * #idempotents(B) + q. The result keeps (A, B)
+    in its `factors` slot, not in the cache, which may be emptied; its
+    generators and projectives are built from the factors'.
     """
     if a.field != b.field:
         raise FieldMismatchError("tensor factors over different fields")
@@ -285,44 +310,32 @@ def tensor_algebra(a, b):
         return a._cache[key][1]
     f = a.field
     na, nb = a.dim, b.dim
-    n = na * nb
-
-    def idx(i, j):
-        return i * nb + j
-
     labels = tuple(f"({la}|{lb})" for la in a.basis_labels for lb in b.basis_labels)
-    table = []
-    for i in range(na):
-        for j in range(nb):
-            row = []
-            for i2 in range(na):
-                acell = a.table[i][i2]
-                for j2 in range(nb):
-                    bcell = b.table[j][j2]
-                    terms = []
-                    for k, c in acell:
-                        for l, d in bcell:
-                            terms.append((idx(k, l), f.mul(c, d)))
-                    row.append(tuple(terms))
-            table.append(tuple(row))
-
-    def pure(x, y):
-        """The element x (x) y; its pairs come in index order."""
-        return tuple((idx(i, j), f.mul(c, d)) for i, c in x for j, d in y)
-
-    span = EchelonSpan(f, n)
+    table = [tuple([pure_tensor(f, acell, bcell, nb) if acell and bcell
+                    else () for acell in arow for bcell in brow])
+             for arow in a.table for brow in b.table]
+    span = EchelonSpan(f, na * nb)
     for r in a.radical_rows:
-        span.extend(pure(r, ((j, f.one),)) for j in range(nb))
+        span.extend(pure_tensor(f, r, ((j, f.one),), nb) for j in range(nb))
     for s in b.radical_rows:
-        span.extend(pure(((i, f.one),), s) for i in range(na))
-    idempotents = [pure(e, g) for e in a.idempotents for g in b.idempotents]
+        span.extend(pure_tensor(f, ((i, f.one),), s, nb) for i in range(na))
+    idempotents = [pure_tensor(f, e, g, nb) for e in a.idempotents
+                   for g in b.idempotents]
 
-    out = Algebra(f, labels, table, pure(a.unit, b.unit),
+    out = Algebra(f, labels, table, pure_tensor(f, a.unit, b.unit, nb),
                   span.reduced_basis().sparse_rows, idempotents,
                   meta={"kind": "tensor", "left_dim": na, "right_dim": nb},
                   validate=False)
+    out.factors = (a, b)
     a._cache[key] = (b, out)
     return out
+
+
+def pure_tensor(field, x, y, nb):
+    """The element x (x) y of A (x) B, dim B = nb, for elements x of A and
+    y of B; its pairs come in index order when theirs do."""
+    mul = field.mul
+    return tuple([(i * nb + j, mul(c, d)) for i, c in x for j, d in y])
 
 
 def product_algebra(a, b):

@@ -10,7 +10,11 @@ equivalent left module over the tensor algebra L (x) R^op on demand;
 storing the sides separately keeps validation and tensor products cheap.
 The constructors reject an action not in column-sparse form, and one
 routine, `_check_action`, checks every action: a module's, and each side
-of a bimodule's. A ModuleMap is column-sparse too, with dim(source)
+of a bimodule's. Only `direct_sum`, `projective_data` and
+`Bimodule.as_env_module` skip the format check, through the private
+`Module._built`: their maps are block sums, Kronecker products and
+composites of maps already checked, so they are column-sparse by
+construction. A ModuleMap is column-sparse too, with dim(source)
 columns and dim(target) rows, so hom bases and isomorphism witnesses are
 in the format every other map in the engine uses.
 
@@ -26,10 +30,10 @@ bimodule.
 from functools import partial
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, block_sum, compose, identity_map, kron,
-                     map_combination, map_problem, quotient,
-                     sparse_combination, sparse_rank, transpose)
-from .algebra import opposite, tensor_algebra
+from .linalg import (EchelonSpan, ReducedBasis, block_sum, compose,
+                     identity_map, kron, map_combination, map_problem,
+                     quotient, sparse_combination, sparse_rank, transpose)
+from .algebra import opposite, pure_tensor, tensor_algebra
 
 
 class Module:
@@ -45,6 +49,14 @@ class Module:
         self._cache = {}
         if validate and algebra.dim:
             self.validate()
+
+    @classmethod
+    def _built(cls, algebra, action, dim):
+        """A module whose action maps were built from checked maps, so are
+        column-sparse by construction: no format check, no validation."""
+        m = cls.__new__(cls)
+        m.algebra, m.action, m.dim, m._cache = algebra, tuple(action), dim, {}
+        return m
 
     def act(self, elem, vec):
         """The action on the sparse vector vec (a dict) of the algebra
@@ -174,7 +186,7 @@ def direct_sum(modules):
     dims = [m.dim for m in modules]
     action = [block_sum([m.action[u] for m in modules], dims)
               for u in range(a.dim)]
-    return Module(a, action, validate=False)
+    return Module._built(a, action, sum(dims))
 
 
 class _ProjectiveData:
@@ -191,30 +203,49 @@ class _ProjectiveData:
 
 
 def projective_data(algebra, s):
+    """The projective A e_s (cached): the reduced echelon basis of the
+    span of the b_j e_s, and the action in that basis. Over a tensor
+    algebra A (x) B, with e_s = e_p (x) f_q, it is A e_p (x) B f_q: the
+    pure tensors of the factors' rows are already reduced echelon, with
+    pivots p' * dim B + q', and a (x) b acts by the Kronecker product of
+    the factors' actions of a and b."""
     key = ("proj", s)
     if key in algebra._cache:
         return algebra._cache[key]
     f = algebra.field
     one, es = f.one, algebra.idempotents[s]
-    span = EchelonSpan(f, algebra.dim)
-    for j in range(algebra.dim):
-        prod = algebra.sparse_multiply(((j, one),), es)
-        if prod:
-            span.insert(prod)
-    rb = span.reduced_basis()
-    action = []
-    for i in range(algebra.dim):
-        bi = ((i, one),)
-        cols = []
-        for row in rb.sparse_rows:
-            coords = rb.sparse_coords(algebra.sparse_multiply(bi, row))
-            if coords is None:
-                raise ValidationError("projective module not closed under action")
-            cols.append(tuple(sorted(coords.items())))
-        action.append(tuple(cols))
+    if algebra.factors:
+        a, b = algebra.factors
+        p, q = divmod(s, len(b.idempotents))
+        pa, pb = projective_data(a, p), projective_data(b, q)
+        xa, xb = pa.basis, pb.basis
+        rb = ReducedBasis(f, algebra.dim,
+                          [pure_tensor(f, x, y, b.dim)
+                           for x in xa.sparse_rows for y in xb.sparse_rows],
+                          [i * b.dim + j for i in xa.pivots for j in xb.pivots])
+        action = [kron(f, ma, mb, xb.dim) for ma in pa.module.action
+                  for mb in pb.module.action]
+    else:
+        span = EchelonSpan(f, algebra.dim)
+        for j in range(algebra.dim):
+            prod = algebra.sparse_multiply(((j, one),), es)
+            if prod:
+                span.insert(prod)
+        rb = span.reduced_basis()
+        action = []
+        for i in range(algebra.dim):
+            bi = ((i, one),)
+            cols = []
+            for row in rb.sparse_rows:
+                coords = rb.sparse_coords(algebra.sparse_multiply(bi, row))
+                if coords is None:
+                    raise ValidationError(
+                        "projective module not closed under action")
+                cols.append(tuple(sorted(coords.items())))
+            action.append(tuple(cols))
     if rb.sparse_coords(es) is None:
         raise ValidationError("idempotent not inside its own projective")
-    data = _ProjectiveData(rb, Module(algebra, action, validate=False))
+    data = _ProjectiveData(rb, Module._built(algebra, action, rb.dim))
     algebra._cache[key] = data
     return data
 
@@ -437,7 +468,7 @@ class Bimodule:
         f = self.field
         action = [compose(f, li, rj) for li in self.left_action
                   for rj in self.right_action]
-        mod = Module(self.env_algebra(), action, validate=False)
+        mod = Module._built(self.env_algebra(), action, self.dim)
         self._cache["as_env"] = mod
         return mod
 

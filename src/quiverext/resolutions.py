@@ -34,7 +34,10 @@ from: a minimal projective resolution has length pd M, so
 _check_resolution checks that the terminated resolution is one (shapes,
 augmentation onto M, d o d = 0, exactness with an injective top
 differential, blocks in the radical), ranking each differential afresh.
-No second module is resolved and no algebra is built for the check.
+An infinite one is read off two isomorphic syzygies i < j, and the same
+check certifies the resolution cut off at degree j - 1, with the syzygy
+it reads there as the exact kernel of d_{j-1}. No second module is
+resolved and no algebra is built for the check.
 """
 
 from itertools import accumulate
@@ -124,10 +127,11 @@ class Resolution:
             action.append(tuple(cols))
         return Module(a, action, validate=False)
 
-    def check_minimal(self):
-        """Every differential block lands in the radical."""
+    def check_minimal(self, top=None):
+        """Every differential block, up to degree top (default all), lands
+        in the radical."""
         rad = self.module.algebra.radical_basis()
-        for blocks in self.w_blocks[1:]:
+        for blocks in self.w_blocks[1:None if top is None else top + 1]:
             for col in blocks:
                 for w in col:
                     if rad.sparse_coords(w) is None:
@@ -138,14 +142,18 @@ class Resolution:
 def _cover_step(algebra, target, current):
     """One projective cover: returns [(idempotent index, generator)].
 
-    current (sparse vectors) spans a submodule of the target module;
+    current (sparse vectors) spans a submodule K of the target module;
     generators are chosen idempotent-homogeneous lifts of a basis of the
-    top (Nakayama)."""
+    top K / rad K (Nakayama). rad K is spanned by the arrows (the
+    generators after the idempotents) applied to current: rad = arrows . A,
+    so rad K = arrows . A K = arrows . K. An insert grows the span exactly
+    when its vector lies outside it, so the chosen generators depend only
+    on the subspace rad K, not on the vectors that span it."""
     span = EchelonSpan(algebra.field, target.dim)
-    rad_rows = algebra.radical_basis().sparse_rows
+    arrows = algebra.generators()[len(algebra.idempotents):]
     for v in current:
-        for r in rad_rows:
-            span.insert(target.act(r, v))
+        for g in arrows:
+            span.insert(target.act(g, v))
     gens = []
     for s, es in enumerate(algebra.idempotents):
         for v in current:
@@ -372,38 +380,48 @@ class PdVerdict:
         return f"PdVerdict(undetermined at cap {self.cap})"
 
 
-def _check_resolution(res):
-    """Raise unless a terminated resolution is a minimal projective
-    resolution of its module, whose length is then pd M (Benson,
-    Representations and Cohomology I, 1991). Its terms are projective by
-    construction. Ranks are taken afresh from the differentials' columns,
-    never read off the kernels the resolution computed, so a fault in
-    _kernel cannot confirm itself. The homology is that of the augmented
-    complex, with M in degree -1."""
+def _check_resolution(res, top=None):
+    """Raise unless the resolution, cut off at degree top, is the start of
+    a minimal projective resolution of its module whose syzygy in P_top is
+    kernels[top]: shapes, augmentation onto M, d o d = 0, exactness at
+    P_0 .. P_{top-1}, kernels[top] exactly ker d_top (killed by it,
+    independent, and as many as its nullity) and blocks in the radical.
+    By default top is the last degree and its syzygy must be zero: the
+    terminated resolution is then a minimal projective resolution, whose
+    length is pd M (Benson, Representations and Cohomology I, 1991). Its
+    terms are projective by construction. Ranks are taken afresh from the
+    differentials' columns, never read off the kernels the resolution
+    computed, so a fault in _kernel cannot confirm itself. The homology is
+    that of the augmented complex, with M in degree -1."""
     def fail(what):
         raise InternalCheckError(f"pd cross-check failed: {what}")
 
     f = res.module.algebra.field
-    dims = res.term_dims()
-    diffs = res.diffs
+    dims, diffs = res.term_dims(), res.diffs
     heights = [res.module.dim] + dims
     if len(diffs) != len(dims) or any(map_problem(f, d, h, n) for d, h, n
                                       in zip(diffs, heights, dims)):
         fail("term dimensions disagree with the differentials")
-    h = homology_dims(dict(enumerate(heights, -1)),
+    kvecs = () if top is None else res.kernels[top]
+    top = len(dims) - 1 if top is None else top
+    h = homology_dims(dict(enumerate(heights[:top + 2], -1)),
                       {i: sparse_rank(map(dict, d), height, f)
-                       for i, (d, height) in enumerate(zip(diffs, heights))})
+                       for i, (d, height)
+                       in enumerate(zip(diffs[:top + 1], heights))})
     if h[-1]:
         fail("the augmentation is not onto the module")
-    for i in range(1, len(diffs)):
+    for i in range(1, top + 1):
         if any(compose(f, diffs[i - 1], diffs[i])):
             fail(f"d o d != 0 at degree {i}")
-    for i in range(len(dims)):
+    for i in range(top):
         if h[i]:
-            fail(f"not exact at degree {i}" if i < len(dims) - 1
-                 else "the top differential is not injective")
+            fail(f"not exact at degree {i}")
+    if any(compose(f, diffs[top], [v.items() for v in kvecs])) or not (
+            h[top] == len(kvecs) == sparse_rank(kvecs, dims[top], f)):
+        fail(f"the syzygy in degree {top} is not the kernel" if kvecs
+             else "the top differential is not injective")
     try:
-        res.check_minimal()
+        res.check_minimal(top)
     except InternalCheckError as e:
         fail(e)
 
@@ -413,7 +431,9 @@ def projective_dimension(m, cap, seed=0):
 
     Terminating resolution gives finite(d), after _check_resolution has
     certified the resolution as minimal, so that d is pd M; two isomorphic
-    syzygies within the cap give infinite with a re-checkable witness;
+    syzygies i < j within the cap give infinite with a re-checkable
+    witness, after _check_resolution has certified the resolution up to
+    degree j - 1 and the syzygy kernels[j - 1] as the kernel there;
     otherwise undetermined at the cap.
     """
     res = minimal_resolution(m, cap)
@@ -432,6 +452,7 @@ def projective_dimension(m, cap, seed=0):
                 continue
             verdict, wit = is_isomorphic(syzygies[i], syzygies[j], seed=seed)
             if verdict == "yes":
+                _check_resolution(res, j - 1)
                 cert["periodic_pair"] = (i, j)
                 return PdVerdict("infinite", witness=(i, j, wit), certificate=cert)
     return PdVerdict("undetermined", cap=cap, certificate=cert)

@@ -1,15 +1,20 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverext.errors import ValidationError
 import dense_reference as dense
-from quiverext.linalg import QQ, identity_map, sparse_rank, transpose
-from quiverext.algebra import opposite, tensor_algebra
+from quiverext.linalg import (GF, QQ, EchelonSpan, identity_map, map_problem,
+                              sparse_rank, transpose)
+from quiverext.algebra import Algebra, opposite, tensor_algebra
 from quiverext.modules import (Bimodule, Module, ModuleMap, bimodule_direct_sum,
                                direct_sum, dual_module, hom_space,
                                is_isomorphic, left_regular_module,
                                projective_bimodule, projective_data,
                                projective_indecomposables, simple_modules,
                                tensor_over, tensor_powers, zero_module)
+from quiverext.suite import random_module, random_quiver_algebra
 
 
 def test_free_module_hom_dimension(gamma):
@@ -273,3 +278,73 @@ def test_simple_top_coefficients_match_per_column_solve(p):
         for s in range(len(a.idempotents)):
             assert dense.rows(field, coeffs[s], 1) == \
                 (tuple(inverse[j][s] for j in range(a.dim)),)
+
+
+# -- tensor algebras read their structure off their factors ---------------
+
+def _without_factors(t):
+    """The same table as the tensor algebra t, built as an algebra that
+    knows no factors, so its generators and projectives take the general
+    path."""
+    return Algebra(t.field, t.basis_labels, t.table, t.unit, t.radical_rows,
+                   t.idempotents, validate=False)
+
+
+def _assert_column_format(mod):
+    """Every action map of mod passes the engine's format check."""
+    f = mod.algebra.field
+    assert len(mod.action) == mod.algebra.dim
+    for m in mod.action:
+        assert map_problem(f, m, mod.dim, mod.dim) is None
+
+
+@given(seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+       field=st.sampled_from([QQ, GF(2), GF(3)]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_tensor_structure_matches_general_path(seeds, field):
+    """On A (x) A^op and A (x) B, the projectives built from the factors'
+    and the radical basis read off the radical rows equal the general
+    path's in rows, pivots and action, and the arrows read off the factors
+    lie in the radical and, with rad^2, span it, as many as the general
+    path's arrows."""
+    a, b = (random_quiver_algebra(random.Random(s), field, max_vertices=2,
+                                  max_arrows=3) for s in seeds)
+    for t in (tensor_algebra(a, opposite(a)), tensor_algebra(a, b)):
+        plain = _without_factors(t)
+        assert t.factors and plain.factors is None
+        for s in range(len(t.idempotents)):
+            got, want = projective_data(t, s), projective_data(plain, s)
+            assert list(got.basis.sparse_rows) == \
+                list(want.basis.sparse_rows)
+            assert got.basis.pivots == want.basis.pivots
+            assert got.module.action == want.module.action
+            _assert_column_format(got.module)
+            _assert_column_format(want.module)
+        rad, want = t.radical_basis(), plain.radical_basis()
+        assert list(rad.sparse_rows) == list(want.sparse_rows)
+        assert rad.pivots == want.pivots
+        square = EchelonSpan(field, t.dim, [
+            p for r in rad.sparse_rows for r2 in rad.sparse_rows
+            if (p := t.sparse_multiply(r, r2))])
+        arrows = t.generators()[len(t.idempotents):]
+        assert t.generators()[:len(t.idempotents)] == t.idempotents
+        assert all(rad.sparse_coords(g) is not None for g in arrows)
+        assert len(arrows) == rad.dim - square.rank == \
+            len(plain.generators()) - len(plain.idempotents)
+        square.extend(arrows)
+        assert square.rank == rad.dim
+
+
+@given(seed=st.integers(0, 10**6), field=st.sampled_from([QQ, GF(2), GF(3)]))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_built_modules_are_in_column_format(seed, field):
+    """direct_sum, projective_data and as_env_module build their modules
+    without the format check; every action map they build passes it."""
+    rng = random.Random(seed)
+    a = random_quiver_algebra(rng, field, max_vertices=2, max_arrows=3)
+    mods = [random_module(rng, a), *projective_indecomposables(a),
+            *simple_modules(a)]
+    _assert_column_format(direct_sum(mods))
+    for m in mods:
+        _assert_column_format(m)
+    _assert_column_format(Bimodule.regular(a).as_env_module())

@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverext.errors import InternalCheckError, ValidationError
 import dense_reference as dense
-from quiverext.linalg import (GF, QQ, compose, identity_map, map_problem,
-                              sparse_rank)
+from quiverext.linalg import (GF, QQ, EchelonSpan, compose, identity_map,
+                              map_problem, sparse_rank)
 from quiverext.algebra import opposite
-from quiverext.modules import (ModuleMap, direct_sum, is_isomorphic,
+from quiverext.modules import (Bimodule, ModuleMap, direct_sum, is_isomorphic,
                                left_regular_module, projective_data,
                                projective_indecomposables, simple_modules,
                                tensor_over, zero_module)
@@ -337,6 +338,30 @@ def test_pd_check_rejects_dropped_kernel_vector(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_infinite_pd_check_rejects_syzygy_that_is_not_the_kernel(
+        monkeypatch, field):
+    """From its third call on, _kernel returns the whole term. The simple
+    at vertex 1 of A3 (pd 2) then never terminates, and its second and
+    third syzygies read as isomorphic; the infinite verdict must check the
+    resolution it reads them from, and kernels[2] is not ker d_2 = 0."""
+    from quiverext import resolutions
+    s1 = simple_modules(_a3(field))[0]
+    assert projective_dimension(s1, 4).value == 2
+    real, calls = resolutions._kernel, []
+
+    def whole_term(f, diff, nrows):
+        calls.append(None)
+        if len(calls) < 3:
+            return real(f, diff, nrows)
+        return [{c: f.one} for c in range(len(diff))], list(range(len(diff)))
+
+    monkeypatch.setattr(resolutions, "_kernel", whole_term)
+    with pytest.raises(InternalCheckError, match="pd cross-check failed: "
+                       "the syzygy in degree 2 is not the kernel"):
+        projective_dimension(s1, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_pd_check_rejects_wrong_differential_entry(monkeypatch, field):
     """One more entry in column 0 of the top differential, at a row that
     d_{top-1} does not kill, keeps every rank and breaks d o d = 0."""
@@ -505,3 +530,37 @@ def _assert_w_blocks_match(a, lo_gens, hi_gens, blocks, columns, nrows):
             assert dict(columns[col]) == image
             col += 1
     assert col == len(columns)
+
+
+@given(seed=st.integers(0, 10**6), field=st.sampled_from([QQ, GF(2), GF(3)]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_arrows_span_the_radical_of_a_submodule(seed, field):
+    """The arrows (the generators after the idempotents) applied to a
+    spanning set of a submodule K span the same subspace as the whole
+    radical basis applied to it, rad K, which is what lets _cover_step
+    apply only the arrows. K runs over a random module plus a simple, the
+    regular bimodule of a small algebra and the projectives of its
+    enveloping algebra, whose arrows are read off the factors, and the
+    first syzygy of each."""
+    rng = random.Random(seed)
+    a = random_quiver_algebra(rng, field, max_vertices=2, max_arrows=3)
+    m = direct_sum([random_module(rng, a), rng.choice(simple_modules(a))])
+    modules = [m]
+    if a.dim <= 4:
+        env = Bimodule.regular(a).as_env_module()
+        modules += [env, *projective_indecomposables(env.algebra)]
+    cases = []
+    for n in modules:
+        res = minimal_resolution(n, 1)
+        cases += [(n, [{i: field.one} for i in range(n.dim)]),
+                  (res.projective_module(0), res.kernels[0])]
+    for target, vecs in cases:
+        alg = target.algebra
+        arrows = alg.generators()[len(alg.idempotents):]
+        by_arrows, by_radical = (
+            EchelonSpan(field, target.dim,
+                        [target.act(g, v) for v in vecs for g in elems])
+            .reduced_basis()
+            for elems in (arrows, alg.radical_basis().sparse_rows))
+        assert by_arrows.sparse_rows == by_radical.sparse_rows
+        assert by_arrows.pivots == by_radical.pivots
