@@ -24,20 +24,23 @@ from quiverext.cli import demo_document, main
 from quiverext.docparse import build_document, parse_document
 from quiverext.extensions import (CheckConfig, check_extension,
                                   triangular_matrix_algebra)
+from quiverext.invariants import hochschild_homology
 from quiverext.linalg import QQ, EchelonSpan, transpose
 from quiverext.modules import Bimodule, projective_data
 from quiverext.suite import cokernel_pd1_bimodule, random_quiver_algebra
 
 ROUNDS = 20
+# HH on the dim-14 draw takes about 2 s a round
+ENV14_ROUNDS = 3
 
 
-def _run(benchmark, target, caches=()):
-    """Time target over ROUNDS rounds, each after the caches are emptied,
-    and record the EchelonSpan inserts of one more such run."""
+def _run(benchmark, target, caches=(), rounds=ROUNDS):
+    """Time target over the given rounds, each after the caches are
+    emptied, and record the EchelonSpan inserts of one more such run."""
     def empty():
         for obj in caches:
             obj._cache.clear()
-    out = benchmark.pedantic(target, setup=empty, rounds=ROUNDS,
+    out = benchmark.pedantic(target, setup=empty, rounds=rounds,
                              warmup_rounds=1)
     count, insert = 0, EchelonSpan.insert
 
@@ -70,6 +73,19 @@ def lam_env(lam):
     reg = Bimodule.regular(lam).as_env_module()
     assert reg.algebra is env
     return lam, lam_op, env, reg
+
+
+@pytest.fixture(scope="module")
+def env14():
+    """The first algebra of dimension 14 that random_quiver_algebra draws
+    at seed 1 with at most 3 vertices and 4 arrows, its opposite, its
+    enveloping algebra (dim 196) and itself as a module over it."""
+    rng = random.Random(1)
+    a = random_quiver_algebra(rng, QQ, max_vertices=3, max_arrows=4)
+    while a.dim != 14:
+        a = random_quiver_algebra(rng, QQ, max_vertices=3, max_arrows=4)
+    reg = Bimodule.regular(a).as_env_module()
+    return a, opposite(a), reg.algebra, reg
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +157,17 @@ def test_resolution_lambda_over_enveloping(benchmark, lam_env):
     res = _run(benchmark, lambda: resolutions.minimal_resolution(reg, 3),
                [env, lam, lam_op, reg])
     assert res.term_dims() == [41, 56, 32, 16]
+
+
+def test_resolution_env14_over_enveloping(benchmark, env14):
+    a, a_op, env, reg = env14
+    res = _run(benchmark, lambda: resolutions.minimal_resolution(reg, 3),
+               [env, a, a_op, reg], rounds=ENV14_ROUNDS)
+    assert res.term_dims() == [98, 196, 784, 1568]
+
+
+def test_hochschild_homology_env14(benchmark, env14):
+    a = env14[0]
+    dims = _run(benchmark, lambda: hochschild_homology(a, 4), [a],
+                rounds=ENV14_ROUNDS)
+    assert dims == [6, 8, 17, 35, 77]

@@ -19,15 +19,14 @@ ReducedBasis.complement; _kernel is the one reader that transposes.
 ChainComplex checks d o d = 0 by composing its differentials and ranks
 them through linalg.sparse_rank.
 
-Each differential is also stored in "algebra form": the map
-+ A e_{s(c)} -> + A e_{s(r)} is right multiplication by elements
-w[c][r] in e_{s(c)} A e_{s(r)}, each kept as its sparse entries. Tensoring
-with a module N then collapses each summand A e_s to the slice e_s N and
-each block to the action of w on N, which is what makes Tor and Ext over
-the big enveloping algebras cheap once the resolution is known. Tor and
-Ext stay sparse too: a slice is spanned by the columns of the action of
-e_s, each block acts on the sparse rows of a slice basis, and each map is
-ranked from its sparse images.
+The columns are the one stored form of a differential; Resolution.blocks
+reads its "algebra form" off them for Tor, Ext and the minimality check:
++ A e_{s(c)} -> + A e_{s(r)} is right multiplication by w[c][r] in
+e_{s(c)} A e_{s(r)}. Tensoring with a module N collapses each summand A e_s
+to the slice e_s N and each block to the action of w on N, so Tor and Ext
+over big enveloping algebras are cheap once the resolution is known, and
+sparse: a slice is spanned by the columns of the action of e_s, each block
+acts on the sparse rows of a slice basis, each map is ranked from its images.
 
 A finite projective dimension is certified on the resolution it is read
 from: a minimal projective resolution has length pd M, so
@@ -71,17 +70,16 @@ class Resolution:
     onto the module, degree i maps P_i into P_{i-1}. kernels[i] spans the
     syzygy inside P_i, as sparse vectors whose entries at kernel_free[i]
     are their coordinates. terminated means some kernel was zero within
-    the cap.
+    the cap. blocks(i) reads the algebra form of d_i off its columns.
     """
 
-    __slots__ = ("module", "gens", "diffs", "w_blocks", "kernels",
-                 "kernel_free", "terminated")
+    __slots__ = ("module", "gens", "diffs", "kernels", "kernel_free",
+                 "terminated")
 
     def __init__(self, module):
         self.module = module
         self.gens = []
         self.diffs = []
-        self.w_blocks = []
         self.kernels = []
         self.kernel_free = []
         self.terminated = False
@@ -127,15 +125,36 @@ class Resolution:
             action.append(tuple(cols))
         return Module(a, action, validate=False)
 
+    def blocks(self, i):
+        """The algebra form of d_i (i >= 1): w[c][r] in e_{s(c)} A e_{s(r)},
+        as sorted sparse entries, () when zero, is the summand-r part of
+        the image of e_{s(c)} (a combination of summand c's columns: e_s
+        need not be a basis row), read in A through A e_{s(r)}'s basis."""
+        a = self.module.algebra
+        f, diff, blocks, start = a.field, self.diffs[i], [], 0
+        lo = [projective_data(a, s).basis for s in self.gens[i - 1]]
+        owner = [(r, row) for r, b in enumerate(lo) for row in b.sparse_rows]
+        for s in self.gens[i]:
+            basis = projective_data(a, s).basis
+            coords = basis.sparse_coords(a.idempotents[s]).items()
+            g = sparse_combination(f, [(x, diff[start + t])
+                                       for t, x in coords])
+            start += basis.dim
+            comps = [[] for _ in lo]
+            for k, x in g.items():
+                comps[owner[k][0]].append((x, owner[k][1]))
+            blocks.append([to_column(sparse_combination(f, c)) if c else ()
+                           for c in comps])
+        return blocks
+
     def check_minimal(self, top=None):
         """Every differential block, up to degree top (default all), lands
         in the radical."""
         rad = self.module.algebra.radical_basis()
-        for blocks in self.w_blocks[1:None if top is None else top + 1]:
-            for col in blocks:
-                for w in col:
-                    if rad.sparse_coords(w) is None:
-                        raise InternalCheckError("resolution is not minimal")
+        top = len(self.gens) - 1 if top is None else top
+        if any(rad.sparse_coords(w) is None for i in range(1, top + 1)
+               for col in self.blocks(i) for w in col):
+            raise InternalCheckError("resolution is not minimal")
         return True
 
 
@@ -187,25 +206,6 @@ def _kernel(field, diff, nrows):
     return span.reduced_basis().complement()
 
 
-def _w_blocks(algebra, prev_gens, gens):
-    """Algebra-form blocks w[c][r] in e_{s(c)} A e_{s(r)} of a differential:
-    the component of generator c in summand r of the previous term, as an
-    element of A given by its nonzero (index, coeff) entries in index
-    order, empty when the component is zero."""
-    f = algebra.field
-    bases = [projective_data(algebra, s).basis for s, _ in prev_gens]
-    owner = [(r, t) for r, b in enumerate(bases) for t in range(b.dim)]
-    blocks = []
-    for _, g in gens:
-        comps = [[] for _ in bases]
-        for i, x in g.items():
-            r, t = owner[i]
-            comps[r].append((x, bases[r].sparse_rows[t]))
-        blocks.append([tuple(sorted(sparse_combination(f, comp).items()))
-                       if comp else () for comp in comps])
-    return blocks
-
-
 def minimal_resolution(m, cap):
     """Minimal projective resolution of a left module, to length <= cap."""
     if cap < 0:
@@ -216,13 +216,11 @@ def minimal_resolution(m, cap):
     gens, diff = _module_cover(m)
     for degree in range(cap + 1):
         if degree:
-            prev_gens = gens
             target = res.projective_module(degree - 1)
             gens = _cover_step(a, target, res.kernels[-1])
             diff = _build_differential(a, target, gens)
         res.gens.append([s for s, _ in gens])
         res.diffs.append(diff)
-        res.w_blocks.append(_w_blocks(a, prev_gens, gens) if degree else None)
         kvecs, kfree = _kernel(a.field, diff, target.dim)
         res.kernels.append(kvecs)
         res.kernel_free.append(kfree)
@@ -285,18 +283,18 @@ def _derived_dims(res, n, base_algebra, i_max, contravariant):
 
     res is a minimal resolution over B^op (or B). Tensored with N (for Tor)
     or mapped into N (for Ext), each summand A e_s becomes the slice e_s N,
-    and each algebra-form block w acts on N: covariantly from the slice of
-    the degree-i summand to that of the degree-(i-1) summand,
-    contravariantly the other way. Each map is ranked from its images, one
-    sparse row per source basis vector; a map and its transpose have the
-    same rank, so only source and target swap."""
+    and each block w, read off a differential by res.blocks, acts on N:
+    covariantly from the slice of the degree-i summand to that of the
+    degree-(i-1) summand, contravariantly the other way. Each map is ranked
+    from its images, one sparse row per source basis vector; a map and its
+    transpose have the same rank, so only source and target swap."""
     f = n.algebra.field
     top = min(i_max + 1, len(res.gens) - 1)
-    degrees = res.w_blocks[1:top + 1]
     terms = [[_slice(n, base_algebra, s) for s in gens]
              for gens in res.gens[:top + 1]]
     ranks = {}
-    for i, blocks in enumerate(degrees, 1):
+    for i in range(1, top + 1):
+        blocks = res.blocks(i)
         src, dst = ((terms[i - 1], terms[i]) if contravariant
                     else (terms[i], terms[i - 1]))
         by_src = list(zip(*blocks)) if contravariant else blocks

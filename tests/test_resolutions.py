@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 from quiverext.errors import InternalCheckError, ValidationError
 import dense_reference as dense
 from quiverext.linalg import (GF, QQ, EchelonSpan, compose, identity_map,
-                              map_problem, sparse_rank)
-from quiverext.algebra import opposite
+                              map_problem, sparse_combination, sparse_rank,
+                              to_column)
+from quiverext.algebra import opposite, tensor_algebra
 from quiverext.modules import (Bimodule, ModuleMap, direct_sum, is_isomorphic,
                                left_regular_module, projective_data,
                                projective_indecomposables, simple_modules,
                                tensor_over, zero_module)
 from quiverext.quiver import QuiverPresentation, algebra_from_presentation
-from quiverext.resolutions import (ChainComplex, _derived_dims, ext,
+from quiverext.resolutions import (ChainComplex, Resolution,
+                                   _check_resolution, _derived_dims, ext,
                                    is_projective, minimal_resolution,
                                    projective_cover, projective_dimension,
                                    syzygy, tor)
@@ -271,12 +273,52 @@ def test_syzygy_past_the_cap_is_not_zero(field):
     assert syzygy(p, 3, cap=1).dim == 0
 
 
+def _generator_column(res, i, c):
+    """The column of d_i at the basis row e_{s(c)} of summand c of P_i: the
+    image of the generator of that summand. The engine's quiver algebras
+    have path bases, so e_s is a basis row of A e_s."""
+    a = res.module.algebra
+    s = res.gens[i][c]
+    basis = projective_data(a, s).basis
+    ((t, x),) = basis.sparse_coords(a.idempotents[s]).items()
+    assert x == a.field.one
+    return sum(projective_data(a, u).basis.dim for u in res.gens[i][:c]) + t
+
+
+def _set_column(res, i, col, entries):
+    """Replace column col of d_i by the given dict of nonzero entries."""
+    d = res.diffs[i]
+    res.diffs[i] = d[:col] + (to_column(entries),) + d[col + 1:]
+
+
+def _add_to_generator(res, i, c, r, elem):
+    """Add elem, an element of A e_{s(r)}, into summand r of the generator
+    column of summand c of d_i, so that blocks(i)[c][r] gains elem."""
+    a = res.module.algebra
+    f = a.field
+    col = _generator_column(res, i, c)
+    row = sum(projective_data(a, u).basis.dim for u in res.gens[i - 1][:r])
+    coords = projective_data(a, res.gens[i - 1][r]).basis.sparse_coords(elem)
+    _set_column(res, i, col, sparse_combination(f, [
+        (f.one, res.diffs[i][col]),
+        (f.one, [(row + t, x) for t, x in coords.items()])]))
+
+
+def _same_vertex_block(res, i):
+    """A block (c, r) of d_i whose two summands sit at one vertex."""
+    return next((c, r) for c, s in enumerate(res.gens[i])
+                for r, t in enumerate(res.gens[i - 1]) if s == t)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_check_minimal_rejects_block_outside_radical(field):
+    """e_{s(c)} added into a same-vertex summand of a generator's column
+    puts the unit into its block."""
     a = _gamma(field)
     res = minimal_resolution(simple_modules(a)[0], 3)
     assert res.check_minimal()
-    res.w_blocks[1][0][0] = a.idempotents[res.gens[1][0]]
+    c, r = _same_vertex_block(res, 1)
+    _add_to_generator(res, 1, c, r, a.idempotents[res.gens[1][c]])
     with pytest.raises(InternalCheckError, match="not minimal"):
         res.check_minimal()
 
@@ -383,14 +425,13 @@ def test_pd_check_rejects_wrong_differential_entry(monkeypatch, field):
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
 def test_pd_check_rejects_block_outside_radical(monkeypatch, field):
-    a = _a3(field)
-
-    def unit_block(res):
-        res.w_blocks[1][0][0] = a.idempotents[res.gens[1][0]]
-        return res
-
-    s1 = simple_modules(a)[0]
-    _fault_on_call(monkeypatch, "minimal_resolution", 0, unit_block)
+    """A degree-1 cover that takes its generator twice is still exact, but
+    the difference of the two copies is a syzygy outside the radical, so
+    d_2 has a unit block. With the terms a resolution has, an exact
+    complex is minimal, so a corrupted differential alone trips an earlier
+    check; a surplus summand is what this check alone catches."""
+    s1 = simple_modules(_a3(field))[0]
+    _fault_on_call(monkeypatch, "_cover_step", 1, lambda gens: gens + gens[:1])
     with pytest.raises(InternalCheckError,
                        match="pd cross-check failed: .*not minimal"):
         projective_dimension(s1, 4)
@@ -452,32 +493,120 @@ def _block_across_vertices(res):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])
-def test_derived_dims_reject_block_leaving_its_slice(field):
-    """A block replaced by the idempotent of its source summand maps the
-    source slice identically, so outside a target slice at another
-    vertex; every slice of the regular module is nonzero."""
+def test_derived_dims_reject_block_leaving_its_slice(monkeypatch, field):
+    """A block that gains the idempotent of one of its summands maps that
+    summand's slice identically, so outside the other summand's slice at
+    another vertex; every slice of the regular module is nonzero. The hom
+    block gains e_{s(r)} through one entry of a generator's column. A block
+    read off a differential lies in e_{s(r)} B, so a tensored block always
+    lands in its slice; that check is reached by patching blocks to hand
+    out the unit of the source summand."""
     a = _gamma(field)
     aop = opposite(a)
     res = minimal_resolution(simple_modules(aop)[1], 3)
     i, c, r = _block_across_vertices(res)
-    res.w_blocks[i][c][r] = aop.idempotents[res.gens[i][c]]
-    with pytest.raises(InternalCheckError, match="tensored block leaves"):
-        _derived_dims(res, left_regular_module(a), aop, i, contravariant=False)
+    real = Resolution.blocks
+
+    def unit_block(self, k):
+        out = real(self, k)
+        if k == i:
+            out[c][r] = aop.idempotents[self.gens[i][c]]
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Resolution, "blocks", unit_block)
+        with pytest.raises(InternalCheckError, match="tensored block leaves"):
+            _derived_dims(res, left_regular_module(a), aop, i,
+                          contravariant=False)
     res = minimal_resolution(simple_modules(a)[0], 3)
     i, c, r = _block_across_vertices(res)
-    res.w_blocks[i][c][r] = a.idempotents[res.gens[i - 1][r]]
+    _add_to_generator(res, i, c, r, a.idempotents[res.gens[i - 1][r]])
     with pytest.raises(InternalCheckError, match="hom block leaves"):
         _derived_dims(res, left_regular_module(a), a, i, contravariant=True)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_corrupted_entry_reaches_pd_check_and_derived_dims(field):
+    """The columns are the one stored form of a differential: dropping one
+    entry of a generator's column is seen by the pd check, by the block
+    read off the column and by the Ext dimensions read from the blocks."""
+    a = _a3(field)
+    n = left_regular_module(a)
+
+    def ext_dims(res):
+        try:
+            return _derived_dims(res, n, a, 1, contravariant=True)
+        except InternalCheckError as e:
+            return str(e)
+
+    res = minimal_resolution(simple_modules(a)[0], 3)
+    _check_resolution(res)
+    blocks, dims = res.blocks(1), ext_dims(res)
+    col = _generator_column(res, 1, 0)
+    _set_column(res, 1, col, dict(res.diffs[1][col][1:]))
+    with pytest.raises(InternalCheckError, match="pd cross-check failed"):
+        _check_resolution(res)
+    assert res.blocks(1) != blocks
+    assert ext_dims(res) != dims
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_cover_rejects_dependent_kernel_vectors(monkeypatch, field):
+    """A kernel handed to the next cover with one vector twice spans fewer
+    dimensions than it has vectors, so no cover generators span it."""
+    s1 = simple_modules(_a3(field))[0]
+    _fault_on_call(monkeypatch, "_kernel", 0,
+                   lambda out: (out[0] + out[0][:1], out[1]))
+    with pytest.raises(InternalCheckError,
+                       match="cover generators do not span the target"):
+        minimal_resolution(s1, 2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_syzygy_rejects_kernel_that_is_not_a_submodule(monkeypatch, field):
+    """A kernel spanned by the generator of P_0 alone is not closed under
+    the arrows, so the first syzygy cannot be read off it."""
+    s1 = simple_modules(_a3(field))[0]
+    _fault_on_call(monkeypatch, "_kernel", 0,
+                   lambda out: ([{0: field.one}], [0]))
+    with pytest.raises(InternalCheckError,
+                       match="syzygy not closed under the action"):
+        syzygy(s1, 1, cap=0)
+
+
+def _assert_resolution_structure(m, res):
+    """Every computed degree of a minimal resolution of m: each
+    differential is a module map into the previous term in the format
+    map_problem accepts, d o d = 0, d_0 is onto M, the complex is exact
+    below the top, every block lies in the radical, and the blocks read off
+    the differentials reproduce them."""
+    a, field = m.algebra, m.algebra.field
+    diffs = res.diffs
+    assert len(diffs) == len(res.gens)
+    terms = [res.projective_module(i) for i in range(len(diffs))]
+    ranks = []
+    for i, d in enumerate(diffs):
+        target = terms[i - 1] if i else m
+        assert map_problem(field, d, target.dim, terms[i].dim) is None
+        ModuleMap(terms[i], target, d)
+        if i:
+            assert not any(compose(field, diffs[i - 1], d))
+        ranks.append(sparse_rank(map(dict, d), target.dim, field))
+    assert ranks[0] == m.dim
+    for i in range(len(diffs) - 1):
+        assert ranks[i] + ranks[i + 1] == res.term_dim(i)
+    if res.terminated:
+        assert ranks[-1] == res.term_dim(len(diffs) - 1)
+    assert res.check_minimal()
+    for i in range(1, len(diffs)):
+        _assert_w_blocks_match(a, res.gens[i - 1], res.gens[i],
+                               res.blocks(i), diffs[i], res.term_dim(i - 1))
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
 def test_resolution_structure_random(field):
-    """Every computed degree of a minimal resolution, on random modules
-    over random algebras of dimension at most 5: each differential is a
-    module map into the previous term in the format map_problem accepts,
-    d o d = 0, d_0 is onto M, the complex is exact below the top, every
-    block lies in the radical, and the algebra-form blocks reproduce the
-    differentials."""
+    """The structure of minimal resolutions of random modules over random
+    algebras of dimension at most 5."""
     rng = random.Random(47 + field.characteristic)
     cases = 0
     while cases < 10:
@@ -486,29 +615,29 @@ def test_resolution_structure_random(field):
             continue
         # a simple summand keeps most resolutions from stopping at P_0
         m = direct_sum([random_module(rng, a), rng.choice(simple_modules(a))])
-        res = minimal_resolution(m, 3)
-        diffs = res.diffs
-        assert len(diffs) == len(res.gens)
-        terms = [res.projective_module(i) for i in range(len(diffs))]
-        ranks = []
-        for i, d in enumerate(diffs):
-            target = terms[i - 1] if i else m
-            assert map_problem(field, d, target.dim, terms[i].dim) is None
-            ModuleMap(terms[i], target, d)
-            if i:
-                assert not any(compose(field, diffs[i - 1], d))
-            ranks.append(sparse_rank(map(dict, d), target.dim, field))
-        assert ranks[0] == m.dim
-        for i in range(len(diffs) - 1):
-            assert ranks[i] + ranks[i + 1] == res.term_dim(i)
-        if res.terminated:
-            assert ranks[-1] == res.term_dim(len(diffs) - 1)
-        assert res.check_minimal()
-        for i in range(1, len(diffs)):
-            _assert_w_blocks_match(a, res.gens[i - 1], res.gens[i],
-                                   res.w_blocks[i], diffs[i],
-                                   res.term_dim(i - 1))
+        _assert_resolution_structure(m, minimal_resolution(m, 3))
         cases += 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_resolution_structure_random_enveloping(field):
+    """The same structure over enveloping algebras A (x) A^op of random
+    algebras of dimension at most 5, whose projectives and arrows are read
+    off the factors."""
+    rng = random.Random(53 + field.characteristic)
+    cases = 0
+    while cases < 5:
+        a = random_quiver_algebra(rng, field)
+        if a.dim > 5 or not a.radical_dim:
+            continue
+        env = tensor_algebra(a, opposite(a))
+        m = direct_sum([random_module(rng, env),
+                        rng.choice(simple_modules(env))])
+        res = minimal_resolution(m, 3)
+        # count only resolutions with a differential between projectives
+        if res.length:
+            _assert_resolution_structure(m, res)
+            cases += 1
 
 
 def _assert_w_blocks_match(a, lo_gens, hi_gens, blocks, columns, nrows):
