@@ -128,6 +128,14 @@ def test_tensor_lambda_enveloping(benchmark, lam):
     assert (env.dim, env.radical_dim, len(env.idempotents)) == (81, 77, 4)
 
 
+def test_tensor_algebra_env14(benchmark, env14):
+    """The dim-196 enveloping algebra of the dim-14 draw, whose table of
+    38,416 cells the constructor checks row by row."""
+    a, a_op = env14[:2]
+    env = _run(benchmark, lambda: tensor_algebra(a, a_op), [a])
+    assert (env.dim, env.radical_dim, len(env.idempotents)) == (196, 192, 4)
+
+
 def test_check_extension_pool_instance(benchmark, pool_extension):
     ext = pool_extension
     cfg = CheckConfig(cap=6, p_max=5, consequences=False, bar_check=False)

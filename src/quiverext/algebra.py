@@ -15,14 +15,15 @@ A tensor algebra keeps its two factors (`factors`, None elsewhere) and
 reads its generators and projectives off theirs; its radical rows are
 built reduced echelon, so they are its radical basis.
 
-The multiplication table is sparse: table[i][j] is a tuple of
-(index, coefficient) pairs for the product b_i * b_j. Quiver algebras and
-all the tensor/extension constructions produce very sparse tables. Every
-product goes through one kernel, `sparse_multiply`, which visits only
-nonempty table cells; the battery runs on it and skips only products that
-are zero by construction, so its checks are as strong as dense ones. Zero
-is tested by truthiness, exact on canonical elements: `__init__`
-canonicalises the table.
+The multiplication table is the left regular action: row i is the
+column-sparse map (see linalg) of left multiplication by b_i, so
+table[i][j] holds the (index, coeff) pairs of b_i * b_j. `__init__`
+checks each row as such a map with `linalg.map_problem`, for both values
+of `validate`, and keeps the table as given instead of canonicalising it.
+Every product is `linalg.act` over the table, the loop that also applies
+a module's action; it visits only nonempty cells, and the battery skips
+only products that are zero by construction, so its checks are as strong
+as dense ones. Zero is tested by truthiness, exact on canonical elements.
 
 An element of the algebra (the unit, each radical row, each idempotent,
 each generator) is stored in the format of a column (see linalg): its
@@ -39,8 +40,10 @@ checked by one routine, `map_violation`: format, unit and every basis
 product. Its callers add only their own extra condition.
 """
 
+from functools import partial
+
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, ReducedBasis, map_problem,
+from .linalg import (EchelonSpan, ReducedBasis, act, map_problem,
                      sparse_combination, sparse_rank)
 
 
@@ -53,13 +56,14 @@ class Algebra:
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = tuple(basis_labels)
-        self.table = tuple(
-            tuple(tuple((k, x) for k, c in cell if (x := field.of(c)))
-                  for cell in row)
-            for row in table)
+        self.table = tuple(table)
         self.unit = unit
         self.radical_rows = tuple(radical_rows)
         self.idempotents = tuple(idempotents)
+        for i, row in enumerate(self.table):
+            problem = map_problem(field, row, self.dim, self.dim)
+            if problem:
+                raise ValidationError(f"table row {i}: {problem}")
         for what, elems in (("unit", (unit,)),
                             ("radical row", self.radical_rows),
                             ("idempotent", self.idempotents)):
@@ -81,35 +85,9 @@ class Algebra:
 
     def sparse_multiply(self, x, y):
         """Product of two elements given as nonzero (index, canonical coeff)
-        pairs, as the same pairs in no particular order; the algebra's one
-        product loop, visiting only the nonempty cells b_i * b_j with x_i
-        and y_j nonzero."""
-        f = self.field
-        mul, add = f.mul, f.add
-        table = self.table
-        out = {}
-        for i, a in x:
-            row = table[i]
-            for j, b in y:
-                cell = row[j]
-                if cell:
-                    c = mul(a, b)
-                    for k, d in cell:
-                        v = mul(c, d)
-                        out[k] = add(out[k], v) if k in out else v
-        return [kc for kc in out.items() if kc[1]]
-
-    def left_mult_matrix(self, elem):
-        """The column-sparse map x -> elem * x."""
-        one = self.field.one
-        return tuple(tuple(sorted(self.sparse_multiply(elem, ((j, one),))))
-                     for j in range(self.dim))
-
-    def right_mult_matrix(self, elem):
-        """The column-sparse map x -> x * elem."""
-        one = self.field.one
-        return tuple(tuple(sorted(self.sparse_multiply(((i, one),), elem)))
-                     for i in range(self.dim))
+        pairs, as the same pairs in no particular order: `linalg.act` of x
+        on y through the table."""
+        return list(act(self.field, self.table, x, y).items())
 
     @property
     def radical_dim(self):
@@ -174,7 +152,7 @@ class Algebra:
         n = self.dim
         if n == 0:
             raise ValidationError("zero-dimensional algebra has no unit")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        if len(self.table) != n:
             raise ValidationError("multiplication table has wrong shape")
 
     def _check_count(self, radical_dim):
@@ -183,12 +161,12 @@ class Algebra:
                 "algebra is not split basic: dim != #idempotents + dim radical")
 
     def _check_unit(self):
-        one, mul = self.field.one, self.sparse_multiply
+        one, mul = self.field.one, partial(act, self.field, self.table)
         for j in range(self.dim):
             bj = ((j, one),)
-            if dict(mul(self.unit, bj)) != {j: one}:
+            if mul(self.unit, bj) != {j: one}:
                 raise ValidationError(f"unit law fails: 1*b{j} != b{j}")
-            if dict(mul(bj, self.unit)) != {j: one}:
+            if mul(bj, self.unit) != {j: one}:
                 raise ValidationError(f"unit law fails: b{j}*1 != b{j}")
 
     def _check_associativity(self):
@@ -209,13 +187,13 @@ class Algebra:
                         todo.setdefault((i, k), set()).add(j)
                     for h in left[t]:  # b_h (b_i b_j)
                         todo.setdefault((h, j), set()).add(i)
-        mul = self.sparse_multiply
+        mul = partial(act, self.field, table)
         for i in range(n):
             bi = ((i, one),)
             for k in range(n):
                 bk = ((k, one),)
                 for j in sorted(todo.get((i, k), ())):
-                    if dict(mul(table[i][j], bk)) != dict(mul(bi, table[j][k])):
+                    if mul(table[i][j], bk) != mul(bi, table[j][k]):
                         raise ValidationError(
                             f"associativity fails at (b{i}*b{j})*b{k}")
 
@@ -225,8 +203,7 @@ class Algebra:
             raise ValidationError("no idempotents supplied")
         for s, e in enumerate(self.idempotents):
             for t, e2 in enumerate(self.idempotents):
-                if dict(self.sparse_multiply(e, e2)) != (dict(e) if s == t
-                                                         else {}):
+                if act(f, self.table, e, e2) != (dict(e) if s == t else {}):
                     raise ValidationError(
                         f"idempotents e{s}, e{t} are not orthogonal idempotents")
         if sparse_combination(f, [(f.one, e) for e in self.idempotents]) != \
@@ -245,13 +222,13 @@ class Algebra:
             raise ValidationError("idempotents and radical do not span the algebra")
         # two-sided ideal
         rows = rb.sparse_rows
-        one = f.one
+        one, mul = f.one, partial(act, f, self.table)
         for i in range(self.dim):
             bi = ((i, one),)
             for r in rows:
-                if rb.sparse_coords(self.sparse_multiply(bi, r)) is None:
+                if rb.sparse_coords(mul(bi, r).items()) is None:
                     raise ValidationError("radical is not a left ideal")
-                if rb.sparse_coords(self.sparse_multiply(r, bi)) is None:
+                if rb.sparse_coords(mul(r, bi).items()) is None:
                     raise ValidationError("radical is not a right ideal")
         # nilpotency; a zero product cannot grow a span, so it is not inserted
         current = rows
@@ -261,7 +238,7 @@ class Algebra:
             nxt = EchelonSpan(f, self.dim)
             for x in current:
                 for r in rows:
-                    prod = self.sparse_multiply(x, r)
+                    prod = mul(x, r)
                     if prod:
                         nxt.insert(prod)
             current = nxt.reduced_basis().sparse_rows
@@ -285,7 +262,7 @@ def opposite(a):
     n = a.dim
     table = tuple(tuple(a.table[j][i] for j in range(n)) for i in range(n))
     opp = Algebra(a.field, a.basis_labels, table, a.unit, a.radical_rows,
-                  a.idempotents, meta={"kind": "opposite", "base": a.meta.get("kind")},
+                  a.idempotents, meta={"kind": "opposite"},
                   validate=False)
     a._cache["opposite"] = opp
     opp._cache["opposite"] = a
@@ -324,7 +301,7 @@ def tensor_algebra(a, b):
 
     out = Algebra(f, labels, table, pure_tensor(f, a.unit, b.unit, nb),
                   span.reduced_basis().sparse_rows, idempotents,
-                  meta={"kind": "tensor", "left_dim": na, "right_dim": nb},
+                  meta={"kind": "tensor"},
                   validate=False)
     out.factors = (a, b)
     a._cache[key] = (b, out)
@@ -360,7 +337,7 @@ def product_algebra(a, b):
     return Algebra(a.field, labels, table, a.unit + shifted(b.unit),
                    a.radical_rows + tuple(map(shifted, b.radical_rows)),
                    a.idempotents + tuple(map(shifted, b.idempotents)),
-                   meta={"kind": "product", "left_dim": na, "right_dim": nb},
+                   meta={"kind": "product", "left_dim": na},
                    validate=False)
 
 

@@ -27,8 +27,8 @@ from itertools import product
 
 from .errors import (FieldMismatchError, InternalCheckError, ValidationError,
                      WitnessError)
-from .linalg import (EchelonSpan, compose, identity_map, quotient,
-                     sparse_combination, sparse_rank, to_column)
+from .linalg import (EchelonSpan, compose, identity_map, map_combination,
+                     quotient, sparse_combination, sparse_rank, to_column)
 from .algebra import Algebra, map_violation, product_algebra
 from .modules import (Bimodule, ModuleMap, bimodule_direct_sum,
                       projective_bimodule, tensor_over, tensor_powers)
@@ -119,7 +119,7 @@ def trivial_extension(r, m):
     radical_rows = r.radical_rows + tuple(((nr + i, f.one),)
                                           for i in range(nm))
     t = Algebra(f, labels, table, r.unit, radical_rows, r.idempotents,
-                meta={"kind": "trivial-extension", "base_dim": nr})
+                meta={"kind": "trivial-extension"})
     emb = identity_map(f, nr)  # r_j -> (r_j, 0)
     ret = emb + ((),) * nm  # (r_j, 0) -> r_j, (0, m_i) -> 0
     ext = ExtensionPresentation(t, r, emb, ret, provenance="trivial-extension")
@@ -184,13 +184,15 @@ def subalgebra_extension(a, b, embedding, retraction=None):
 
 def _b_actions(ext):
     """The left and the right action of B on A through the embedding, one
-    column-sparse map per basis element of B (cached)."""
+    column-sparse map per basis element of B (cached): b_j acts as its
+    image, column j of the embedding, does in the regular bimodule."""
     if "b_actions" not in ext._cache:
         a = ext.ambient
-        # column j of the embedding is the image of b_j, as an element of A
-        ext._cache["b_actions"] = (
-            [a.left_mult_matrix(col) for col in ext.embedding],
-            [a.right_mult_matrix(col) for col in ext.embedding])
+        reg = Bimodule.regular(a)
+        ext._cache["b_actions"] = tuple(
+            [map_combination(a.field, col, action, a.dim)
+             for col in ext.embedding]
+            for action in (reg.left_action, reg.right_action))
     return ext._cache["b_actions"]
 
 
@@ -342,7 +344,7 @@ def relative_bar_complex(ext, p):
         for m in range(last):
             x = free[raw[m]] if m else raw[m]
             y = free[raw[m + 1]] if m + 1 < last else raw[m + 1]
-            prod = a.sparse_multiply(((x, one),), ((y, one),))
+            prod = a.table[x][y]
             if 0 < m < last - 1:
                 prod = sparse_combination(
                     f, [(c, to_q[k].items()) for k, c in prod]).items()
@@ -377,7 +379,7 @@ def relative_bar_complex(ext, p):
         diffs[j] = ModuleMap(modules[j], modules[j - 1],
                              tuple(map(to_column, cols)), validate=False)
 
-    cc = ChainComplex(modules, diffs, validate=True)
+    cc = ChainComplex(modules, diffs)
     # A (x) 1 and 1 (x) A^op generate A^e, so a map that commutes with the
     # left actions (checked above) and the right ones is a bimodule map
     for j, d in diffs.items():

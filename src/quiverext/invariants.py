@@ -94,16 +94,15 @@ def perp_membership(x, i_max):
 
 
 def commutator_rank(a):
-    """Dimension of the commutator subspace [A, A]."""
+    """Dimension of the commutator subspace [A, A], spanned by the
+    b_i b_j - b_j b_i, read off the table cells (i, j) and (j, i)."""
     f = a.field
-    mul, one, minus = a.sparse_multiply, f.one, f.neg(f.one)
+    table, one, minus = a.table, f.one, f.neg(f.one)
     span = EchelonSpan(f, a.dim)
     for i in range(a.dim):
-        bi = ((i, one),)
         for j in range(i + 1, a.dim):
-            bj = ((j, one),)
-            span.insert(sparse_combination(f, [(one, mul(bi, bj)),
-                                               (minus, mul(bj, bi))]))
+            span.insert(sparse_combination(f, [(one, table[i][j]),
+                                               (minus, table[j][i])]))
     return span.rank
 
 

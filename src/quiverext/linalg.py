@@ -26,6 +26,9 @@ and algebra maps (embeddings, retractions). `identity_map`,
 `map_combination`, `compose`, `transpose`, `block_sum` and `kron` build
 them, and `map_problem` is the one check of the format.
 
+There is one bilinear loop, `act`: over an algebra's multiplication table
+it is the algebra's product, over a module's action maps its action.
+
 A vector has the format of one column: its (index, coeff) pairs, indices
 increasing, coefficients nonzero and canonical. Algebra elements (the
 unit, idempotents, radical rows and generators) are stored so, and
@@ -180,6 +183,25 @@ def sparse_combination(field, terms):
             for i, x in v:
                 out[i] = add(out.get(i, zero), mul(c, x))
     return {i: x for i, x in out.items() if x}
+
+
+def act(field, maps, elem, vec):
+    """The sum of a * x * maps[u][k], each maps[u] column-sparse, over the
+    (u, a) pairs of elem and the (k, x) pairs of vec, which is read once
+    per u, so re-iterable; as a dict of its nonzero entries. An empty
+    column costs no product."""
+    add, mul = field.add, field.mul
+    out = {}
+    for u, a in elem:
+        m = maps[u]
+        for k, x in vec:
+            col = m[k]
+            if col:
+                ax = mul(a, x)
+                for r, v in col:
+                    y = mul(ax, v)
+                    out[r] = add(out[r], y) if r in out else y
+    return {r: y for r, y in out.items() if y}
 
 
 def to_column(entries):

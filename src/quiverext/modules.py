@@ -3,11 +3,12 @@
 A Module is a finitely generated left module: for each algebra basis
 element, the column-sparse map (see linalg) by which it acts. An algebra
 element, given as its (index, coeff) pairs like every element of the
-engine, acts by the combination of those maps its pairs give. Right
-modules are left modules over the opposite algebra. A Bimodule always has
-both sides: it stores one action family per side and exposes the
-equivalent left module over the tensor algebra L (x) R^op on demand;
-storing the sides separately keeps validation and tensor products cheap.
+engine, acts by the combination of those maps its pairs give, through
+`linalg.act`. Right modules are left modules over the opposite algebra.
+A Bimodule always has both sides: it stores one action family per side
+and exposes the equivalent left module over the tensor algebra L (x)
+R^op on demand; storing the sides separately keeps validation and tensor
+products cheap.
 The constructors reject an action not in column-sparse form, and one
 routine, `_check_action`, checks every action: a module's, and each side
 of a bimodule's. Only `direct_sum`, `projective_data` and
@@ -30,7 +31,7 @@ bimodule.
 from functools import partial
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, ReducedBasis, block_sum, compose,
+from .linalg import (EchelonSpan, ReducedBasis, act, block_sum, compose,
                      identity_map, kron, map_combination, map_problem,
                      quotient, sparse_combination, sparse_rank, transpose)
 from .algebra import opposite, pure_tensor, tensor_algebra
@@ -61,19 +62,8 @@ class Module:
     def act(self, elem, vec):
         """The action on the sparse vector vec (a dict) of the algebra
         element with nonzero (index, coeff) entries elem, as a dict of the
-        nonzero entries of the image. An empty column costs no product."""
-        f = self.algebra.field
-        add, mul, zero = f.add, f.mul, f.zero
-        action = self.action
-        out = {}
-        for k, x in vec.items():
-            for u, a in elem:
-                col = action[u][k]
-                if col:
-                    ax = mul(a, x)
-                    for r, v in col:
-                        out[r] = add(out.get(r, zero), mul(v, ax))
-        return {r: y for r, y in out.items() if y}
+        nonzero entries of the image: `linalg.act` over the action."""
+        return act(self.algebra.field, self.action, elem, vec.items())
 
     def action_map(self, elem):
         """The column-sparse map by which the algebra element elem (its
@@ -425,11 +415,11 @@ class Bimodule:
 
     @classmethod
     def regular(cls, a):
+        """A as an (A, A)-bimodule, with no product: row i of A's table is
+        left multiplication by b_i, row i of the opposite's right."""
         if "regular_bimodule" not in a._cache:
-            basis = [((i, a.field.one),) for i in range(a.dim)]
-            left = [a.left_mult_matrix(b) for b in basis]
-            right = [a.right_mult_matrix(b) for b in basis]
-            a._cache["regular_bimodule"] = cls(a, a, a.dim, left, right,
+            a._cache["regular_bimodule"] = cls(a, a, a.dim, a.table,
+                                               opposite(a).table,
                                                validate=False)
         return a._cache["regular_bimodule"]
 

@@ -238,7 +238,6 @@ def algebra_from_presentation(pres, field):
         "vertices": tuple(pres.vertices),
         "arrow_basis_index": {pres.arrows[i][0]: pos[(i,)]
                               for i in range(len(pres.arrows)) if (i,) in pos},
-        "path_lengths": tuple(0 if isinstance(p, _Trivial) else len(p) for p in basis),
         # per basis element: ("triv", vertex_index) or arrow labels, leftmost
         # (last applied) first
         "paths": tuple(("triv", p.vertex) if isinstance(p, _Trivial)

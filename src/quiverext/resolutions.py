@@ -465,11 +465,10 @@ class ChainComplex:
 
     __slots__ = ("modules", "diffs")
 
-    def __init__(self, modules, diffs, validate=True):
+    def __init__(self, modules, diffs):
         self.modules = dict(modules)
         self.diffs = dict(diffs)
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self):
         for i, d in self.diffs.items():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from quiverext.errors import FieldMismatchError, ValidationError
 import dense_reference as dense
 from quiverext.linalg import (GF, QQ, EchelonSpan, identity_map,
-                              sparse_combination, to_column)
+                              map_combination, sparse_combination, to_column)
+from quiverext.modules import Bimodule
 from quiverext.quiver import QuiverPresentation, algebra_from_presentation
 from quiverext.suite import random_quiver_algebra
 from quiverext.algebra import (Algebra, opposite, product_algebra,
@@ -285,6 +286,48 @@ def test_table_missing_a_row_rejected(validate):
                 a.idempotents, validate=validate)
 
 
+# -- the table format: every fault, in an outside table ------------------
+
+def _dual_numbers_data(field):
+    """k[x]/(x^2) on the basis e, x, written out as an outside table:
+    labels, table, unit, radical rows and idempotents."""
+    e, x = ((0, field.one),), ((1, field.one),)
+    return ("e", "x"), ((e, x), (x, ())), e, (x,), (e,)
+
+
+# each replaces the empty cell x * x of a valid table; unchecked, the
+# first four end in an IndexError, a TypeError or a ValueError, and the
+# others are accepted or rejected only later, as some other fault
+_TABLE_FAULTS = {
+    "index out of range": lambda f: ((5, f.one),),
+    "string index": lambda f: (("x", f.one),),
+    "float index": lambda f: ((1.0, f.one),),
+    "1-tuple entry": lambda f: ((1,),),
+    "negative index": lambda f: ((-1, f.one),),
+    "index out of order": lambda f: ((1, f.one), (0, f.one)),
+    "repeated index": lambda f: ((1, f.one), (1, f.one)),
+    "stored zero": lambda f: ((1, f.zero),),
+    "integral fraction": lambda f: ((1, Fraction(2, 1)),),
+    "list cell": lambda f: [],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+@pytest.mark.parametrize("fault", sorted(_TABLE_FAULTS))
+def test_malformed_table_rejected(field, fault):
+    """A table row is checked as the column-sparse map of left
+    multiplication by its basis element: a cell in the wrong format is
+    rejected with the engine's own error naming the row, with or without
+    the battery, and is never converted."""
+    labels, table, unit, radical, idempotents = _dual_numbers_data(field)
+    Algebra(field, labels, table, unit, radical, idempotents)
+    bad = (table[0], (table[1][0], _TABLE_FAULTS[fault](field)))
+    for validate in (True, False):
+        with pytest.raises(ValidationError, match="^table row 1: "):
+            Algebra(field, labels, bad, unit, radical, idempotents,
+                    validate=validate)
+
+
 # -- the element format: every fault, in every stored element ------------
 
 _ELEMENT_FAULTS = {
@@ -347,11 +390,16 @@ def test_multiply_matches_dense_reference(data):
     assert dense.vector(a.field, a.dim, a.sparse_multiply(xs, ys)) == \
         dense.product(a, x, y)
     one = a.field.one
+    # the regular bimodule is the table and the opposite's, no product
+    reg = Bimodule.regular(a)
+    assert (reg.left_action, reg.right_action) == (a.table, opposite(a).table)
+    left, right = (map_combination(a.field, xs, action, a.dim)
+                   for action in (reg.left_action, reg.right_action))
     for j in range(a.dim):
         bj = dense.vector(a.field, a.dim, ((j, one),))
         # column j of each multiplication map, read as its sparse entries
-        assert a.left_mult_matrix(xs)[j] == dense.pairs(dense.product(a, x, bj))
-        assert a.right_mult_matrix(xs)[j] == dense.pairs(dense.product(a, bj, x))
+        assert left[j] == dense.pairs(dense.product(a, x, bj))
+        assert right[j] == dense.pairs(dense.product(a, bj, x))
         assert tuple(a.sparse_multiply(xs, ((j, one),))) == \
             dense.pairs(dense.product(a, x, bj))
 

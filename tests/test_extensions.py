@@ -465,6 +465,52 @@ def test_bar_complex_checks_descent(monkeypatch, field):
     assert emptied
 
 
+@pytest.mark.parametrize("field", [None, "p:2"])
+def test_tor_check_rejects_orientations_that_disagree(monkeypatch, field):
+    """Give the first orientation, Tor(Q, Q), a nonzero Tor_1 while the
+    other still vanishes: the two all-zero statuses disagree, which on a
+    correct engine cannot happen, so the check must raise."""
+    from quiverext import extensions
+    ext = demo_extension(field)
+    assert check_tor_vanishing(ext, 2, 1)[1].holds
+    real, calls = extensions.tor, []
+
+    def tor(m, n, top):
+        dims = real(m, n, top)
+        calls.append(dims)
+        return [dims[0], 1, *dims[2:]] if len(calls) == 1 else dims
+
+    monkeypatch.setattr(extensions, "tor", tor)
+    with pytest.raises(InternalCheckError,
+                       match="Tor vanishing orientations disagree"):
+        check_tor_vanishing(ext, 2, 1)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field", [None, "p:2"])
+def test_check_rejects_inexact_relative_tensor_complex(monkeypatch, field):
+    """Hand the checker the relative tensor complex without its top
+    differential: it is still a complex, but not exact at the top, which
+    on an instance whose hypotheses hold is an engine bug."""
+    from quiverext import extensions
+    from quiverext.resolutions import ChainComplex
+    ext = demo_extension(field)
+    real = extensions.relative_bar_complex
+
+    def relative_bar_complex(ext, p):
+        cc = real(ext, p)
+        top = max(cc.diffs)
+        return ChainComplex(cc.modules, {j: d for j, d in cc.diffs.items()
+                                         if j != top})
+
+    monkeypatch.setattr(extensions, "relative_bar_complex",
+                        relative_bar_complex)
+    with pytest.raises(InternalCheckError,
+                       match="relative tensor complex is not exact "
+                             "on a passing instance"):
+        check_extension(ext, CheckConfig(consequences=False))
+
+
 def test_projectivity_transport_worked_example(gamma_in_lambda):
     rep = projectivity_transport_check(gamma_in_lambda, cap=6)
     assert rep["all_projective"]
