@@ -22,12 +22,14 @@ from quiverext import resolutions
 from quiverext.algebra import opposite, tensor_algebra
 from quiverext.cli import demo_document, main
 from quiverext.docparse import build_document, parse_document
+from quiverext.errors import QuiverExtError
 from quiverext.extensions import (CheckConfig, check_extension,
-                                  triangular_matrix_algebra)
+                                  quotient_bimodule, triangular_matrix_algebra)
 from quiverext.invariants import hochschild_homology
-from quiverext.linalg import QQ, EchelonSpan, transpose
-from quiverext.modules import Bimodule, projective_data
-from quiverext.suite import cokernel_pd1_bimodule, random_quiver_algebra
+from quiverext.linalg import GF, QQ, EchelonSpan, transpose
+from quiverext.modules import Bimodule, projective_data, tensor_over
+from quiverext.suite import (cokernel_pd1_bimodule, random_module,
+                             random_quiver_algebra, random_right_module)
 
 ROUNDS = 20
 # HH on the dim-14 draw takes about 2 s a round
@@ -58,10 +60,16 @@ def _run(benchmark, target, caches=(), rounds=ROUNDS):
 
 
 @pytest.fixture(scope="module")
-def lam():
-    """The ambient algebra Lambda of the worked example."""
+def demo_extension():
+    """The worked example's extension Gamma <= Lambda."""
     return build_document(parse_document(demo_document())) \
-        .env["GammaInLambda"].ambient
+        .env["GammaInLambda"]
+
+
+@pytest.fixture(scope="module")
+def lam(demo_extension):
+    """The ambient algebra Lambda of the worked example."""
+    return demo_extension.ambient
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +109,36 @@ def pool_extension():
             m = cokernel_pd1_bimodule(rng, c, b)
             if m is not None and 0 < m.dim <= 4:
                 return triangular_matrix_algebra(b, c, m)[1]
+
+
+@pytest.fixture(scope="module")
+def tor_gf2_pair():
+    """A (right, left) module pair of the random-suite Tor battery over
+    GF(2): algebras of dim <= 5 drawn at family seed 202, four module pairs
+    each drawn at seed 202. It is the pair whose first module's resolution
+    to degree 5 has the largest total dimension times dim N, returned with
+    that resolution."""
+    family, field = random.Random(202), GF(2)
+    algebras = []
+    for _ in range(600):
+        try:
+            a = random_quiver_algebra(family, field)
+        except QuiverExtError:
+            continue
+        if a.dim <= 5:
+            algebras.append(a)
+    rng, best = random.Random(202), None
+    for a in algebras:
+        for _ in range(4):
+            try:
+                m, n = random_right_module(rng, a), random_module(rng, a)
+            except QuiverExtError:
+                continue
+            res = resolutions.minimal_resolution(m, 5)
+            size = sum(res.term_dims()) * n.dim
+            if best is None or size > best[0]:
+                best = (size, res, n)
+    return best[1:]
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +182,24 @@ def test_check_extension_pool_instance(benchmark, pool_extension):
     assert (ext.sub.dim, rep.quotient_dim) == (5, 2)
     assert (rep.pd_verdict.kind, rep.pd_verdict.value) == ("finite", 1)
     assert rep.sing_equiv.holds
+
+
+def test_tensor_over_demo_quotient(benchmark, demo_extension):
+    """The demo's A/B tensored with itself over B, the first tensor power
+    the nilpotency check builds; it is zero."""
+    q = quotient_bimodule(demo_extension)
+    out = _run(benchmark, lambda: tensor_over(q, q), [q])
+    assert (q.dim, out.dim) == (4, 0)
+
+
+def test_derived_dims_tor_gf2_pair(benchmark, tor_gf2_pair):
+    """Tor_0..4 read off a fixed resolution over GF(2): slices, blocks and
+    ranks, the part of the Tor battery after its resolutions."""
+    res, n = tor_gf2_pair
+    dims = _run(benchmark, lambda: resolutions._derived_dims(
+        res, n, res.module.algebra, 4, contravariant=False), [n])
+    assert res.term_dims() == [5, 10, 20, 40, 80, 160]
+    assert dims == [1, 0, 0, 0, 0]
 
 
 def test_echelon_span_demo_kernel(benchmark, demo_kernel_system):

@@ -374,29 +374,36 @@ class EchelonSpan:
             self.insert(v)
 
     def reduced_basis(self):
-        """Return the fully reduced leading-one basis of the span."""
+        """Return the fully reduced leading-one basis of the span.
+
+        Rows are back-substituted bottom-up, as in sparse triangular
+        solves (T. A. Davis, Direct Methods for Sparse Linear Systems,
+        SIAM 2006, ch. 3): every later row is already fully reduced and
+        holds no other pivot column, so one pass over the pivot columns a
+        row meets clears them, and the cost follows the nonzeros touched,
+        not rank^2. The reduced echelon form is unique, so the order of
+        elimination does not change the rows."""
         f = self.field
         of, mul, sub, zero = f.of, f.mul, f.sub, f.zero
         pivots = sorted(self.pivot_to_row)
-        rows = []
-        for p in pivots:
+        done = {}
+        for p in reversed(pivots):
             raw = self.pivot_to_row[p]
             inv = f.inv(of(raw[p]))
-            rows.append({c: mul(inv, of(x)) for c, x in raw.items()})
-        # eliminate pivot columns above each pivot
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            for row in rows[:i]:
-                c = row.get(p)
-                if c:
-                    for t, b in rows[i].items():
+            row = {c: mul(inv, of(x)) for c, x in raw.items()}
+            for q in [q for q in row if q in done]:
+                c = row.pop(q)
+                for t, b in done[q].items():
+                    if t != q:
                         v = sub(row.get(t, zero), mul(c, b))
                         if v:
                             row[t] = v
                         else:
                             del row[t]
+            done[p] = row
         return ReducedBasis(f, self.width,
-                            [tuple(sorted(row.items())) for row in rows], pivots)
+                            [tuple(sorted(done[p].items())) for p in pivots],
+                            pivots)
 
 
 class ReducedBasis:

@@ -5,19 +5,24 @@ element, the column-sparse map (see linalg) by which it acts. An algebra
 element, given as its (index, coeff) pairs like every element of the
 engine, acts by the combination of those maps its pairs give, through
 `linalg.act`. Right modules are left modules over the opposite algebra.
+A module the engine builds over a tensor algebra L (x) R (a projective,
+a direct sum of them, a bimodule's module over L (x) R^op) keeps the two
+commuting actions of its factors instead, dim L + dim R maps in place of
+dim L * dim R (`_SidedModule`); its `act` applies both sides in one loop,
+and its one map per basis element is composed only when read.
 A Bimodule always has both sides: it stores one action family per side
 and exposes the equivalent left module over the tensor algebra L (x)
 R^op on demand; storing the sides separately keeps validation and tensor
 products cheap.
 The constructors reject an action not in column-sparse form, and one
 routine, `_check_action`, checks every action: a module's, and each side
-of a bimodule's. Only `direct_sum`, `projective_data` and
-`Bimodule.as_env_module` skip the format check, through the private
-`Module._built`: their maps are block sums, Kronecker products and
-composites of maps already checked, so they are column-sparse by
-construction. A ModuleMap is column-sparse too, with dim(source)
-columns and dim(target) rows, so hom bases and isomorphism witnesses are
-in the format every other map in the engine uses.
+of a bimodule's. The modules `direct_sum`, `projective_data` and
+`Bimodule.as_env_module` build skip the format check: their maps are
+block sums, Kronecker products and the sides of maps already checked, so
+they are column-sparse by construction. A ModuleMap is column-sparse
+too, with dim(source) columns and dim(target) rows, so hom bases and
+isomorphism witnesses are in the format every other map in the engine
+uses.
 
 Tensor products over an algebra are computed as explicit coequalizers:
 (M (x)_k N) / span{ m.b (x) n - m (x) b.n }, with b running over an
@@ -33,13 +38,14 @@ from functools import partial
 from .errors import FieldMismatchError, ValidationError
 from .linalg import (EchelonSpan, ReducedBasis, act, block_sum, compose,
                      identity_map, kron, map_combination, map_problem,
-                     quotient, sparse_combination, sparse_rank, transpose)
+                     quotient, sparse_combination, sparse_rank, to_column,
+                     transpose)
 from .algebra import opposite, pure_tensor, tensor_algebra
 
 
 class Module:
     """Left module over a fixed algebra, given by one column-sparse action
-    map per algebra basis element."""
+    map per algebra basis element (but see _SidedModule)."""
 
     __slots__ = ("algebra", "dim", "action", "_cache")
 
@@ -81,6 +87,66 @@ class Module:
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
+
+
+class _SidedModule(Module):
+    """A module over a tensor algebra L (x) R kept as the two commuting
+    actions of its factors, `sides = (left, right)`: dim L + dim R
+    column-sparse maps, the basis element x (x) y (index x * dim R + y)
+    acting as left[x] o right[y]. `act` runs both sides in one loop;
+    `action`, one composed map per basis element, is built on first read
+    for the readers that want flat maps (duals, validation, a direct sum
+    with a flat summand)."""
+
+    __slots__ = ("sides", "_flat")
+
+    def __init__(self, algebra, left, right, dim):
+        self.algebra, self.dim, self._cache = algebra, dim, {}
+        self.sides = (tuple(left), tuple(right))
+        self._flat = None
+
+    @property
+    def action(self):
+        if self._flat is None:
+            f = self.algebra.field
+            left, right = self.sides
+            self._flat = tuple(compose(f, lm, rm) for lm in left
+                               for rm in right)
+        return self._flat
+
+    def act(self, elem, vec):
+        """The action on the sparse vector vec of the algebra element elem:
+        for each (u, a) of elem, with u = x * dim R + y, each (k, c) of vec
+        walks column k of right[y] and then the columns of left[x] it
+        meets, into one dict. An empty column costs no product."""
+        f = self.algebra.field
+        add, mul = f.add, f.mul
+        left, right = self.sides
+        nr = len(right)
+        items = vec.items()
+        out = {}
+        for u, a in elem:
+            x, y = divmod(u, nr)
+            lm, rm = left[x], right[y]
+            for k, c in items:
+                rcol = rm[k]
+                if rcol:
+                    ac = mul(a, c)
+                    for r, v in rcol:
+                        lcol = lm[r]
+                        if lcol:
+                            acv = mul(ac, v)
+                            for t, w in lcol:
+                                z = mul(acv, w)
+                                out[t] = add(out[t], z) if t in out else z
+        return {t: z for t, z in out.items() if z}
+
+    def action_map(self, elem):
+        """The column-sparse map of elem, read column by column off `act`
+        on the unit vectors."""
+        one = self.algebra.field.one
+        return tuple(to_column(self.act(elem, {k: one}))
+                     for k in range(self.dim))
 
 
 def _check_format(alg, action, dim, side):
@@ -174,9 +240,26 @@ def direct_sum(modules):
         if m.algebra is not a:
             raise ValidationError("direct sum over mixed algebras")
     dims = [m.dim for m in modules]
-    action = [block_sum([m.action[u] for m in modules], dims)
-              for u in range(a.dim)]
-    return Module._built(a, action, sum(dims))
+    if all(isinstance(m, _SidedModule) for m in modules):
+        left, right = (_block_sums([m.sides[i] for m in modules], dims)
+                       for i in (0, 1))
+        return _SidedModule(a, left, right, sum(dims))
+    return Module._built(a, _block_sums([m.action for m in modules], dims),
+                         sum(dims))
+
+
+def _block_sums(families, dims):
+    """The block sums, map by map, of families of maps on spaces of the
+    given dims: one map per index, each family indexed alike."""
+    return [block_sum(maps, dims) for maps in zip(*families)]
+
+
+def _kron_sides(field, lmaps, ldim, rmaps, rdim):
+    """The two actions on V (x) W, dim V = ldim, dim W = rdim, given by the
+    maps lmaps on V and rmaps on W: lmaps[x] (x) 1 and 1 (x) rmaps[y]."""
+    lid, rid = identity_map(field, ldim), identity_map(field, rdim)
+    return ([kron(field, m, rid, rdim) for m in lmaps],
+            [kron(field, lid, m, rdim) for m in rmaps])
 
 
 class _ProjectiveData:
@@ -197,8 +280,8 @@ def projective_data(algebra, s):
     span of the b_j e_s, and the action in that basis. Over a tensor
     algebra A (x) B, with e_s = e_p (x) f_q, it is A e_p (x) B f_q: the
     pure tensors of the factors' rows are already reduced echelon, with
-    pivots p' * dim B + q', and a (x) b acts by the Kronecker product of
-    the factors' actions of a and b."""
+    pivots p' * dim B + q', and the module keeps two sides, the factors'
+    actions a (x) 1 and 1 (x) b, which compose to a (x) b."""
     key = ("proj", s)
     if key in algebra._cache:
         return algebra._cache[key]
@@ -213,8 +296,8 @@ def projective_data(algebra, s):
                           [pure_tensor(f, x, y, b.dim)
                            for x in xa.sparse_rows for y in xb.sparse_rows],
                           [i * b.dim + j for i in xa.pivots for j in xb.pivots])
-        action = [kron(f, ma, mb, xb.dim) for ma in pa.module.action
-                  for mb in pb.module.action]
+        module = _SidedModule(algebra, *_kron_sides(
+            f, pa.module.action, xa.dim, pb.module.action, xb.dim), rb.dim)
     else:
         span = EchelonSpan(f, algebra.dim)
         for j in range(algebra.dim):
@@ -233,9 +316,10 @@ def projective_data(algebra, s):
                         "projective module not closed under action")
                 cols.append(tuple(sorted(coords.items())))
             action.append(tuple(cols))
+        module = Module._built(algebra, action, rb.dim)
     if rb.sparse_coords(es) is None:
         raise ValidationError("idempotent not inside its own projective")
-    data = _ProjectiveData(rb, Module._built(algebra, action, rb.dim))
+    data = _ProjectiveData(rb, module)
     algebra._cache[key] = data
     return data
 
@@ -452,15 +536,13 @@ class Bimodule:
         return tensor_algebra(self.left_alg, opposite(self.right_alg))
 
     def as_env_module(self):
-        """Left module over L (x) R^op: (x (x) y^op) . m = x m y."""
-        if "as_env" in self._cache:
-            return self._cache["as_env"]
-        f = self.field
-        action = [compose(f, li, rj) for li in self.left_action
-                  for rj in self.right_action]
-        mod = Module._built(self.env_algebra(), action, self.dim)
-        self._cache["as_env"] = mod
-        return mod
+        """Left module over L (x) R^op: (x (x) y^op) . m = x m y. It keeps
+        the two actions as its sides, composing none of them."""
+        if "as_env" not in self._cache:
+            self._cache["as_env"] = _SidedModule(
+                self.env_algebra(), self.left_action, self.right_action,
+                self.dim)
+        return self._cache["as_env"]
 
     def __repr__(self):
         return (f"Bimodule(dim={self.dim}, left={self.left_alg.dim}, "
@@ -536,23 +618,17 @@ def bimodule_direct_sum(bimodules):
         if m.left_alg is not first.left_alg or m.right_alg is not first.right_alg:
             raise ValidationError("direct sum of bimodules with different sides")
     dims = [m.dim for m in bimodules]
-
-    def blocks(families):
-        return [block_sum(maps, dims) for maps in zip(*families)]
-
-    return Bimodule(first.left_alg, first.right_alg,
-                    sum(m.dim for m in bimodules),
-                    blocks([m.left_action for m in bimodules]),
-                    blocks([m.right_action for m in bimodules]), validate=False)
+    return Bimodule(first.left_alg, first.right_alg, sum(dims),
+                    _block_sums([m.left_action for m in bimodules], dims),
+                    _block_sums([m.right_action for m in bimodules], dims),
+                    validate=False)
 
 
 def projective_bimodule(b, u, v, right_alg=None):
     """The projective (B, R)-bimodule B e_u (x)_k e_v R (R defaults to B)."""
     r = right_alg if right_alg is not None else b
-    f = b.field
     lmod = projective_data(b, u).module
     rmod = projective_data(opposite(r), v).module
-    du, dv = lmod.dim, rmod.dim
-    left = [kron(f, lm, identity_map(f, dv), dv) for lm in lmod.action]
-    right = [kron(f, identity_map(f, du), rm, dv) for rm in rmod.action]
-    return Bimodule(b, r, du * dv, left, right, validate=False)
+    left, right = _kron_sides(b.field, lmod.action, lmod.dim, rmod.action,
+                              rmod.dim)
+    return Bimodule(b, r, lmod.dim * rmod.dim, left, right, validate=False)

@@ -75,3 +75,29 @@ def kron(field, a, b):
     return tuple(tuple(field.mul(x, y) for x in ra for y in rb)
                  for ra in a for rb in b)
 
+
+
+def back_eliminated(span):
+    """The reduced echelon rows (as sorted (index, coeff) tuples) and the
+    pivots of an EchelonSpan, by textbook back-elimination: each pivot
+    row, from the last up, is subtracted from every row above it that is
+    nonzero at its pivot, O(rank^2) row visits whatever the sparsity."""
+    f = span.field
+    pivots = sorted(span.pivot_to_row)
+    rows = []
+    for p in pivots:
+        raw = span.pivot_to_row[p]
+        inv = f.inv(f.of(raw[p]))
+        rows.append({c: f.mul(inv, f.of(x)) for c, x in raw.items()})
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        for row in rows[:i]:
+            c = row.get(p)
+            if c:
+                for t, b in rows[i].items():
+                    v = f.sub(row.get(t, f.zero), f.mul(c, b))
+                    if v:
+                        row[t] = v
+                    else:
+                        del row[t]
+    return [tuple(sorted(row.items())) for row in rows], tuple(pivots)

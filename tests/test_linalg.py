@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_reference as dense
 from quiverext.errors import LinAlgError
@@ -385,3 +385,46 @@ def test_zero_row_matrix_keeps_its_width(field):
     assert transpose(z, 0) == ()
     assert transpose((), 3) == z
     assert sparse_rank(map(dict, z), 0, field) == 0
+
+
+@st.composite
+def span_inserts(draw):
+    """A field, a width and sparse vectors to insert into an EchelonSpan:
+    random ones, some of them repeated as combinations of those drawn
+    before, so that a share of the inserts is dependent."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    width = draw(st.integers(1, 9))
+    entry = (st.fractions(min_value=-3, max_value=3, max_denominator=3)
+             if field is QQ else st.integers(0, field.p - 1))
+    vecs = []
+    for _ in range(draw(st.integers(0, 9))):
+        if vecs and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(vecs), min_size=1,
+                                  max_size=3))
+            vec = sparse_combination(field, [(field.of(draw(entry)),
+                                              v.items()) for v in picks])
+        else:
+            vec = {c: x for c in draw(st.sets(st.integers(0, width - 1),
+                                              max_size=width))
+                   if (x := field.of(draw(entry)))}
+        vecs.append(vec)
+    return field, width, vecs
+
+
+@given(data=span_inserts())
+@example(data=(QQ, 4, []))
+@example(data=(GF(2), 3, [{}, {1: 1, 2: 1}, {1: 1, 2: 1}]))
+@example(data=(GF(3), 3, [{0: 2, 2: 1}, {0: 1, 2: 2}, {1: 1}, {0: 1, 1: 1,
+                                                            2: 2}]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_reduced_basis_matches_back_elimination(data):
+    """EchelonSpan.reduced_basis, which back-substitutes sparsely from the
+    last row up, returns the same rows and pivots as the O(rank^2)
+    back-elimination of the dense reference, at every rank including 0
+    and 1 and after dependent inserts."""
+    field, width, vecs = data
+    span = EchelonSpan(field, width, vecs)
+    rb = span.reduced_basis()
+    rows, pivots = dense.back_eliminated(span)
+    assert (list(rb.sparse_rows), rb.pivots) == (rows, pivots)
+    assert all(map_problem(field, (r,), width, 1) is None for r in rows)

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from quiverext.errors import ValidationError
 import dense_reference as dense
-from quiverext.linalg import (GF, QQ, EchelonSpan, identity_map, map_problem,
-                              sparse_rank, transpose)
+from quiverext.linalg import (GF, QQ, EchelonSpan, act, identity_map,
+                              map_combination, map_problem, sparse_rank,
+                              transpose)
 from quiverext.algebra import Algebra, opposite, tensor_algebra
 from quiverext.modules import (Bimodule, Module, ModuleMap, bimodule_direct_sum,
                                direct_sum, dual_module, hom_space,
@@ -14,6 +15,7 @@ from quiverext.modules import (Bimodule, Module, ModuleMap, bimodule_direct_sum,
                                projective_bimodule, projective_data,
                                projective_indecomposables, simple_modules,
                                tensor_over, tensor_powers, zero_module)
+from quiverext.resolutions import minimal_resolution
 from quiverext.suite import random_module, random_quiver_algebra
 
 
@@ -348,3 +350,54 @@ def test_built_modules_are_in_column_format(seed, field):
     for m in mods:
         _assert_column_format(m)
     _assert_column_format(Bimodule.regular(a).as_env_module())
+
+
+# -- modules over a tensor algebra keep their two sides -------------------
+
+def _random_pairs(rng, field, n, k):
+    """At most k random nonzero (index, coeff) pairs below n, in index
+    order: a sparse vector or algebra element."""
+    return tuple((i, x) for i in sorted(rng.sample(range(n), min(k, n)))
+                 if (x := field.of(rng.randint(-2, 2))))
+
+
+@given(seed=st.integers(0, 10**6), field=st.sampled_from([QQ, GF(2)]))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_sided_modules_agree_with_their_composed_action(seed, field):
+    """A module the engine builds over A^e keeps two sides: the regular
+    bimodule's, the dual bimodule's that HH reads, the projectives', their
+    direct sum's. Its act and action_map agree with linalg.act and
+    map_combination over the composed action, which passes the format
+    check and the validation on every basis pair (on generators for the
+    sum). The same holds for a syzygy over A^e,
+    and a direct sum with one flat summand is flat and agrees."""
+    rng = random.Random(seed)
+    a = random_quiver_algebra(rng, field, max_vertices=2, max_arrows=2)
+    reg = Bimodule.regular(a)
+    dual = Bimodule(a, a, a.dim, [transpose(m, a.dim) for m in reg.right_action],
+                    [transpose(m, a.dim) for m in reg.left_action],
+                    validate=False)
+    env = tensor_algebra(a, opposite(a))
+    sided = [reg.as_env_module(), dual.as_env_module(),
+             *(projective_data(env, s).module
+               for s in range(len(env.idempotents)))]
+    total = direct_sum(sided)
+    syz = minimal_resolution(sided[0], 1).syzygy_module(1)
+    assert all(m.algebra is env and hasattr(m, "sides")
+               for m in [*sided, total])
+    for m in [*sided, total, syz]:
+        flat = m.action
+        assert len(flat) == env.dim
+        _assert_column_format(m)
+        # the sum's blocks are validated as its summands
+        m.validate(full=m is not total)
+        for _ in range(4):
+            elem = _random_pairs(rng, field, env.dim, 3)
+            vec = dict(_random_pairs(rng, field, m.dim, 4))
+            assert m.act(elem, vec) == act(field, flat, elem, vec.items())
+            assert m.action_map(elem) == map_combination(field, elem, flat,
+                                                         m.dim)
+    mixed = direct_sum([sided[0], Module(env, sided[1].action,
+                                         validate=False)])
+    assert not hasattr(mixed, "sides")
+    assert mixed.action == direct_sum(sided[:2]).action
