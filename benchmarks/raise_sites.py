@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "quiverext"
 
 # the count of sites left unexecuted, at most; lower it as tests are added
-CEILING = 67
+CEILING = 65
 
 
 def raise_sites():

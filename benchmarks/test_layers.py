@@ -78,7 +78,7 @@ def lam_env(lam):
     a module over Lambda^e, built once."""
     lam_op = opposite(lam)
     env = tensor_algebra(lam, lam_op)
-    reg = Bimodule.regular(lam).as_env_module()
+    reg = Bimodule.regular(lam)
     assert reg.algebra is env
     return lam, lam_op, env, reg
 
@@ -92,7 +92,7 @@ def env14():
     a = random_quiver_algebra(rng, QQ, max_vertices=3, max_arrows=4)
     while a.dim != 14:
         a = random_quiver_algebra(rng, QQ, max_vertices=3, max_arrows=4)
-    reg = Bimodule.regular(a).as_env_module()
+    reg = Bimodule.regular(a)
     return a, opposite(a), reg.algebra, reg
 
 
@@ -182,6 +182,17 @@ def test_check_extension_pool_instance(benchmark, pool_extension):
     assert (ext.sub.dim, rep.quotient_dim) == (5, 2)
     assert (rep.pd_verdict.kind, rep.pd_verdict.value) == ("finite", 1)
     assert rep.sing_equiv.holds
+
+
+def test_projective_dimension_demo_quotient(benchmark, demo_extension):
+    """The demo's A/B over Gamma^e: its minimal resolution, read to pd 1,
+    and the check that certifies the finite pd on it."""
+    q = quotient_bimodule(demo_extension)
+    env = q.algebra
+    pd = _run(benchmark, lambda: resolutions.projective_dimension(q, 12),
+              [env, q])
+    assert (pd.kind, pd.value, pd.certificate["term_dims"]) == \
+        ("finite", 1, [12, 8])
 
 
 def test_tensor_over_demo_quotient(benchmark, demo_extension):

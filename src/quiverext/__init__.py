@@ -17,11 +17,11 @@ from .linalg import (GF, QQ, EchelonSpan, field_from_spec, quotient,
 from .algebra import (Algebra, opposite, product_algebra, scalar_algebra,
                       tensor_algebra, verify_algebra_isomorphism)
 from .quiver import QuiverPresentation, algebra_from_presentation
-from .modules import (Bimodule, Module, ModuleMap, bimodule_direct_sum,
-                      direct_sum, dual_module, hom_space, is_isomorphic,
-                      left_regular_module, projective_bimodule,
-                      projective_indecomposables, right_regular_module,
-                      simple_modules, tensor_over, tensor_powers, zero_module)
+from .modules import (Bimodule, Module, ModuleMap, direct_sum, dual_module,
+                      hom_space, is_isomorphic, left_regular_module,
+                      projective_bimodule, projective_indecomposables,
+                      right_regular_module, simple_modules, tensor_over,
+                      tensor_powers, zero_module)
 from .resolutions import (ChainComplex, PdVerdict, Resolution, ext,
                           is_projective, minimal_resolution, projective_cover,
                           projective_dimension, syzygy, tor)

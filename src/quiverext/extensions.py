@@ -30,8 +30,8 @@ from .errors import (FieldMismatchError, InternalCheckError, ValidationError,
 from .linalg import (EchelonSpan, compose, identity_map, map_combination,
                      quotient, sparse_combination, sparse_rank, to_column)
 from .algebra import Algebra, map_violation, product_algebra
-from .modules import (Bimodule, ModuleMap, bimodule_direct_sum,
-                      projective_bimodule, tensor_over, tensor_powers)
+from .modules import (Bimodule, ModuleMap, direct_sum, projective_bimodule,
+                      projective_indecomposables, tensor_over, tensor_powers)
 from .resolutions import (ChainComplex, is_projective, minimal_resolution,
                           projective_dimension, tor)
 from . import verdicts
@@ -167,7 +167,7 @@ def morita_ring_zero(b, c, m, n):
     pa = product_algebra(b, c)
     infl_m = _inflate_to_product(m, pa, left_part=1, right_part=0)
     infl_n = _inflate_to_product(n, pa, left_part=0, right_part=1)
-    total = bimodule_direct_sum([infl_m, infl_n])
+    total = direct_sum([infl_m, infl_n])
     t, ext = trivial_extension(pa, total)
     ext.provenance = "morita-zero"
     return t, ext
@@ -230,8 +230,7 @@ def check_nilpotency(ext, p_max):
 
 def check_bimodule_pd(ext, cap, seed=0):
     """Projective dimension of A/B over B^e, with resolution certificate."""
-    q = quotient_bimodule(ext)
-    return projective_dimension(q.as_env_module(), cap, seed=seed)
+    return projective_dimension(quotient_bimodule(ext), cap, seed=seed)
 
 
 def check_split(ext):
@@ -250,8 +249,10 @@ def check_tor_vanishing(ext, p, d):
     p is the nilpotency index, d the finite projective dimension of A/B
     over B^e; restriction of a bounded B^e-projective resolution shows
     pd_B(A/B) <= d on either side, so the rectangle covers all (i, j).
-    Both orientations are computed; their all-zero statuses must agree.
-    Returns (tables, verdict)."""
+    Both orientations are computed, the first resolving the right module
+    Q and the second the left module Q, so even at p = 2, where the power
+    is Q itself, they read Tor off two resolutions; Tor is balanced, so
+    their all-zero statuses must agree. Returns (tables, verdict)."""
     if d is None or p is None:
         raise ValidationError("tor range needs a finite pd and a nilpotency index")
     q = quotient_bimodule(ext)
@@ -261,7 +262,8 @@ def check_tor_vanishing(ext, p, d):
     for j in range(1, p):
         pj = powers[min(j, len(powers)) - 1]
         dims1 = tor(q.as_right_module(), pj.as_left_module(), d)
-        dims2 = tor(pj.as_right_module(), q.as_left_module(), d)
+        dims2 = tor(pj.as_right_module(), q.as_left_module(), d,
+                    resolve="second")
         for i in range(1, d + 1):
             table_qp[(i, j)] = dims1[i]
             table_pq[(i, j)] = dims2[i]
@@ -445,38 +447,23 @@ def projectivity_transport_check(ext, cap=12):
     for u, v in product(range(r), repeat=2):
         pb = projective_bimodule(b, u, v)
         moved = tensor_over(tensor_over(a_ab, pb), a_ba)
-        ok = is_projective(moved.as_env_module())
+        ok = is_projective(moved)
         results["transported"].append(((u, v), moved.dim, ok))
         if not ok:
             results["all_projective"] = False
-    q = quotient_bimodule(ext)
-    res = minimal_resolution(q.as_env_module(), cap=cap)
-    # B (x)_k B is the sum of the B e_u (x)_k e_v B over all (u, v)
-    bkb = _env_projective_bimodule(b, range(r * r))
-    for i, gens in enumerate(res.gens):
-        term = _env_projective_bimodule(b, gens)
-        if term is None:
+    res = minimal_resolution(quotient_bimodule(ext), cap=cap)
+    # B (x)_k B is the sum of the B e_u (x)_k e_v B, the projectives of B^e
+    bkb = direct_sum(projective_indecomposables(res.module.algebra))
+    for i in range(len(res.gens)):
+        term = res.projective_module(i)
+        if not term.dim:
             results["resolution_terms"].append((i, 0, True))
             continue
-        tensored = tensor_over(term, bkb)
-        ok = is_projective(tensored.as_env_module())
+        ok = is_projective(tensor_over(term, bkb))
         results["resolution_terms"].append((i, term.dim, ok))
         if not ok:
             results["all_projective"] = False
     return results
-
-
-def _env_projective_bimodule(b, gens):
-    """Rebuild the direct sum of B e_u (x) e_v B bimodules from the list of
-    enveloping-algebra idempotent indices."""
-    if not gens:
-        return None
-    r = len(b.idempotents)
-    parts = []
-    for g in gens:
-        u, v = divmod(g, r)
-        parts.append(projective_bimodule(b, u, v))
-    return bimodule_direct_sum(parts) if len(parts) > 1 else parts[0]
 
 
 # -- report assembly -----------------------------------------------------

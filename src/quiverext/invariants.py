@@ -120,7 +120,7 @@ def hochschild_homology(a, i_max):
     dual = Bimodule(a, a, a.dim, [transpose(m, a.dim) for m in reg.right_action],
                     [transpose(m, a.dim) for m in reg.left_action],
                     validate=False)
-    dims = ext_dims(reg.as_env_module(), dual.as_env_module(), i_max)
+    dims = ext_dims(reg, dual, i_max)
     hh0 = a.dim - commutator_rank(a)
     if dims[0] != hh0:
         raise InternalCheckError(

@@ -5,24 +5,22 @@ element, the column-sparse map (see linalg) by which it acts. An algebra
 element, given as its (index, coeff) pairs like every element of the
 engine, acts by the combination of those maps its pairs give, through
 `linalg.act`. Right modules are left modules over the opposite algebra.
-A module the engine builds over a tensor algebra L (x) R (a projective,
-a direct sum of them, a bimodule's module over L (x) R^op) keeps the two
-commuting actions of its factors instead, dim L + dim R maps in place of
-dim L * dim R (`_SidedModule`); its `act` applies both sides in one loop,
-and its one map per basis element is composed only when read.
-A Bimodule always has both sides: it stores one action family per side
-and exposes the equivalent left module over the tensor algebra L (x)
-R^op on demand; storing the sides separately keeps validation and tensor
-products cheap.
+A Bimodule over (L, R) is a Module over its `algebra` L (x) R^op, built
+on first read (Cartan-Eilenberg, Homological Algebra, IX): it stores the
+two commuting actions, dim L + dim R maps in place of dim L * dim R, its
+`act` applies both in one loop, and its one map per basis element is
+composed only when read. The projectives of a tensor algebra and their
+direct sums are bimodules, so resolutions, Ext and hom spaces over
+L (x) R^op take bimodules directly, and storing the sides keeps
+validation and tensor products cheap.
 The constructors reject an action not in column-sparse form, and one
 routine, `_check_action`, checks every action: a module's, and each side
-of a bimodule's. The modules `direct_sum`, `projective_data` and
-`Bimodule.as_env_module` build skip the format check: their maps are
-block sums, Kronecker products and the sides of maps already checked, so
-they are column-sparse by construction. A ModuleMap is column-sparse
-too, with dim(source) columns and dim(target) rows, so hom bases and
-isomorphism witnesses are in the format every other map in the engine
-uses.
+of a bimodule's. The modules and bimodules `direct_sum` and
+`projective_data` build skip the format check (`_built`): their maps are
+block sums and Kronecker products of maps already checked, so they are
+column-sparse by construction. A ModuleMap is column-sparse too, with
+dim(source) columns and dim(target) rows, so hom bases and isomorphism
+witnesses are in the format every other map in the engine uses.
 
 Tensor products over an algebra are computed as explicit coequalizers:
 (M (x)_k N) / span{ m.b (x) n - m (x) b.n }, with b running over an
@@ -45,7 +43,7 @@ from .algebra import opposite, pure_tensor, tensor_algebra
 
 class Module:
     """Left module over a fixed algebra, given by one column-sparse action
-    map per algebra basis element (but see _SidedModule)."""
+    map per algebra basis element (a Bimodule stores its two sides)."""
 
     __slots__ = ("algebra", "dim", "action", "_cache")
 
@@ -87,66 +85,6 @@ class Module:
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
-
-
-class _SidedModule(Module):
-    """A module over a tensor algebra L (x) R kept as the two commuting
-    actions of its factors, `sides = (left, right)`: dim L + dim R
-    column-sparse maps, the basis element x (x) y (index x * dim R + y)
-    acting as left[x] o right[y]. `act` runs both sides in one loop;
-    `action`, one composed map per basis element, is built on first read
-    for the readers that want flat maps (duals, validation, a direct sum
-    with a flat summand)."""
-
-    __slots__ = ("sides", "_flat")
-
-    def __init__(self, algebra, left, right, dim):
-        self.algebra, self.dim, self._cache = algebra, dim, {}
-        self.sides = (tuple(left), tuple(right))
-        self._flat = None
-
-    @property
-    def action(self):
-        if self._flat is None:
-            f = self.algebra.field
-            left, right = self.sides
-            self._flat = tuple(compose(f, lm, rm) for lm in left
-                               for rm in right)
-        return self._flat
-
-    def act(self, elem, vec):
-        """The action on the sparse vector vec of the algebra element elem:
-        for each (u, a) of elem, with u = x * dim R + y, each (k, c) of vec
-        walks column k of right[y] and then the columns of left[x] it
-        meets, into one dict. An empty column costs no product."""
-        f = self.algebra.field
-        add, mul = f.add, f.mul
-        left, right = self.sides
-        nr = len(right)
-        items = vec.items()
-        out = {}
-        for u, a in elem:
-            x, y = divmod(u, nr)
-            lm, rm = left[x], right[y]
-            for k, c in items:
-                rcol = rm[k]
-                if rcol:
-                    ac = mul(a, c)
-                    for r, v in rcol:
-                        lcol = lm[r]
-                        if lcol:
-                            acv = mul(ac, v)
-                            for t, w in lcol:
-                                z = mul(acv, w)
-                                out[t] = add(out[t], z) if t in out else z
-        return {t: z for t, z in out.items() if z}
-
-    def action_map(self, elem):
-        """The column-sparse map of elem, read column by column off `act`
-        on the unit vectors."""
-        one = self.algebra.field.one
-        return tuple(to_column(self.act(elem, {k: one}))
-                     for k in range(self.dim))
 
 
 def _check_format(alg, action, dim, side):
@@ -233,17 +171,24 @@ def right_regular_module(algebra):
 
 
 def direct_sum(modules):
+    """The direct sum of modules over one algebra, block by block. If every
+    summand is a bimodule over the same two algebras, by identity, so that
+    no L (x) R^op is built to check it, the sum is a bimodule, the block
+    sum of each side; otherwise it is flat."""
     if not modules:
         raise ValidationError("empty direct sum needs an algebra; use zero_module")
-    a = modules[0].algebra
-    for m in modules:
-        if m.algebra is not a:
-            raise ValidationError("direct sum over mixed algebras")
-    dims = [m.dim for m in modules]
-    if all(isinstance(m, _SidedModule) for m in modules):
-        left, right = (_block_sums([m.sides[i] for m in modules], dims)
-                       for i in (0, 1))
-        return _SidedModule(a, left, right, sum(dims))
+    first, dims = modules[0], [m.dim for m in modules]
+    if all(isinstance(m, Bimodule) for m in modules):
+        if any(m.left_alg is not first.left_alg
+               or m.right_alg is not first.right_alg for m in modules):
+            raise ValidationError("direct sum of bimodules with different sides")
+        return Bimodule._built(
+            first.left_alg, first.right_alg, sum(dims),
+            _block_sums([m.left_action for m in modules], dims),
+            _block_sums([m.right_action for m in modules], dims), first._env)
+    a = first.algebra
+    if any(m.algebra is not a for m in modules):
+        raise ValidationError("direct sum over mixed algebras")
     return Module._built(a, _block_sums([m.action for m in modules], dims),
                          sum(dims))
 
@@ -280,8 +225,9 @@ def projective_data(algebra, s):
     span of the b_j e_s, and the action in that basis. Over a tensor
     algebra A (x) B, with e_s = e_p (x) f_q, it is A e_p (x) B f_q: the
     pure tensors of the factors' rows are already reduced echelon, with
-    pivots p' * dim B + q', and the module keeps two sides, the factors'
-    actions a (x) 1 and 1 (x) b, which compose to a (x) b."""
+    pivots p' * dim B + q', and the module is the (A, B^op)-bimodule whose
+    two sides are the factors' actions a (x) 1 and 1 (x) b, with A (x) B
+    itself as its algebra."""
     key = ("proj", s)
     if key in algebra._cache:
         return algebra._cache[key]
@@ -296,8 +242,8 @@ def projective_data(algebra, s):
                           [pure_tensor(f, x, y, b.dim)
                            for x in xa.sparse_rows for y in xb.sparse_rows],
                           [i * b.dim + j for i in xa.pivots for j in xb.pivots])
-        module = _SidedModule(algebra, *_kron_sides(
-            f, pa.module.action, xa.dim, pb.module.action, xb.dim), rb.dim)
+        module = Bimodule._built(a, opposite(b), rb.dim, *_kron_sides(
+            f, pa.module.action, xa.dim, pb.module.action, xb.dim), algebra)
     else:
         span = EchelonSpan(f, algebra.dim)
         for j in range(algebra.dim):
@@ -465,37 +411,66 @@ def is_isomorphic(m, n, seed=0):
     return "unresolved", None
 
 
-class Bimodule:
+class Bimodule(Module):
     """An (L, R)-bimodule: a left action of L and a right action of R on the
-    same space, both always present.
+    same space, both always present. It is the left module over its
+    `algebra` L (x) R^op on which x (x) y^op acts by m -> x m y; that
+    algebra is read through env_algebra() on first access, then stored.
 
-    This is the data of a left module over tensor_algebra(L, opposite(R)),
-    available via as_env_module(). The left action is an algebra map, the
-    right action an anti-map, and the two commute; validation checks this
-    on generators.
+    It keeps the two actions, dim L + dim R column-sparse maps: the basis
+    element x (x) y^op, index x * dim R + y, acts as left_action[x] o
+    right_action[y]. `act` runs both sides in one loop; `action`, one
+    composed map per basis element, is built on first read for the readers
+    that want flat maps (duals, a direct sum with a flat summand). The left
+    action is an algebra map, the right action an anti-map, and the two
+    commute; validation checks this on generators, which implies the module
+    axioms over L (x) R^op.
     """
 
-    __slots__ = ("left_alg", "right_alg", "dim", "left_action", "right_action",
-                 "_cache")
+    __slots__ = ("left_alg", "right_alg", "left_action", "right_action",
+                 "_env", "_flat")
 
     def __init__(self, left_alg, right_alg, dim, left_action, right_action,
                  validate=True):
         if left_alg.field != right_alg.field:
             raise FieldMismatchError("bimodule sides over different fields")
-        self.left_alg = left_alg
-        self.right_alg = right_alg
-        self.dim = dim
+        self.left_alg, self.right_alg, self.dim = left_alg, right_alg, dim
         self.left_action = tuple(left_action)
         self.right_action = tuple(right_action)
+        self._env, self._flat, self._cache = None, None, {}
         _check_format(left_alg, self.left_action, dim, "left")
         _check_format(right_alg, self.right_action, dim, "right")
-        self._cache = {}
         if validate:
             self.validate()
+
+    @classmethod
+    def _built(cls, left_alg, right_alg, dim, left_action, right_action,
+               algebra=None):
+        """A bimodule whose sides were built from checked maps: no format
+        check, no validation. algebra is L (x) R^op if the caller holds it."""
+        m = cls.__new__(cls)
+        m.left_alg, m.right_alg, m.dim = left_alg, right_alg, dim
+        m.left_action, m.right_action = tuple(left_action), tuple(right_action)
+        m._env, m._flat, m._cache = algebra, None, {}
+        return m
 
     @property
     def field(self):
         return self.left_alg.field
+
+    @property
+    def algebra(self):
+        if self._env is None:
+            self._env = self.env_algebra()
+        return self._env
+
+    @property
+    def action(self):
+        if self._flat is None:
+            f = self.field
+            self._flat = tuple(compose(f, lm, rm) for lm in self.left_action
+                               for rm in self.right_action)
+        return self._flat
 
     @classmethod
     def regular(cls, a):
@@ -506,6 +481,41 @@ class Bimodule:
                                                opposite(a).table,
                                                validate=False)
         return a._cache["regular_bimodule"]
+
+    def act(self, elem, vec):
+        """The action on the sparse vector vec of the element elem of
+        L (x) R^op: for each (u, a) of elem, with u = x * dim R + y, each
+        (k, c) of vec walks column k of right_action[y] and then the columns
+        of left_action[x] it meets, into one dict. An empty column costs no
+        product."""
+        f = self.left_alg.field
+        add, mul = f.add, f.mul
+        left, right = self.left_action, self.right_action
+        nr = len(right)
+        items = vec.items()
+        out = {}
+        for u, a in elem:
+            x, y = divmod(u, nr)
+            lm, rm = left[x], right[y]
+            for k, c in items:
+                rcol = rm[k]
+                if rcol:
+                    ac = mul(a, c)
+                    for r, v in rcol:
+                        lcol = lm[r]
+                        if lcol:
+                            acv = mul(ac, v)
+                            for t, w in lcol:
+                                z = mul(acv, w)
+                                out[t] = add(out[t], z) if t in out else z
+        return {t: z for t, z in out.items() if z}
+
+    def action_map(self, elem):
+        """The column-sparse map of elem, read column by column off `act`
+        on the unit vectors."""
+        one = self.field.one
+        return tuple(to_column(self.act(elem, {k: one}))
+                     for k in range(self.dim))
 
     def validate(self):
         l, r = self.left_alg, self.right_alg
@@ -533,16 +543,8 @@ class Bimodule:
         return self._cache["as_right"]
 
     def env_algebra(self):
+        """L (x) R^op, the one place a bimodule builds it."""
         return tensor_algebra(self.left_alg, opposite(self.right_alg))
-
-    def as_env_module(self):
-        """Left module over L (x) R^op: (x (x) y^op) . m = x m y. It keeps
-        the two actions as its sides, composing none of them."""
-        if "as_env" not in self._cache:
-            self._cache["as_env"] = _SidedModule(
-                self.env_algebra(), self.left_action, self.right_action,
-                self.dim)
-        return self._cache["as_env"]
 
     def __repr__(self):
         return (f"Bimodule(dim={self.dim}, left={self.left_alg.dim}, "
@@ -607,21 +609,6 @@ def tensor_powers(m, n):
     while 0 < len(powers) < n and powers[-1].dim:
         powers.append(tensor_over(powers[-1], m))
     return powers
-
-
-def bimodule_direct_sum(bimodules):
-    """Direct sum of bimodules over the same two algebras."""
-    if not bimodules:
-        raise ValidationError("empty bimodule direct sum")
-    first = bimodules[0]
-    for m in bimodules:
-        if m.left_alg is not first.left_alg or m.right_alg is not first.right_alg:
-            raise ValidationError("direct sum of bimodules with different sides")
-    dims = [m.dim for m in bimodules]
-    return Bimodule(first.left_alg, first.right_alg, sum(dims),
-                    _block_sums([m.left_action for m in bimodules], dims),
-                    _block_sums([m.right_action for m in bimodules], dims),
-                    validate=False)
 
 
 def projective_bimodule(b, u, v, right_alg=None):

@@ -17,8 +17,9 @@ self-injective factors like the dual numbers.
 from .linalg import EchelonSpan, map_combination, quotient
 from .quiver import QuiverPresentation, algebra_from_presentation
 from .errors import AdmissibilityError, PresentationError
-from .modules import (Bimodule, Module, bimodule_direct_sum, projective_data,
-                      projective_bimodule)
+from .modules import (Bimodule, Module, direct_sum, hom_space,
+                      projective_data, projective_bimodule,
+                      simple_top_coefficients)
 from .algebra import opposite
 
 
@@ -68,7 +69,6 @@ def random_module(rng, algebra, max_dim=5):
     f = algebra.field
     r = len(algebra.idempotents)
     summands = [rng.randrange(r) for _ in range(rng.randint(1, 2))]
-    from .modules import direct_sum
     proj = direct_sum([projective_data(algebra, s).module for s in summands])
     if proj.dim == 0:
         return proj
@@ -116,7 +116,6 @@ def corner_projective_bimodule(rng, b):
 def cokernel_pd1_bimodule(rng, bleft, bright=None, tries=12):
     """Cokernel of an injective map between projective (L, R)-bimodules: a
     bimodule of projective dimension <= 1 over L (x) R^op by construction."""
-    from .modules import hom_space
     bright = bright if bright is not None else bleft
     f = bleft.field
     rl = len(bleft.idempotents)
@@ -127,11 +126,11 @@ def cokernel_pd1_bimodule(rng, bleft, bright=None, tries=12):
         tgts = [projective_bimodule(bleft, rng.randrange(rl), rng.randrange(rr),
                                     right_alg=bright)
                 for _ in range(rng.randint(1, 2))]
-        tgt = tgts[0] if len(tgts) == 1 else bimodule_direct_sum(tgts)
+        tgt = tgts[0] if len(tgts) == 1 else direct_sum(tgts)
         if src.dim == 0 or tgt.dim <= src.dim:
             continue
         # a bimodule map src -> tgt: random combination of the hom basis
-        basis = hom_space(src.as_env_module(), tgt.as_env_module())
+        basis = hom_space(src, tgt)
         if not basis:
             continue
         p = f.characteristic
@@ -159,7 +158,6 @@ def inflated_simple_bimodule(b, i, j):
     zero, the left action factors through the i-th simple and the right
     action through the j-th; over non-semisimple B this typically has
     infinite projective dimension over B^e."""
-    from .modules import simple_top_coefficients
     c = simple_top_coefficients(b)
     return Bimodule(b, b, 1, [(col,) for col in c[i]],
                     [(col,) for col in c[j]], validate=False)

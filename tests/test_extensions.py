@@ -475,8 +475,8 @@ def test_tor_check_rejects_orientations_that_disagree(monkeypatch, field):
     assert check_tor_vanishing(ext, 2, 1)[1].holds
     real, calls = extensions.tor, []
 
-    def tor(m, n, top):
-        dims = real(m, n, top)
+    def tor(m, n, top, resolve="first"):
+        dims = real(m, n, top, resolve=resolve)
         calls.append(dims)
         return [dims[0], 1, *dims[2:]] if len(calls) == 1 else dims
 
@@ -485,6 +485,24 @@ def test_tor_check_rejects_orientations_that_disagree(monkeypatch, field):
                        match="Tor vanishing orientations disagree"):
         check_tor_vanishing(ext, 2, 1)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field", [None, "p:2"])
+def test_tor_check_resolves_a_right_and_a_left_module(monkeypatch, field):
+    """At p = 2 the only power is Q itself, and the two orientations still
+    read Tor off two resolutions: of Q as a right B-module (a left module
+    over B^op), then of Q as a left B-module."""
+    from quiverext import resolutions
+    ext = demo_extension(field)
+    resolved, real = [], resolutions.minimal_resolution
+
+    def recording(m, *args, **kwargs):
+        resolved.append(m.algebra)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "minimal_resolution", recording)
+    assert check_tor_vanishing(ext, 2, 1)[1].holds
+    assert resolved == [opposite(ext.sub), ext.sub]
 
 
 @pytest.mark.parametrize("field", [None, "p:2"])
@@ -531,7 +549,7 @@ def test_augmented_resolution_exact_with_euler(gamma_in_lambda):
     zero: 4 - 12 + 8 = 0."""
     from quiverext.modules import ModuleMap
     from quiverext.resolutions import ChainComplex, minimal_resolution
-    q = quotient_bimodule(gamma_in_lambda).as_env_module()
+    q = quotient_bimodule(gamma_in_lambda)
     res = minimal_resolution(q, 6)
     assert res.terminated and res.term_dims() == [12, 8]
     modules = {0: q}

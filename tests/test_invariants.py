@@ -199,7 +199,7 @@ def test_happel_enveloping_resolution_matches_simple_ext(seed, field):
     assume(a.dim <= 9)
     cap = 3
     r = len(a.idempotents)
-    res = minimal_resolution(Bimodule.regular(a).as_env_module(), cap)
+    res = minimal_resolution(Bimodule.regular(a), cap)
     simples = simple_modules(a)
     exts = {(j, i): ext(simples[j], simples[i], cap)
             for j in range(r) for i in range(r)}

@@ -9,12 +9,12 @@ from quiverext.linalg import (GF, QQ, EchelonSpan, act, identity_map,
                               map_combination, map_problem, sparse_rank,
                               transpose)
 from quiverext.algebra import Algebra, opposite, tensor_algebra
-from quiverext.modules import (Bimodule, Module, ModuleMap, bimodule_direct_sum,
-                               direct_sum, dual_module, hom_space,
-                               is_isomorphic, left_regular_module,
-                               projective_bimodule, projective_data,
-                               projective_indecomposables, simple_modules,
-                               tensor_over, tensor_powers, zero_module)
+from quiverext.modules import (Bimodule, Module, ModuleMap, direct_sum,
+                               dual_module, hom_space, is_isomorphic,
+                               left_regular_module, projective_bimodule,
+                               projective_data, projective_indecomposables,
+                               simple_modules, tensor_over, tensor_powers,
+                               zero_module)
 from quiverext.resolutions import minimal_resolution
 from quiverext.suite import random_module, random_quiver_algebra
 
@@ -103,7 +103,7 @@ def test_tensor_identity(gamma):
             p = projective_bimodule(gamma, u, v)
             t = tensor_over(reg, p)
             assert t.dim == p.dim
-            verdict, _ = is_isomorphic(t.as_env_module(), p.as_env_module())
+            verdict, _ = is_isomorphic(t, p)
             assert verdict == "yes"
 
 
@@ -190,22 +190,62 @@ def test_projective_bimodule_is_env_projective(gamma):
     from quiverext.resolutions import is_projective
     pb = projective_bimodule(gamma, 0, 1)
     assert pb.dim == 4 * 3
-    assert is_projective(pb.as_env_module())
+    assert is_projective(pb)
 
 
-def test_bimodule_direct_sum(gamma):
+def test_direct_sum_of_bimodules(gamma):
+    """direct_sum is the one direct sum: of bimodules over the same two
+    algebras it is a bimodule, the block sum of each side."""
     pb1 = projective_bimodule(gamma, 0, 0)
     pb2 = projective_bimodule(gamma, 1, 1)
-    s = bimodule_direct_sum([pb1, pb2])
+    s = direct_sum([pb1, pb2])
+    assert isinstance(s, Bimodule)
+    assert (s.left_alg, s.right_alg) == (gamma, gamma)
     assert s.dim == pb1.dim + pb2.dim
+    s.validate()
+
+
+def test_direct_sum_rejects_bimodules_with_different_sides(gamma):
+    pb = projective_bimodule(gamma, 0, 0)
+    other = projective_bimodule(gamma, 0, 0, right_alg=opposite(gamma))
+    with pytest.raises(ValidationError, match="bimodules with different sides"):
+        direct_sum([pb, other])
+
+
+def test_bimodule_sums_build_no_tensor_algebra(monkeypatch, gamma):
+    """A direct sum of bimodules, and the Morita ring over two of them,
+    check the sides by identity: neither builds L (x) R^op."""
+    from quiverext.extensions import morita_ring_zero
+    g = Algebra(gamma.field, gamma.basis_labels, gamma.table, gamma.unit,
+                gamma.radical_rows, gamma.idempotents)  # an empty cache
+    m, n = projective_bimodule(g, 0, 1), projective_bimodule(g, 1, 0)
+    kinds, real_init = [], Algebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        kinds.append(kwargs.get("meta", {}).get("kind"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Algebra, "__init__", counting_init)
+    assert isinstance(direct_sum([m, n]), Bimodule)
+    assert kinds == []
+    morita_ring_zero(g, g, m, n)
+    assert kinds and "tensor" not in kinds
+
+
+def test_projectives_of_a_tensor_algebra_are_bimodules(gamma):
+    env = tensor_algebra(gamma, opposite(gamma))
+    for s in range(len(env.idempotents)):
+        p = projective_data(env, s).module
+        assert isinstance(p, Bimodule) and p.algebra is env
+        assert p.left_alg is gamma and p.right_alg is gamma
 
 
 def test_env_module_roundtrip(gamma):
     reg = Bimodule.regular(gamma)
-    env = reg.as_env_module()
-    assert env.algebra is tensor_algebra(gamma, opposite(gamma))
-    assert env.dim == gamma.dim
-    env.validate()
+    assert isinstance(reg, Module)
+    assert reg.algebra is tensor_algebra(gamma, opposite(gamma))
+    assert reg.dim == gamma.dim
+    reg.validate()
 
 
 def test_zero_module(gamma):
@@ -340,8 +380,9 @@ def test_tensor_structure_matches_general_path(seeds, field):
 @given(seed=st.integers(0, 10**6), field=st.sampled_from([QQ, GF(2), GF(3)]))
 @settings(max_examples=20, deadline=None, derandomize=True)
 def test_built_modules_are_in_column_format(seed, field):
-    """direct_sum, projective_data and as_env_module build their modules
-    without the format check; every action map they build passes it."""
+    """direct_sum and projective_data build their modules without the
+    format check, and a bimodule composes its flat action unchecked; every
+    action map they build passes it."""
     rng = random.Random(seed)
     a = random_quiver_algebra(rng, field, max_vertices=2, max_arrows=3)
     mods = [random_module(rng, a), *projective_indecomposables(a),
@@ -349,7 +390,7 @@ def test_built_modules_are_in_column_format(seed, field):
     _assert_column_format(direct_sum(mods))
     for m in mods:
         _assert_column_format(m)
-    _assert_column_format(Bimodule.regular(a).as_env_module())
+    _assert_column_format(Bimodule.regular(a))
 
 
 # -- modules over a tensor algebra keep their two sides -------------------
@@ -364,13 +405,13 @@ def _random_pairs(rng, field, n, k):
 @given(seed=st.integers(0, 10**6), field=st.sampled_from([QQ, GF(2)]))
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_sided_modules_agree_with_their_composed_action(seed, field):
-    """A module the engine builds over A^e keeps two sides: the regular
-    bimodule's, the dual bimodule's that HH reads, the projectives', their
-    direct sum's. Its act and action_map agree with linalg.act and
-    map_combination over the composed action, which passes the format
-    check and the validation on every basis pair (on generators for the
-    sum). The same holds for a syzygy over A^e,
-    and a direct sum with one flat summand is flat and agrees."""
+    """A module the engine builds over A^e is a bimodule that keeps its two
+    sides: the regular bimodule, the dual bimodule that HH reads, the
+    projectives, their direct sum. Its act and action_map agree with
+    linalg.act and map_combination over the composed action, which passes
+    the format check and the validation on every basis pair (on generators
+    for the sum). The same holds for a syzygy over A^e, and a direct sum
+    with one flat summand is flat and agrees."""
     rng = random.Random(seed)
     a = random_quiver_algebra(rng, field, max_vertices=2, max_arrows=2)
     reg = Bimodule.regular(a)
@@ -378,19 +419,18 @@ def test_sided_modules_agree_with_their_composed_action(seed, field):
                     [transpose(m, a.dim) for m in reg.left_action],
                     validate=False)
     env = tensor_algebra(a, opposite(a))
-    sided = [reg.as_env_module(), dual.as_env_module(),
-             *(projective_data(env, s).module
-               for s in range(len(env.idempotents)))]
+    sided = [reg, dual, *(projective_data(env, s).module
+                          for s in range(len(env.idempotents)))]
     total = direct_sum(sided)
     syz = minimal_resolution(sided[0], 1).syzygy_module(1)
-    assert all(m.algebra is env and hasattr(m, "sides")
+    assert all(isinstance(m, Bimodule) and m.algebra is env
                for m in [*sided, total])
     for m in [*sided, total, syz]:
         flat = m.action
         assert len(flat) == env.dim
         _assert_column_format(m)
         # the sum's blocks are validated as its summands
-        m.validate(full=m is not total)
+        Module(env, flat, validate=False).validate(full=m is not total)
         for _ in range(4):
             elem = _random_pairs(rng, field, env.dim, 3)
             vec = dict(_random_pairs(rng, field, m.dim, 4))
@@ -399,5 +439,5 @@ def test_sided_modules_agree_with_their_composed_action(seed, field):
                                                          m.dim)
     mixed = direct_sum([sided[0], Module(env, sided[1].action,
                                          validate=False)])
-    assert not hasattr(mixed, "sides")
+    assert not isinstance(mixed, Bimodule)
     assert mixed.action == direct_sum(sided[:2]).action

@@ -40,7 +40,7 @@ def test_cokernel_bimodule_pd_at_most_one(gamma):
     rng = random.Random(3)
     m = cokernel_pd1_bimodule(rng, gamma)
     assert m is not None
-    pd = projective_dimension(m.as_env_module(), 4)
+    pd = projective_dimension(m, 4)
     assert pd.kind == "finite" and pd.value <= 1
 
 
