@@ -7,13 +7,13 @@ verified, never discovered. An algebra from outside (a presentation, a
 document, a direct `Algebra(...)`) runs the full invariant battery
 (associativity, unit law, radical is a nilpotent two-sided ideal,
 idempotents are complete, the semisimple quotient is split basic).
-`opposite`, `tensor_algebra` and `product_algebra` build with
-`validate=False`, which runs only the shape, idempotent and dimension
-checks: their outputs are valid by theorem when their inputs are (rad(A
-(x) B) = rad A (x) B + A (x) rad B, with semisimple quotient k^r (x) k^s).
-A tensor algebra keeps its two factors (`factors`, None elsewhere) and
-reads its generators and projectives off theirs; its radical rows are
-built reduced echelon, so they are its radical basis.
+`opposite` and `product_algebra` build with `validate=False`, which runs
+only the shape, idempotent and dimension checks, and `tensor_algebra`
+(`_built`) runs none: their outputs are valid by theorem when their inputs
+are (rad(A (x) B) = rad A (x) B + A (x) rad B, with semisimple quotient k^r
+(x) k^s). A tensor algebra keeps its two factors (`factors`, None
+elsewhere) and reads its generators, projectives and radical basis off
+them; an algebra and its opposite keep each other (`_opposite`).
 
 The multiplication table is the left regular action: row i is the
 column-sparse map (see linalg) of left multiplication by b_i, so
@@ -43,13 +43,14 @@ product. Its callers add only their own extra condition.
 from functools import partial
 
 from .errors import FieldMismatchError, ValidationError
-from .linalg import (EchelonSpan, ReducedBasis, act, map_problem,
+from .linalg import (EchelonSpan, ReducedBasis, act, kron, map_problem,
                      sparse_combination, sparse_rank)
 
 
 class Algebra:
     __slots__ = ("field", "dim", "basis_labels", "table", "unit",
-                 "radical_rows", "idempotents", "meta", "factors", "_cache")
+                 "radical_rows", "idempotents", "meta", "factors",
+                 "_opposite", "_cache")
 
     def __init__(self, field, basis_labels, table, unit, radical_rows,
                  idempotents, meta=None, validate=True):
@@ -72,14 +73,23 @@ class Algebra:
                 if problem:
                     raise ValidationError(f"{what}: {problem}")
         self.meta = dict(meta) if meta else {}
-        self.factors = None
-        self._cache = {}
+        self.factors, self._opposite, self._cache = None, None, {}
         if validate:
             self.validate()
         else:  # valid by construction: only the cheap structural checks
             self._check_shape()
             self._check_idempotents()
             self._check_count(len(self.radical_rows))
+
+    @classmethod
+    def _built(cls, field, labels, table, unit, radical_rows, idempotents,
+               meta, factors):
+        """An algebra derived from checked ones, valid by construction."""
+        a = cls.__new__(cls)
+        a.field, a.dim, a.basis_labels, a.table = field, len(labels), labels, table
+        a.unit, a.radical_rows, a.idempotents = unit, radical_rows, idempotents
+        a.meta, a.factors, a._opposite, a._cache = meta, factors, None, {}
+        return a
 
     # -- basic arithmetic -------------------------------------------------
 
@@ -256,27 +266,25 @@ def scalar_algebra(field, label="e"):
 
 
 def opposite(a):
-    """Opposite algebra: same basis, reversed multiplication."""
-    if "opposite" in a._cache:
-        return a._cache["opposite"]
-    n = a.dim
-    table = tuple(tuple(a.table[j][i] for j in range(n)) for i in range(n))
-    opp = Algebra(a.field, a.basis_labels, table, a.unit, a.radical_rows,
-                  a.idempotents, meta={"kind": "opposite"},
-                  validate=False)
-    a._cache["opposite"] = opp
-    opp._cache["opposite"] = a
-    return opp
+    """Opposite algebra: same basis, reversed multiplication. The pair is
+    built once and kept in the slots of both, never in a cache."""
+    if a._opposite is None:  # row i of the opposite's table is column i
+        a._opposite = Algebra(a.field, a.basis_labels, tuple(zip(*a.table)),
+                              a.unit, a.radical_rows, a.idempotents,
+                              meta={"kind": "opposite"}, validate=False)
+        a._opposite._opposite = a
+    return a._opposite
 
 
 def tensor_algebra(a, b):
     """Tensor product algebra A (x)_k B; basis pairs in row-major order.
 
-    Both factors must be elementary over the same field. The radical is
-    rad A (x) B + A (x) rad B and the idempotents are the pairwise products
-    e_p (x) f_q, at index p * #idempotents(B) + q. The result keeps (A, B)
-    in its `factors` slot, not in the cache, which may be emptied; its
-    generators and projectives are built from the factors'.
+    Both factors must be elementary over the same field. Row p * dim B + q
+    of the table is the Kronecker product of row p of A's and row q of B's,
+    the radical is rad A (x) B + A (x) rad B and the idempotents are the
+    pairwise products e_p (x) f_q, at index p * #idempotents(B) + q: all
+    from the checked factors, so no check runs. The result keeps (A, B) in
+    `factors`, and builds its generators and projectives from them.
     """
     if a.field != b.field:
         raise FieldMismatchError("tensor factors over different fields")
@@ -287,23 +295,18 @@ def tensor_algebra(a, b):
         return a._cache[key][1]
     f = a.field
     na, nb = a.dim, b.dim
-    labels = tuple(f"({la}|{lb})" for la in a.basis_labels for lb in b.basis_labels)
-    table = [tuple([pure_tensor(f, acell, bcell, nb) if acell and bcell
-                    else () for acell in arow for bcell in brow])
-             for arow in a.table for brow in b.table]
     span = EchelonSpan(f, na * nb)
     for r in a.radical_rows:
         span.extend(pure_tensor(f, r, ((j, f.one),), nb) for j in range(nb))
     for s in b.radical_rows:
         span.extend(pure_tensor(f, ((i, f.one),), s, nb) for i in range(na))
-    idempotents = [pure_tensor(f, e, g, nb) for e in a.idempotents
-                   for g in b.idempotents]
-
-    out = Algebra(f, labels, table, pure_tensor(f, a.unit, b.unit, nb),
-                  span.reduced_basis().sparse_rows, idempotents,
-                  meta={"kind": "tensor"},
-                  validate=False)
-    out.factors = (a, b)
+    labels = tuple(f"({la}|{lb})" for la in a.basis_labels for lb in b.basis_labels)
+    table = tuple(kron(f, ra, rb, nb) for ra in a.table for rb in b.table)
+    idempotents = tuple(pure_tensor(f, e, g, nb) for e in a.idempotents
+                        for g in b.idempotents)
+    out = Algebra._built(f, labels, table, pure_tensor(f, a.unit, b.unit, nb),
+                         tuple(span.reduced_basis().sparse_rows), idempotents,
+                         {"kind": "tensor"}, (a, b))
     a._cache[key] = (b, out)
     return out
 

@@ -18,7 +18,8 @@ routine, `_check_action`, checks every action: a module's, and each side
 of a bimodule's. The modules and bimodules `direct_sum` and
 `projective_data` build skip the format check (`_built`): their maps are
 block sums and Kronecker products of maps already checked, so they are
-column-sparse by construction. A ModuleMap is column-sparse too, with
+column-sparse by construction. A projective bimodule is one of them, a
+projective of B (x) R^op. A ModuleMap is column-sparse too, with
 dim(source) columns and dim(target) rows, so hom bases and isomorphism
 witnesses are in the format every other map in the engine uses.
 
@@ -78,9 +79,7 @@ class Module:
         """Check the action on every basis pair (full) or on every pair of
         algebra generators, which implies it."""
         a = self.algebra
-        elems = ([((i, a.field.one),) for i in range(a.dim)] if full
-                 else a.generators())
-        _check_action(a, self.action, self.dim, elems, a.sparse_multiply,
+        _check_action(a, self.action, self.dim, full, a.sparse_multiply,
                       "module")
 
     def __repr__(self):
@@ -102,13 +101,13 @@ def _check_format(alg, action, dim, side):
     return dim
 
 
-def _check_action(alg, action, dim, elems, product, side):
+def _check_action(alg, action, dim, full, product, side):
     """Raise unless `action` (one column-sparse map of k^dim per basis
     element of alg) is unital and x.(y.m) = product(x, y).m for all x, y in
-    elems, which are algebra elements as (index, coeff) pairs. The map of
-    each element of elems is built once, and they are returned. A right
-    action is checked with the reversed product y x, as a left action of
-    the opposite algebra, without building that algebra."""
+    the basis of alg (full) or in its generators. The map of each such x is
+    built once, and they are returned. A right action is checked with the
+    reversed product y x, as a left action of the opposite algebra, without
+    building that algebra."""
     if not dim:
         return []
     f = alg.field
@@ -118,6 +117,8 @@ def _check_action(alg, action, dim, elems, product, side):
 
     if mat(alg.unit) != identity_map(f, dim):
         raise ValidationError(f"{side} action: unit does not act as the identity")
+    elems = ([((i, f.one),) for i in range(alg.dim)] if full
+             else alg.generators())
     mats = [mat(x) for x in elems]
     for x, mx in zip(elems, mats):
         for y, my in zip(elems, mats):
@@ -199,14 +200,6 @@ def _block_sums(families, dims):
     return [block_sum(maps, dims) for maps in zip(*families)]
 
 
-def _kron_sides(field, lmaps, ldim, rmaps, rdim):
-    """The two actions on V (x) W, dim V = ldim, dim W = rdim, given by the
-    maps lmaps on V and rmaps on W: lmaps[x] (x) 1 and 1 (x) rmaps[y]."""
-    lid, rid = identity_map(field, ldim), identity_map(field, rdim)
-    return ([kron(field, m, rid, rdim) for m in lmaps],
-            [kron(field, lid, m, rdim) for m in rmaps])
-
-
 class _ProjectiveData:
     """Cached data for the projective A e_s: a reduced basis of its
     underlying subspace of A, and the module, whose action is read in that
@@ -242,8 +235,11 @@ def projective_data(algebra, s):
                           [pure_tensor(f, x, y, b.dim)
                            for x in xa.sparse_rows for y in xb.sparse_rows],
                           [i * b.dim + j for i in xa.pivots for j in xb.pivots])
-        module = Bimodule._built(a, opposite(b), rb.dim, *_kron_sides(
-            f, pa.module.action, xa.dim, pb.module.action, xb.dim), algebra)
+        lid, rid = identity_map(f, xa.dim), identity_map(f, xb.dim)
+        module = Bimodule._built(
+            a, opposite(b), rb.dim,
+            [kron(f, m, rid, xb.dim) for m in pa.module.action],
+            [kron(f, lid, m, xb.dim) for m in pb.module.action], algebra)
     else:
         span = EchelonSpan(f, algebra.dim)
         for j in range(algebra.dim):
@@ -423,8 +419,8 @@ class Bimodule(Module):
     composed map per basis element, is built on first read for the readers
     that want flat maps (duals, a direct sum with a flat summand). The left
     action is an algebra map, the right action an anti-map, and the two
-    commute; validation checks this on generators, which implies the module
-    axioms over L (x) R^op.
+    commute; validation checks this on generators, or on every basis element
+    (full), which implies the module axioms over L (x) R^op.
     """
 
     __slots__ = ("left_alg", "right_alg", "left_action", "right_action",
@@ -517,11 +513,11 @@ class Bimodule(Module):
         return tuple(to_column(self.act(elem, {k: one}))
                      for k in range(self.dim))
 
-    def validate(self):
+    def validate(self, full=False):
         l, r = self.left_alg, self.right_alg
-        lmats = _check_action(l, self.left_action, self.dim, l.generators(),
+        lmats = _check_action(l, self.left_action, self.dim, full,
                               l.sparse_multiply, "left")
-        rmats = _check_action(r, self.right_action, self.dim, r.generators(),
+        rmats = _check_action(r, self.right_action, self.dim, full,
                               lambda x, y: r.sparse_multiply(y, x), "right")
         f = self.field
         for lx in lmats:
@@ -612,10 +608,8 @@ def tensor_powers(m, n):
 
 
 def projective_bimodule(b, u, v, right_alg=None):
-    """The projective (B, R)-bimodule B e_u (x)_k e_v R (R defaults to B)."""
+    """The projective (B, R)-bimodule B e_u (x)_k e_v R (R defaults to B):
+    the projective of B (x) R^op at its idempotent e_u (x) e_v."""
     r = right_alg if right_alg is not None else b
-    lmod = projective_data(b, u).module
-    rmod = projective_data(opposite(r), v).module
-    left, right = _kron_sides(b.field, lmod.action, lmod.dim, rmod.action,
-                              rmod.dim)
-    return Bimodule(b, r, lmod.dim * rmod.dim, left, right, validate=False)
+    return projective_data(tensor_algebra(b, opposite(r)),
+                           u * len(r.idempotents) + v).module

@@ -5,7 +5,11 @@ A dense matrix here is a tuple of rows, each a tuple of canonical field
 elements, and a dense vector one such row. `columns` and `rows` convert
 between the two formats of a map, `pairs` and `vector` those of a vector
 (an algebra element, say); `mul`, `kron` and `product` are the textbook
-dense routines the sparse ones are compared with.
+dense routines the sparse ones are compared with. Two routines keep
+constructions the engine has replaced, as references for what replaced
+them: `tensor_table`, the pure-tensor loop over the cells of a tensor
+algebra's table, and `kron_sides`, the two sides of a projective bimodule
+as Kronecker products with an identity.
 """
 
 
@@ -75,6 +79,29 @@ def kron(field, a, b):
     return tuple(tuple(field.mul(x, y) for x in ra for y in rb)
                  for ra in a for rb in b)
 
+
+def tensor_table(a, b):
+    """The multiplication table of A (x)_k B, basis pairs in row-major
+    order, cell by cell: the cell of b_p (x) b_q and b_j (x) b_l is the
+    pure tensor (b_p b_j) (x) (b_q b_l) of two cells of the factors."""
+    f, nb = a.field, b.dim
+    return tuple(tuple(tuple((i * nb + s, f.mul(x, y))
+                             for i, x in acell for s, y in bcell)
+                       if acell and bcell else ()
+                       for acell in arow for bcell in brow)
+                 for arow in a.table for brow in b.table)
+
+
+def kron_sides(field, lmod, rmod):
+    """The two actions on V (x) W of the left module lmod on V and the
+    left module rmod on W (a right module, over the opposite algebra):
+    each action map of lmod (x) the identity and the identity (x) each of
+    rmod, by dense Kronecker products, as column-sparse maps."""
+    lid, rid = identity(field, lmod.dim), identity(field, rmod.dim)
+    return (tuple(columns(field, kron(field, rows(field, m, lmod.dim), rid))
+                  for m in lmod.action),
+            tuple(columns(field, kron(field, lid, rows(field, m, rmod.dim)))
+                  for m in rmod.action))
 
 
 def back_eliminated(span):

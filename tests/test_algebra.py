@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from quiverext.errors import FieldMismatchError, ValidationError
 import dense_reference as dense
 from quiverext.linalg import (GF, QQ, EchelonSpan, identity_map,
-                              map_combination, sparse_combination, to_column)
+                              map_combination, map_problem,
+                              sparse_combination, to_column)
 from quiverext.modules import Bimodule
 from quiverext.quiver import QuiverPresentation, algebra_from_presentation
 from quiverext.suite import random_quiver_algebra
@@ -478,11 +479,21 @@ def test_associativity_check_exact_on_corrupted_tables(seed, field, data):
        field=st.sampled_from([QQ, GF(2), GF(3)]))
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_constructor_outputs_pass_the_battery(seeds, field):
-    """opposite, tensor_algebra and product_algebra build their outputs
-    with validate=False, trusting the theorems behind them; on valid
-    inputs every output passes the full battery."""
+    """opposite and product_algebra build their outputs with
+    validate=False and tensor_algebra with no check at all, trusting the
+    theorems behind them; on valid inputs every output passes the full
+    battery. A tensor algebra's table, the Kronecker products of its
+    factors' rows, is the one the pure-tensor loop gives, and its rows and
+    elements are in the format the constructor would have checked."""
     a, b = (random_quiver_algebra(random.Random(s), field, max_vertices=2,
                                   max_arrows=3) for s in seeds)
+    for x, y in ((a, b), (a, opposite(a))):
+        t = tensor_algebra(x, y)
+        assert t.table == dense.tensor_table(x, y)
+        for row in t.table:
+            assert map_problem(field, row, t.dim, t.dim) is None
+        for e in (t.unit, *t.radical_rows, *t.idempotents):
+            assert map_problem(field, (e,), t.dim, 1) is None
     for out in (opposite(a), tensor_algebra(a, b),
                 tensor_algebra(a, opposite(a)), product_algebra(a, b)):
         out.validate()

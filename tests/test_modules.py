@@ -15,6 +15,7 @@ from quiverext.modules import (Bimodule, Module, ModuleMap, direct_sum,
                                projective_data, projective_indecomposables,
                                simple_modules, tensor_over, tensor_powers,
                                zero_module)
+from quiverext.quiver import QuiverPresentation, algebra_from_presentation
 from quiverext.resolutions import minimal_resolution
 from quiverext.suite import random_module, random_quiver_algebra
 
@@ -158,6 +159,33 @@ def test_direct_sum_dims(gamma):
     assert d.dim == 6
 
 
+def test_bimodule_full_validation(gamma_qq_gf2):
+    """validate(full=True) checks each side on every basis pair, as
+    Module.validate(full=True) does; a corrupted right action is
+    rejected."""
+    a = gamma_qq_gf2
+    reg = Bimodule.regular(a)
+    reg.validate(full=True)
+    right = list(reg.right_action)
+    right[a.basis_labels.index("beta*gamma")] = tuple(() for _ in range(a.dim))
+    bad = Bimodule(a, a, a.dim, reg.left_action, right, validate=False)
+    with pytest.raises(ValidationError, match="right action is not multiplicative"):
+        bad.validate(full=True)
+
+
+def test_bimodule_full_validation_reaches_every_basis_element(lam):
+    """In Lambda the path beta*gamma*alpha is no product of two
+    generators; full validation checks its map too."""
+    reg = Bimodule.regular(lam)
+    reg.validate(full=True)
+    right = list(reg.right_action)
+    right[lam.basis_labels.index("beta*gamma*alpha")] = \
+        tuple(() for _ in range(lam.dim))
+    bad = Bimodule(lam, lam, lam.dim, reg.left_action, right, validate=False)
+    with pytest.raises(ValidationError, match="right action is not multiplicative"):
+        bad.validate(full=True)
+
+
 def test_bimodule_validation(gamma):
     with pytest.raises(ValidationError):
         # left action not multiplicative: transpose breaks composition order
@@ -212,24 +240,81 @@ def test_direct_sum_rejects_bimodules_with_different_sides(gamma):
         direct_sum([pb, other])
 
 
+def _fresh(a):
+    """A copy of the algebra a with empty caches and no opposite yet."""
+    return Algebra(a.field, a.basis_labels, a.table, a.unit, a.radical_rows,
+                   a.idempotents)
+
+
 def test_bimodule_sums_build_no_tensor_algebra(monkeypatch, gamma):
     """A direct sum of bimodules, and the Morita ring over two of them,
-    check the sides by identity: neither builds L (x) R^op."""
+    check the sides by identity: neither builds L (x) R^op. Every algebra
+    build is counted by kind, through the constructor or, for a tensor
+    algebra, through Algebra._built; the summands were not built over
+    L (x) R^op, so reading their `algebra` would build it."""
     from quiverext.extensions import morita_ring_zero
-    g = Algebra(gamma.field, gamma.basis_labels, gamma.table, gamma.unit,
-                gamma.radical_rows, gamma.idempotents)  # an empty cache
-    m, n = projective_bimodule(g, 0, 1), projective_bimodule(g, 1, 0)
-    kinds, real_init = [], Algebra.__init__
+    g = _fresh(gamma)
+    m = Bimodule.regular(g)
+    n = tensor_over(m, m)
+    assert m._env is None and n._env is None
+    kinds, real_init, real_built = [], Algebra.__init__, Algebra._built
 
     def counting_init(self, *args, **kwargs):
-        kinds.append(kwargs.get("meta", {}).get("kind"))
         real_init(self, *args, **kwargs)
+        kinds.append(self.meta.get("kind"))
+
+    def counting_built(cls, *args):
+        out = real_built(*args)
+        kinds.append(out.meta.get("kind"))
+        return out
 
     monkeypatch.setattr(Algebra, "__init__", counting_init)
+    monkeypatch.setattr(Algebra, "_built", classmethod(counting_built))
     assert isinstance(direct_sum([m, n]), Bimodule)
     assert kinds == []
     morita_ring_zero(g, g, m, n)
     assert kinds and "tensor" not in kinds
+    assert m.algebra.factors == (g, opposite(g)) and kinds[-1] == "tensor"
+
+
+def test_tensor_projectives_keep_their_right_algebra(lam):
+    """The projectives of L (x) L^op have L itself as their right algebra
+    even after L^op's cache is emptied, so a direct sum with a bimodule
+    built over L before accepts them."""
+    lam = _fresh(lam)
+    opposite(lam)._cache.clear()
+    p = projective_data(tensor_algebra(lam, opposite(lam)), 0).module
+    assert p.right_alg is lam
+    s = direct_sum([p, Bimodule.regular(lam)])
+    assert isinstance(s, Bimodule) and s.dim == p.dim + lam.dim
+
+
+def _a2(field):
+    """The path algebra of 1 -> 2 over field."""
+    return algebra_from_presentation(
+        QuiverPresentation(("1", "2"), (("b", "1", "2"),)), field)
+
+
+@pytest.mark.parametrize("right", ["B", "B^op", "C"])
+def test_projective_bimodule_is_the_tensor_algebras_projective(
+        gamma_qq_gf2, right):
+    """projective_bimodule(B, u, v, R) is the projective of B (x) R^op at
+    e_u (x) e_v, the same object, with the two sides the Kronecker
+    construction gives: the one-sided projectives' actions with an
+    identity, over R = B, R = B^op and a second algebra R = C."""
+    b = gamma_qq_gf2
+    r = {"B": b, "B^op": opposite(b), "C": _a2(b.field)}[right]
+    env = tensor_algebra(b, opposite(r))
+    for u in range(len(b.idempotents)):
+        for v in range(len(r.idempotents)):
+            pb = projective_bimodule(b, u, v, r)
+            assert pb is projective_data(env, u * len(r.idempotents) + v).module
+            assert pb.left_alg is b and pb.right_alg is r and pb.algebra is env
+            left, right_maps = dense.kron_sides(
+                b.field, projective_data(b, u).module,
+                projective_data(opposite(r), v).module)
+            assert (pb.left_action, pb.right_action) == (left, right_maps)
+            pb.validate(full=True)
 
 
 def test_projectives_of_a_tensor_algebra_are_bimodules(gamma):
